@@ -5,6 +5,10 @@ is nonzero in the ground characteristic.  For h in A the replacement set
 collects g - h over the leftover Hilbert elements g whose substitution into
 h's column keeps that determinant nonzero; the chart semigroup is generated
 by the Hilbert basis together with all replacement sets.
+
+The whole replacement table comes from one adjugate.  By Cramer's rule,
+replacing column i of A by g gives det = (adj(A) g)_i, so one product
+adj(A) H, reduced mod p, decides every (h, g) pair at once.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exactmath import Mat, Vec, det_p, mat, sub, vec
+from .exactmath import Vec, adjugate, det_p, mat, mat_apply, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
 from .cone import NotPointedError
 
@@ -47,6 +51,25 @@ def _validated_subset(s: AffineSemigroup, subset: Sequence[Sequence[int]]) -> tu
     return a
 
 
+def _g_sets(
+    s: AffineSemigroup, a: tuple[Vec, ...], p: int
+) -> tuple[int, dict[Vec, tuple[Vec, ...]]]:
+    """det_p of a validated subset and the replacement set of each member."""
+    m = mat(a)
+    dp = det_p(m, p)
+    if dp == 0:
+        raise ValueError("chart subset has vanishing determinant in this characteristic")
+    adj = adjugate(m)
+    out: dict[Vec, list[Vec]] = {h: [] for h in a}
+    for g in s.hilbert_basis():
+        if g in a:
+            continue
+        for h, d in zip(a, mat_apply(adj, g)):
+            if (d % p if p else d) != 0:
+                out[h].append(sub(g, h))
+    return dp, {h: tuple(sorted(diffs)) for h, diffs in out.items()}
+
+
 def g_set(
     s: AffineSemigroup, subset: Sequence[Sequence[int]], h: Sequence[int], p: int
 ) -> tuple[Vec, ...]:
@@ -55,18 +78,7 @@ def g_set(
     hv = vec(h)
     if hv not in a:
         raise ValueError(f"{hv} is not in the chart subset")
-    if det_p(mat(a), p) == 0:
-        raise ValueError("chart subset has vanishing determinant in this characteristic")
-    idx = a.index(hv)
-    out = []
-    for g in s.hilbert_basis():
-        if g in a:
-            continue
-        cols = list(a)
-        cols[idx] = g
-        if det_p(tuple(cols), p) != 0:
-            out.append(sub(g, hv))
-    return tuple(sorted(out))
+    return _g_sets(s, a, p)[1][hv]
 
 
 def chart(
@@ -77,10 +89,7 @@ def chart(
 ) -> BlowupChart:
     """The blowup chart of s at the given Hilbert subset."""
     a = _validated_subset(s, subset)
-    dp = det_p(mat(a), p)
-    if dp == 0:
-        raise ValueError("chart subset has vanishing determinant in this characteristic")
-    gsets = {h: g_set(s, a, h, p) for h in a}
+    dp, gsets = _g_sets(s, a, p)
     gens = set(s.hilbert_basis())
     for diffs in gsets.values():
         gens.update(diffs)

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import Mat, identity, vec
-from .iso import certificate_for_matrix, find_isomorphism, fingerprint, verify_certificate
+from .iso import (
+    IsoCertificate,
+    certificate_for_matrix,
+    find_isomorphism,
+    fingerprint,
+    verify_certificate,
+)
 from .nash import blowup_step, chart
 from .semigroup import AffineSemigroup
 

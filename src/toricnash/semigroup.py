@@ -18,6 +18,7 @@ from .exactmath import (
     lattice_is_full,
     mat,
     mat_apply,
+    neg,
     orthogonal_complement,
     primitive,
     rank_of_vectors,
@@ -205,6 +206,18 @@ class AffineSemigroup(object):
 
     @property
     def is_pointed(self) -> bool:
+        """Is the cone spanned by the generators free of lines?
+
+        Certificate first: if two generators u, v have opposite primitive
+        vectors, primitive(u) == -primitive(v), then |b| u + |a| v == 0 for
+        the nonzero entries a of u and b of v in any one coordinate, so the
+        cone contains the line through u and the answer is False without
+        building a Cone.  Otherwise the Cone decides.
+        """
+        if self._cone is None:
+            prims = {primitive(g) for g in self.generators}
+            if any(neg(v) in prims for v in prims):
+                return False
         return self.cone.is_pointed
 
     def generates_full_lattice(self) -> bool:

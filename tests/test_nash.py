@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from toricnash import fixtures
 from toricnash.cone import NotPointedError
-from toricnash.exactmath import det_p, sub, vec
+from toricnash.exactmath import det_p, mat, sub, vec
 from toricnash.nash import blowup_step, chart, g_set
+from toricnash.search import explore
 from toricnash.semigroup import AffineSemigroup, NotFullLatticeError, saturation_hilbert_basis
 from toricnash.cone import Cone
 
@@ -148,3 +150,66 @@ def test_char_zero_and_prime_can_differ():
     s = _source()
     assert len(blowup_step(s, 0)) == len(blowup_step(s, 3)) == 83
     assert len(blowup_step(s, 2)) != 83  # the ±2 determinants vanish mod 2
+
+
+# Reference: the definitions read directly -- one Bareiss determinant per
+# (h, g) replacement and a full Cone for every pointedness verdict.
+def _reference_g_set(s, a, h, p):
+    idx = a.index(h)
+    out = []
+    for g in s.hilbert_basis():
+        if g in a:
+            continue
+        cols = list(a)
+        cols[idx] = g
+        if det_p(tuple(cols), p) != 0:
+            out.append(sub(g, h))
+    return tuple(sorted(out))
+
+
+def _assert_charts_match_reference(s, p):
+    charts = iter(blowup_step(s, p))
+    for a in itertools.combinations(s.hilbert_basis(), s.dim):
+        dp = det_p(mat(a), p)
+        if dp == 0:
+            continue
+        ch = next(charts)
+        gsets = {h: _reference_g_set(s, a, h, p) for h in a}
+        gens = tuple(sorted(set(s.hilbert_basis()).union(*gsets.values())))
+        cone = Cone(gens, s.dim)
+        assert ch.subset == a
+        assert ch.det_value == dp
+        assert ch.g_sets == gsets
+        assert ch.generators == gens
+        assert ch.pointed == cone.is_pointed
+        if cone.is_pointed:
+            assert ch.normalized_chart.hilbert_basis() == saturation_hilbert_basis(cone)
+        else:
+            assert ch.normalized_chart is None
+    assert next(charts, None) is None
+
+
+@pytest.mark.parametrize("name, depth", [("B", 1), ("dim4char3", 2), ("reeves", 1)])
+def test_charts_match_reference_on_search_nodes(name, depth):
+    cf = fixtures.BUILTIN_CONES[name]
+    start = AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
+    report = explore(start, cf.characteristic, max_depth=depth)
+    expanded = [n for n in report.nodes.values() if n.depth < depth and not n.smooth]
+    assert expanded
+    for node in expanded:
+        _assert_charts_match_reference(node.semigroup, cf.characteristic)
+
+
+@st.composite
+def _pointed_full_lattice_semigroups(draw):
+    """Saturations of full-dimensional orthant cones: pointed, spanning Z^d."""
+    dim = draw(st.integers(2, 3))
+    vector = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    cone = Cone(draw(st.lists(vector, min_size=dim, max_size=dim + 2)), dim)
+    assume(cone.is_full_dimensional)
+    return AffineSemigroup(saturation_hilbert_basis(cone), dim)
+
+
+@given(_pointed_full_lattice_semigroups(), st.sampled_from((0, 2, 3, 5)))
+def test_charts_match_reference_on_drawn_semigroups(s, p):
+    _assert_charts_match_reference(s, p)

@@ -1,11 +1,13 @@
 import random
+import typing
+from typing import Optional
 
 import pytest
 
 from toricnash import fixtures
 from toricnash.cone import Cone
 from toricnash.exactmath import identity
-from toricnash.iso import find_isomorphism
+from toricnash.iso import IsoCertificate, find_isomorphism
 from toricnash.search import (
     TERMINATION_CYCLE,
     TERMINATION_DEPTH,
@@ -15,6 +17,7 @@ from toricnash.search import (
     GraphEdge,
     GraphFormatError,
     GraphNode,
+    _ClassIndex,
     explore,
     find_cycles,
     load_graph,
@@ -231,3 +234,8 @@ def test_graph_format_errors_carry_line_numbers(tmp_path):
     with pytest.raises(GraphFormatError) as err:
         load_graph(str(p))
     assert "line 2" in str(err.value)
+
+
+def test_class_index_annotations_resolve():
+    hints = typing.get_type_hints(_ClassIndex.locate)
+    assert hints["return"] == tuple[bytes, Optional[str], Optional[IsoCertificate]]

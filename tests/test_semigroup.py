@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toricnash.cone import Cone, NotPointedError
-from toricnash.exactmath import add, vec
+from toricnash.exactmath import add, neg, primitive, scale, vec
 from toricnash.semigroup import (
     AffineSemigroup,
     NotFullLatticeError,
@@ -186,3 +187,70 @@ def test_structural_equality():
     d = AffineSemigroup(((1, 0), (0, 1), (1, 1)), 2)
     assert c != d
     assert c.same_semigroup(d)
+
+
+@st.composite
+def _generator_sets(draw):
+    """Nonzero vectors in dim 1..4, sometimes with a planted pair a*w, -b*w."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    gens = draw(st.lists(vector, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        w = draw(vector)
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        gens += [scale(a, w), scale(-b, w)]
+    return dim, gens
+
+
+@st.composite
+def _unimodular(draw, dim):
+    """A product of elementary integer column operations (determinant +-1)."""
+    cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i == j:
+            cols[i] = [-x for x in cols[i]]
+        else:
+            c = draw(st.sampled_from((-2, -1, 1, 2)))
+            cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
+    return tuple(tuple(c) for c in cols)
+
+
+def _has_opposite_pair(gens):
+    prims = {primitive(vec(g)) for g in gens}
+    return any(neg(v) in prims for v in prims)
+
+
+@given(_generator_sets(), st.data())
+def test_is_pointed_agrees_with_cone(drawn, data):
+    dim, gens = drawn
+    verdict = Cone(gens, dim).is_pointed
+    assert AffineSemigroup(gens, dim).is_pointed == verdict
+    if _has_opposite_pair(gens):
+        assert not verdict
+    u = data.draw(_unimodular(dim))
+    image = [apply_matrix(u, g) for g in gens]
+    assert AffineSemigroup(image, dim).is_pointed == verdict
+
+
+def test_planted_opposite_pair_with_unequal_multiples():
+    # 2w and -3w, w = (1, -2, 1): a line through the cone, found without a Cone
+    s = AffineSemigroup(((2, -4, 2), (-3, 6, -3), (1, 0, 0), (0, 0, 1)), 3)
+    assert not s.is_pointed
+    assert s._cone is None
+    assert not Cone(s.generators, 3).is_pointed
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ((1, 0), (0, 1), (-1, -1)),  # positively spans the plane
+        ((1, 2), (-1, 1), (0, -1), (3, 1)),
+        ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)),  # a half-space
+    ],
+)
+def test_nonpointed_without_opposite_pair(gens):
+    assert not _has_opposite_pair(gens)
+    dim = len(gens[0])
+    assert not Cone(gens, dim).is_pointed
+    assert not AffineSemigroup(gens, dim).is_pointed
