@@ -40,7 +40,6 @@ from .semigroup import (
     NotFullLatticeError,
     NotSaturatedError,
     saturation_hilbert_basis,
-    semigroups_equal,
 )
 from .verify import CheckResult, VerificationLedger, run_all_checks
 
@@ -87,7 +86,6 @@ __all__ = [
     "render_cone_file",
     "run_all_checks",
     "save_graph",
-    "semigroups_equal",
     "saturation_hilbert_basis",
     "solve_integral",
     "verify_certificate",

@@ -10,7 +10,6 @@ any remaining Hilbert basis elements lexicographically.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -83,9 +82,7 @@ def _semigroup_from(cf: ConeFile) -> tuple[AffineSemigroup, list[Vec]]:
     if not cone.is_pointed:
         raise CliError("cone is not pointed", EXIT_MATH)
     hilbert = saturation_hilbert_basis(cone)
-    s = AffineSemigroup(hilbert, cf.dim)
-    s._hilbert = s.generators
-    s._saturated = True
+    s = AffineSemigroup.from_hilbert_basis(hilbert, cf.dim, saturated=True)
     return s, _display_order(cf.generators, hilbert)
 
 
@@ -159,8 +156,7 @@ def _render_report(report: SearchReport, wanted: Sequence[int]) -> None:
 
 def cmd_search(args) -> int:
     wanted = _parse_cycles(args.cycles)
-    threads = args.threads
-    if args.max_depth < 1 or args.max_nodes < 1 or threads < 1:
+    if args.max_depth < 1 or args.max_nodes < 1:
         raise CliError("limits must be positive")
 
     state = None
@@ -188,7 +184,6 @@ def cmd_search(args) -> int:
             max_nodes=args.max_nodes,
             cycle_lengths=wanted,
             normalized=normalized,
-            threads=threads,
             halt_on_cycle=args.halt_on_cycle,
             state=state,
         )
@@ -263,12 +258,6 @@ def build_parser() -> _Parser:
     p_s.add_argument("--max-nodes", type=int, default=10_000)
     p_s.add_argument("--cycles", default="1", help="comma-separated cycle lengths to report")
     p_s.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("TORICNASH_THREADS", "1")),
-        help="worker threads for chart expansion (default: TORICNASH_THREADS or 1)",
-    )
-    p_s.add_argument(
         "--normalized",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -290,7 +279,7 @@ def build_parser() -> _Parser:
     p_v.add_argument(
         "--include-lineage",
         action="store_true",
-        help="also run the long depth-4 ancestry search (slow)",
+        help="also run the long depth-5 ancestry search (slow)",
     )
     p_v.set_defaults(fn=cmd_verify_paper)
 

@@ -9,10 +9,9 @@ from .exactmath import (
     Vec,
     DimensionMismatch,
     add,
-    adjugate,
-    det,
     dot,
     identity,
+    independent_indices,
     is_zero,
     mat,
     mat_apply,
@@ -21,6 +20,7 @@ from .exactmath import (
     primitive,
     rank_of_vectors,
     scale,
+    solve,
     sub,
     vec,
     zero_vec,
@@ -29,17 +29,6 @@ from .exactmath import (
 
 class NotPointedError(ValueError):
     """Operation requires a strongly convex (pointed) cone."""
-
-
-def _independent_subset(vectors: Sequence[Vec], want: int) -> list[Vec]:
-    """Greedy: the earliest subsequence of the given size with full rank."""
-    chosen: list[Vec] = []
-    for v in vectors:
-        if rank_of_vectors(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            if len(chosen) == want:
-                return chosen
-    raise ValueError("vectors do not span the requested rank")
 
 
 def _tight_mask(r: Vec, constraints: Sequence[Vec], upto: int) -> int:
@@ -59,13 +48,12 @@ def _dd_rays(constraints: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     a time.  Adjacency of rays u, v is the standard combinatorial test: no
     third ray is tight on every constraint that is tight on both u and v.
     """
-    base = _independent_subset(constraints, dim)
+    base = [constraints[i] for i in independent_indices(constraints, dim)]
     rest = [c for c in constraints if c not in base]
     ordered = base + rest
 
     rows_as_cols = mat(tuple(zip(*base)))  # matrix with rows = base constraints
-    d0 = det(rows_as_cols)
-    adj = adjugate(rows_as_cols)
+    d0, adj = solve(rows_as_cols, identity(dim))
     s = 1 if d0 > 0 else -1
     rays = [primitive(tuple(s * e for e in col)) for col in adj]
     tight = {r: _tight_mask(r, ordered, dim) for r in rays}

@@ -178,6 +178,46 @@ def is_unimodular(m: Mat) -> bool:
     return abs(det(m)) == 1
 
 
+def solve(m: Mat, rhs: Sequence[Vec]) -> tuple[int, Optional[Mat]]:
+    """(det(m), adj(m) . rhs) from one fraction-free Gauss-Jordan pass.
+
+    rhs is a sequence of columns, and the second item holds one column per
+    right-hand side b: adj(m) b == det(m) m^-1 b, so its i-th entry is the
+    Cramer determinant of m with column i replaced by b.  The second item
+    is None when m is singular.
+    """
+    n = len(m)
+    if n and len(m[0]) != n:
+        raise DimensionMismatch(f"solve with a {len(m[0])}x{n} matrix")
+    for b in rhs:
+        if len(b) != n:
+            raise DimensionMismatch(f"solve: right-hand side of length {len(b)}, not {n}")
+    # rows of [m | rhs]
+    a = [[col[i] for col in m] + [b[i] for b in rhs] for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, None
+        row_k = a[k]
+        pivot = row_k[k]
+        for i in range(n):
+            if i != k:
+                aik = a[i][k]
+                # exact division: every entry stays a minor of [m | rhs];
+                # column k clears and the earlier diagonal becomes pivot
+                a[i] = [(pivot * x - aik * y) // prev for x, y in zip(a[i], row_k)]
+        prev = pivot
+    # now a == [prev * I | prev * m^-1 rhs] with prev == sign * det(m)
+    return sign * prev, tuple(tuple(sign * row[n + j] for row in a) for j in range(len(rhs)))
+
+
 def _minor(m: Mat, drop_row: int, drop_col: int) -> Mat:
     return tuple(
         tuple(col[i] for i in range(len(col)) if i != drop_row)
@@ -188,22 +228,14 @@ def _minor(m: Mat, drop_row: int, drop_col: int) -> Mat:
 
 def adjugate(m: Mat) -> Mat:
     """Adjugate: m * adj(m) == adj(m) * m == det(m) * identity."""
+    adj = solve(m, identity(len(m)))[1]
+    if adj is not None:
+        return adj
+    # singular: adj[i][j] = cofactor C_ji = (-1)^(i+j) det(minor dropping row j, col i)
     n = len(m)
-    if n == 0:
-        return ()
-    if len(m[0]) != n:
-        raise DimensionMismatch("adjugate of a non-square matrix")
-    # adj[i][j] = cofactor C_ji = (-1)^(i+j) det(minor dropping row j, col i)
-    cols = []
-    for j in range(n):
-        col = []
-        for i in range(n):
-            c = det(_minor(m, j, i))
-            if (i + j) % 2:
-                c = -c
-            col.append(c)
-        cols.append(tuple(col))
-    return tuple(cols)
+    return tuple(
+        tuple((-1) ** (i + j) * det(_minor(m, j, i)) for i in range(n)) for j in range(n)
+    )
 
 
 def solve_integral(m: Mat, target: Vec) -> Optional[Vec]:
@@ -211,23 +243,10 @@ def solve_integral(m: Mat, target: Vec) -> Optional[Vec]:
 
     None when m is singular or the solution has a non-integer entry.
     """
-    n = len(m)
-    if n == 0:
-        return () if len(target) == 0 else None
-    if len(m[0]) != n or len(target) != n:
-        raise DimensionMismatch("solve_integral needs a square system")
-    d = det(m)
-    if d == 0:
+    d, x = solve(m, (target,))
+    if x is None or any(e % d for e in x[0]):
         return None
-    out = []
-    for i in range(n):
-        cols = list(m)
-        cols[i] = tuple(target)
-        num = det(tuple(cols))
-        if num % d:
-            return None
-        out.append(num // d)
-    return tuple(out)
+    return tuple(e // d for e in x[0])
 
 
 def hermite_form(m: Mat) -> tuple[Mat, Mat]:
@@ -297,13 +316,35 @@ def hermite_form(m: Mat) -> tuple[Mat, Mat]:
     return h, tt
 
 
-def column_rank(m: Mat) -> int:
-    h, _ = hermite_form(m)
-    return sum(1 for c in h if not is_zero(c))
+def independent_indices(vectors: Sequence[Vec], want: Optional[int] = None) -> list[int]:
+    """Positions of the earliest linearly independent subsequence, greedily.
+
+    A vector is kept when it is independent of those kept before it; the
+    kept ones are held in fraction-free echelon form, so each candidate
+    costs one reduction.  With `want`, stop once that many are kept and
+    raise ValueError if the vectors have smaller rank.
+    """
+    kept: list[int] = []
+    echelon: list[tuple[int, Vec]] = []  # (pivot position, reduced vector)
+    for idx, v in enumerate(vectors):
+        if want is not None and len(kept) == want:
+            break
+        w = v
+        for piv, e in echelon:
+            if w[piv]:
+                w = tuple(e[piv] * x - w[piv] * y for x, y in zip(w, e))
+        if is_zero(w):
+            continue
+        w = primitive(w)
+        echelon.append((next(i for i, x in enumerate(w) if x), w))
+        kept.append(idx)
+    if want is not None and len(kept) < want:
+        raise ValueError("vectors do not span the requested rank")
+    return kept
 
 
 def rank_of_vectors(vectors: Sequence[Vec]) -> int:
-    return column_rank(mat(vectors))
+    return len(independent_indices(vectors))
 
 
 def kernel_basis(m: Mat) -> tuple[Vec, ...]:

@@ -169,10 +169,7 @@ def cone_B() -> Cone:
 
 def source_semigroup() -> AffineSemigroup:
     """The saturated semigroup of the loop example, Hilbert basis pinned."""
-    s = AffineSemigroup(H_VECTORS, 5)
-    s._hilbert = s.generators
-    s._saturated = True
-    return s
+    return AffineSemigroup.from_hilbert_basis(H_VECTORS, 5, saturated=True)
 
 
 def chart_subset_vectors() -> tuple[Vec, ...]:

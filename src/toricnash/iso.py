@@ -18,16 +18,16 @@ from .cone import NotPointedError
 from .exactmath import (
     Mat,
     Vec,
-    adjugate,
     det,
     dot,
     identity,
+    independent_indices,
     is_unimodular,
     mat,
     mat_apply,
     mat_mul,
     primitive,
-    rank_of_vectors,
+    solve,
 )
 from .semigroup import AffineSemigroup
 
@@ -172,20 +172,12 @@ def verify_certificate(a: AffineSemigroup, b: AffineSemigroup, cert: IsoCertific
     return True
 
 
-def _invert_unimodular(m: Mat) -> Mat:
-    d = det(m)
-    adj = adjugate(m)
-    if d == 1:
-        return adj
-    if d == -1:
-        return tuple(tuple(-e for e in col) for col in adj)
-    raise ValueError("matrix is not unimodular")
-
-
 def invert_certificate(b: AffineSemigroup, cert: IsoCertificate) -> IsoCertificate:
     """The inverse of a certificate onto b, mapping b back to its source."""
-    inv = _invert_unimodular(cert.matrix)
-    return certificate_for_matrix(b, inv)
+    d, adj = solve(cert.matrix, identity(len(cert.matrix)))
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return certificate_for_matrix(b, tuple(tuple(d * e for e in col) for col in adj))
 
 
 def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCertificate]:
@@ -210,13 +202,9 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
         return None
     d = a.dim
 
-    base: list[Vec] = []
-    for v in ha:
-        if rank_of_vectors(base + [v]) > len(base):
-            base.append(v)
-            if len(base) == d:
-                break
-    if len(base) < d:
+    try:
+        base = [ha[i] for i in independent_indices(ha, d)]
+    except ValueError:
         return None  # degenerate: Hilbert basis does not span
 
     profile_a = {v: _element_profile(v, a.cone) for v in ha}
@@ -224,9 +212,7 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
     candidates = [
         [w for w in hb if profile_b[w] == profile_a[v]] for v in base
     ]
-    base_mat = mat(base)
-    base_det = det(base_mat)
-    base_adj = adjugate(base_mat)
+    base_det, base_adj = solve(mat(base), identity(d))
     ha_set = set(ha)
     hb_set = set(hb)
 

@@ -6,9 +6,10 @@ collects g - h over the leftover Hilbert elements g whose substitution into
 h's column keeps that determinant nonzero; the chart semigroup is generated
 by the Hilbert basis together with all replacement sets.
 
-The whole replacement table comes from one adjugate.  By Cramer's rule,
-replacing column i of A by g gives det = (adj(A) g)_i, so one product
-adj(A) H, reduced mod p, decides every (h, g) pair at once.
+The whole replacement table comes from one exact solve.  By Cramer's rule,
+replacing column i of A by g gives det = (adj(A) g)_i, so one fraction-free
+elimination of A against all leftover Hilbert elements, reduced mod p,
+decides every (h, g) pair at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exactmath import Vec, adjugate, det_p, mat, mat_apply, sub, vec
+from .exactmath import Vec, det_p, mat, solve, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
 from .cone import NotPointedError
 
@@ -59,12 +60,10 @@ def _g_sets(
     dp = det_p(m, p)
     if dp == 0:
         raise ValueError("chart subset has vanishing determinant in this characteristic")
-    adj = adjugate(m)
+    rest = [g for g in s.hilbert_basis() if g not in a]
     out: dict[Vec, list[Vec]] = {h: [] for h in a}
-    for g in s.hilbert_basis():
-        if g in a:
-            continue
-        for h, d in zip(a, mat_apply(adj, g)):
+    for g, col in zip(rest, solve(m, rest)[1]):
+        for h, d in zip(a, col):
             if (d % p if p else d) != 0:
                 out[h].append(sub(g, h))
     return dp, {h: tuple(sorted(diffs)) for h, diffs in out.items()}

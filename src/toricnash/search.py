@@ -10,7 +10,6 @@ chart at depth k from some node isomorphic to that node.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -136,7 +135,6 @@ def explore(
     max_nodes: int = DEFAULT_MAX_NODES,
     cycle_lengths: Iterable[int] = (1,),
     normalized: bool = True,
-    threads: int = 1,
     halt_on_cycle: bool = False,
     state: Optional[SearchReport] = None,
 ) -> SearchReport:
@@ -178,63 +176,48 @@ def explore(
     termination = TERMINATION_EXHAUSTED
     truncated_by_depth = False
 
-    def expand(key: str) -> list[tuple[tuple[int, ...], AffineSemigroup]]:
-        return _chart_targets(nodes[key].semigroup, p, normalized)
+    while frontier:
+        frontier.sort()
+        layer = [k for k in frontier if nodes[k].depth < max_depth]
+        if not layer:
+            truncated_by_depth = True
+            break
+        depth_now = min(nodes[k].depth for k in layer)
+        batch = [k for k in layer if nodes[k].depth == depth_now]
+        rest = [k for k in frontier if k not in batch]
 
-    pool = (
-        concurrent.futures.ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    )
-    try:
-        while frontier:
-            frontier.sort()
-            layer = [k for k in frontier if nodes[k].depth < max_depth]
-            if not layer:
-                truncated_by_depth = True
-                break
-            depth_now = min(nodes[k].depth for k in layer)
-            batch = [k for k in layer if nodes[k].depth == depth_now]
-            rest = [k for k in frontier if k not in batch]
-
-            if pool is not None:
-                results = list(pool.map(expand, batch))
-            else:
-                results = [expand(k) for k in batch]
-
-            stop = False
-            new_frontier: list[str] = []
-            for key, targets in zip(batch, results):
-                depth = nodes[key].depth
-                for subset, target in targets:
-                    fp, found, cert = index.locate(target, nodes)
-                    if found is None:
-                        if len(nodes) >= max_nodes:
-                            termination = TERMINATION_NODES
-                            stop = True
-                            break
-                        found = _fresh_key(fp, index)
-                        index.insert(fp, found)
-                        node = GraphNode(found, target, depth + 1, _node_is_smooth(target))
-                        nodes[found] = node
-                        cert = certificate_for_matrix(target, identity(target.dim))
-                        if not node.smooth:
-                            new_frontier.append(found)
-                    edges.append(GraphEdge(key, found, subset, cert.matrix))
-                if stop:
-                    break
-                if halt_on_cycle and wanted:
-                    if find_cycles(nodes, edges, wanted):
-                        termination = TERMINATION_CYCLE
+        stop = False
+        new_frontier: list[str] = []
+        for key in batch:
+            depth = nodes[key].depth
+            for subset, target in _chart_targets(nodes[key].semigroup, p, normalized):
+                fp, found, cert = index.locate(target, nodes)
+                if found is None:
+                    if len(nodes) >= max_nodes:
+                        termination = TERMINATION_NODES
                         stop = True
                         break
-            done = set(batch if not stop else batch[: batch.index(key) + 1])
-            frontier = [k for k in rest if k not in done] + [
-                k for k in new_frontier if k not in done
-            ]
+                    found = _fresh_key(fp, index)
+                    index.insert(fp, found)
+                    node = GraphNode(found, target, depth + 1, _node_is_smooth(target))
+                    nodes[found] = node
+                    cert = certificate_for_matrix(target, identity(target.dim))
+                    if not node.smooth:
+                        new_frontier.append(found)
+                edges.append(GraphEdge(key, found, subset, cert.matrix))
             if stop:
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            if halt_on_cycle and wanted:
+                if find_cycles(nodes, edges, wanted):
+                    termination = TERMINATION_CYCLE
+                    stop = True
+                    break
+        done = set(batch if not stop else batch[: batch.index(key) + 1])
+        frontier = [k for k in rest if k not in done] + [
+            k for k in new_frontier if k not in done
+        ]
+        if stop:
+            break
 
     if termination == TERMINATION_EXHAUSTED and (truncated_by_depth or
             any(nodes[k].depth >= max_depth for k in frontier)):
@@ -402,8 +385,7 @@ def load_graph(path: str) -> SearchReport:
                         f"line {lineno}: expected {dim * ngens} generator entries"
                     )
                 gens = [vec(entries[i * dim : (i + 1) * dim]) for i in range(ngens)]
-                s = AffineSemigroup(gens, dim)
-                s._hilbert = s.generators
+                s = AffineSemigroup.from_hilbert_basis(gens, dim)
                 nodes[key] = GraphNode(key, s, depth, smooth)
             elif kind == "edge":
                 src, dst = parts[1], parts[2]

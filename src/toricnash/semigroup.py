@@ -10,10 +10,11 @@ from .exactmath import (
     Mat,
     Vec,
     DimensionMismatch,
-    adjugate,
     det,
     dot,
     hermite_form,
+    identity,
+    independent_indices,
     is_zero,
     lattice_is_full,
     mat,
@@ -21,9 +22,11 @@ from .exactmath import (
     neg,
     orthogonal_complement,
     primitive,
-    rank_of_vectors,
     scale,
+    solve,
+    solve_integral,
     sub,
+    transpose,
     vec,
     zero_vec,
 )
@@ -39,28 +42,12 @@ class NotSaturatedError(ValueError):
 
 def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Vec:
     """Integer coordinates of v in a saturated lattice basis (exact)."""
-    k = len(basis)
     rows = [tuple(b[i] for b in basis) for i in range(len(v))]
-    sel: list[int] = []
-    for i, row in enumerate(rows):
-        if rank_of_vectors([rows[j] for j in sel] + [row]) > len(sel):
-            sel.append(i)
-            if len(sel) == k:
-                break
-    if len(sel) < k:
-        raise ValueError("basis vectors are dependent")
+    sel = independent_indices(rows, len(basis))
     square = mat(tuple(tuple(b[i] for i in sel) for b in basis))
-    target = vec(v[i] for i in sel)
-    d = det(square)
-    coords = []
-    for j in range(k):
-        cols = list(square)
-        cols[j] = target
-        num = det(tuple(cols))
-        if num % d:
-            raise ValueError("vector lies outside the lattice of the basis")
-        coords.append(num // d)
-    out = vec(coords)
+    out = solve_integral(square, vec(v[i] for i in sel))
+    if out is None:
+        raise ValueError("vector lies outside the lattice of the basis")
     if mat_apply(mat(basis), out) != tuple(v):
         raise ValueError("vector lies outside the span of the basis")
     return out
@@ -75,13 +62,9 @@ def _parallelepiped_points_fullrank(rays: Sequence[Vec]) -> set[Vec]:
     """
     d = len(rays)
     r_mat = mat(rays)
-    dval = det(r_mat)
-    adj = adjugate(r_mat)
-    if dval < 0:
-        dval = -dval
-        adj = tuple(tuple(-e for e in col) for col in adj)
-    # rows of adj, for computing numerators of R^{-1} e
-    adj_rows = tuple(tuple(adj[j][i] for j in range(d)) for i in range(d))
+    dval, adj = solve(r_mat, identity(d))
+    # rows of adj, for the numerators of R^{-1} e; // floors for either sign of dval
+    adj_rows = transpose(adj)
     h, _ = hermite_form(r_mat)
     diag = [h[j][j] for j in range(d)]
     points: set[Vec] = set()
@@ -198,6 +181,20 @@ class AffineSemigroup(object):
         self._full: Optional[bool] = None
         self._grading: Optional[Vec] = None
 
+    @classmethod
+    def from_hilbert_basis(
+        cls, basis: Sequence[Sequence[int]], dim: int, saturated: Optional[bool] = None
+    ) -> "AffineSemigroup":
+        """The semigroup generated by a known Hilbert basis, trusted unchecked.
+
+        `saturated` pins is_saturated() when the caller knows it; None
+        leaves it to be computed on demand.
+        """
+        out = cls(basis, dim)
+        out._hilbert = out.generators
+        out._saturated = saturated
+        return out
+
     @property
     def cone(self) -> Cone:
         if self._cone is None:
@@ -263,10 +260,8 @@ class AffineSemigroup(object):
 
     def saturate(self) -> "AffineSemigroup":
         sat = saturation_hilbert_basis(self.cone)
-        out = AffineSemigroup(sat, self.dim)
+        out = AffineSemigroup.from_hilbert_basis(sat, self.dim, saturated=True)
         out._cone = self.cone  # saturation spans the same cone
-        out._hilbert = out.generators
-        out._saturated = True
         out._grading = self._grading
         return out
 
@@ -308,7 +303,3 @@ class AffineSemigroup(object):
 
     def __repr__(self) -> str:
         return f"AffineSemigroup(dim={self.dim}, {len(self.generators)} generators)"
-
-
-def semigroups_equal(a: AffineSemigroup, b: AffineSemigroup) -> bool:
-    return a.same_semigroup(b)

@@ -29,7 +29,7 @@ from toricnash.search import (
     explore,
     verify_report_cycles,
 )
-from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis, semigroups_equal
+from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis
 from toricnash.verify import run_all_checks
 
 P = fixtures.LOOP_CHARACTERISTIC
@@ -101,7 +101,7 @@ def test_criterion_04_decompositions_and_generation():
     ca, cb = fixtures.COINCIDENT_TERMS
     coincide = fixtures.term_vector(ca) == fixtures.term_vector(cb)
     listed = AffineSemigroup(fixtures.expected_chart_hilbert(), 5)
-    generated = semigroups_equal(listed, _loop_chart().chart_semigroup)
+    generated = listed.same_semigroup(_loop_chart().chart_semigroup)
     ok = held == len(fixtures.DECOMPOSITION_TERMS) and coincide and generated
     _report(
         4, 5.0, t, ok,
@@ -235,7 +235,7 @@ def test_criterion_10_property_suites():
         twist = random_unimodular(rng, dim)
         s = AffineSemigroup(twist, dim)
         charts = blowup_step(s, P)
-        if len(charts) == 1 and semigroups_equal(charts[0].chart_semigroup, s):
+        if len(charts) == 1 and charts[0].chart_semigroup.same_semigroup(s):
             trivial += 1
 
     base = AffineSemigroup(

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, build_parser, main
+from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -189,15 +189,6 @@ def test_verify_paper_wrong_char_fails(capsys):
     code, out, _ = run(capsys, "verify-paper", "--char", "5")
     assert code == EXIT_MATH
     assert "FAIL" in out
-
-
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("TORICNASH_THREADS", "3")
-    args = build_parser().parse_args(["search", "builtin:smooth3"])
-    assert args.threads == 3
-    monkeypatch.delenv("TORICNASH_THREADS")
-    args = build_parser().parse_args(["search", "builtin:smooth3"])
-    assert args.threads == 1
 
 
 def test_deterministic_stdout(capsys):

@@ -12,6 +12,7 @@ from toricnash.exactmath import (
     dot,
     hermite_form,
     identity,
+    independent_indices,
     is_unimodular,
     kernel_basis,
     lattice_is_full,
@@ -21,6 +22,7 @@ from toricnash.exactmath import (
     orthogonal_complement,
     primitive,
     rank_of_vectors,
+    solve,
     solve_integral,
     transpose,
     vec,
@@ -92,6 +94,61 @@ def test_adjugate_identity_properties():
         scaled = tuple(vec(d if i == j else 0 for i in range(n)) for j in range(n))
         assert mat_mul(m, adj) == scaled
         assert mat_mul(adj, m) == scaled
+
+
+def test_solve_against_sympy():
+    rng = random.Random(111)
+    singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        m = _random_cols(rng, n, -6, 6)
+        if rng.random() < 0.3 and n > 1:  # plant a dependent column
+            cols = list(m)
+            cols[rng.randrange(n)] = tuple(2 * e - f for e, f in zip(cols[0], cols[-1]))
+            m = mat(cols)
+        rhs = [vec(rng.randint(-9, 9) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        d, table = solve(m, rhs)
+        assert d == sympy_det(m)
+        if d == 0:
+            singular += 1
+            assert table is None
+            assert adjugate(m) == sympy_adjugate(m)  # the cofactor path
+        else:
+            assert table == tuple(mat_apply(sympy_adjugate(m), b) for b in rhs)
+    assert singular > 10
+    assert solve((), ((),)) == (1, ((),))
+    with pytest.raises(DimensionMismatch):
+        solve(identity(2), ((1, 2, 3),))
+
+
+def _greedy_reference(vectors, want=None):
+    """Earliest-first selection with one hermite_form rank per candidate."""
+    kept = []
+    for i, v in enumerate(vectors):
+        if want is not None and len(kept) == want:
+            break
+        h, _ = hermite_form(mat([vectors[j] for j in kept] + [v]))
+        if sum(1 for c in h if any(c)) > len(kept):
+            kept.append(i)
+    return kept
+
+
+def test_independent_indices_against_reference():
+    rng = random.Random(112)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        vs = [vec(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 8))]
+        if len(vs) > 2:  # plant a combination of earlier vectors
+            vs.insert(rng.randrange(2, len(vs)), tuple(3 * a - b for a, b in zip(vs[0], vs[1])))
+        full = _greedy_reference(vs)
+        assert independent_indices(vs) == full
+        assert rank_of_vectors(vs) == len(full)
+        want = rng.randint(0, dim)
+        if want <= len(full):
+            assert independent_indices(vs, want) == full[:want]
+        else:
+            with pytest.raises(ValueError):
+                independent_indices(vs, want)
 
 
 def test_solve_integral_roundtrip():

@@ -11,7 +11,6 @@ from toricnash.semigroup import (
     NotSaturatedError,
     coordinates_in_basis,
     saturation_hilbert_basis,
-    semigroups_equal,
 )
 
 from helpers import oracle_hilbert_basis, random_pointed_gens, random_unimodular, apply_matrix
@@ -145,16 +144,13 @@ def test_smoothness_invariant_under_unimodular_maps():
 
 
 def test_semigroups_equal():
-    assert semigroups_equal(
-        AffineSemigroup(((1, 0), (0, 1)), 2),
-        AffineSemigroup(((1, 0), (0, 1), (1, 1), (2, 1)), 2),
+    assert AffineSemigroup(((1, 0), (0, 1)), 2).same_semigroup(
+        AffineSemigroup(((1, 0), (0, 1), (1, 1), (2, 1)), 2)
     )
     # same cone, different semigroups
-    assert not semigroups_equal(
-        AffineSemigroup(((1,),), 1), AffineSemigroup(((2,), (3,)), 1)
-    )
-    assert not semigroups_equal(
-        AffineSemigroup(((1, 0), (0, 1)), 2), AffineSemigroup(((1, 0), (1, 2)), 2)
+    assert not AffineSemigroup(((1,),), 1).same_semigroup(AffineSemigroup(((2,), (3,)), 1))
+    assert not AffineSemigroup(((1, 0), (0, 1)), 2).same_semigroup(
+        AffineSemigroup(((1, 0), (1, 2)), 2)
     )
 
 
