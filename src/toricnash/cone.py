@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .exactmath import (
-    Mat,
     Vec,
     DimensionMismatch,
     add,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .conefile import ConeFile
 from .cone import Cone
-from .exactmath import Vec, sub, vec
+from .exactmath import Vec, sub
 from .semigroup import AffineSemigroup
 
 # Hilbert basis of the loop example: eight extreme rays plus one extra element.

@@ -15,10 +15,10 @@ decides every (h, g) pair at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactmath import Vec, det_p, mat, solve, sub, vec
+from .exactmath import InvalidCharacteristic, Vec, det_p, is_prime, mat, solve, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
 from .cone import NotPointedError
 
@@ -56,17 +56,17 @@ def _g_sets(
     s: AffineSemigroup, a: tuple[Vec, ...], p: int
 ) -> tuple[int, dict[Vec, tuple[Vec, ...]]]:
     """det_p of a validated subset and the replacement set of each member."""
-    m = mat(a)
-    dp = det_p(m, p)
+    if p and not is_prime(p):
+        raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
+    rest = [g for g in s.hilbert_basis() if g not in a]
+    det_a, table = solve(mat(a), rest)
+    dp = det_a % p if p else det_a
     if dp == 0:
         raise ValueError("chart subset has vanishing determinant in this characteristic")
-    rest = [g for g in s.hilbert_basis() if g not in a]
-    out: dict[Vec, list[Vec]] = {h: [] for h in a}
-    for g, col in zip(rest, solve(m, rest)[1]):
-        for h, d in zip(a, col):
-            if (d % p if p else d) != 0:
-                out[h].append(sub(g, h))
-    return dp, {h: tuple(sorted(diffs)) for h, diffs in out.items()}
+    return dp, {
+        h: tuple(sorted(sub(g, h) for g, col in zip(rest, table) if (col[i] % p if p else col[i])))
+        for i, h in enumerate(a)
+    }
 
 
 def g_set(

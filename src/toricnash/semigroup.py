@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from operator import le
 from typing import Optional, Sequence
 
 from .cone import Cone, NotPointedError, _triangulate_rays
 from .exactmath import (
-    Mat,
     Vec,
     DimensionMismatch,
     det,
@@ -93,9 +93,14 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     Candidates: the primitive extreme rays together with the lattice points
     of the fundamental parallelepiped of every simplicial piece of a
     triangulation.  An irreducible element lies in some piece with all ray
-    coefficients below one, so the candidates generate; a candidate x is
-    then dropped exactly when x - h lands back in the cone for some other
-    candidate h.
+    coefficients below one, so the candidates generate.
+
+    Reduction in degree order, as in Normaliz.  The candidates lie in the
+    cone's span, so x - h is in the cone iff no facet value of h exceeds
+    that of x.  x is reducible iff that holds for some Hilbert basis
+    element h != x, and such an h has lower degree: the grading sums the
+    facet normals, and equal facet values force h == x.  So testing each
+    candidate, by degree, against the elements kept so far is exact.
     """
     if not c.is_pointed:
         raise NotPointedError("Hilbert basis of a non-pointed cone")
@@ -106,15 +111,15 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     for piece in _triangulate_rays(rays, c.dim):
         cands |= _parallelepiped_points(piece, c.dim)
     cands.discard(zero_vec(c.dim))
-    ordered = sorted(cands)
-    out = []
-    for x in ordered:
-        for h in ordered:
-            if h != x and c.contains(sub(x, h)):
-                break
-        else:
-            out.append(x)
-    return tuple(out)
+    grading = c.positive_grading()
+    kept: list[Vec] = []
+    kept_values: list[list[int]] = []
+    for x in sorted(cands, key=lambda v: (dot(grading, v), v)):
+        values = [dot(n, x) for n in c.facet_normals]
+        if not any(all(map(le, hv, values)) for hv in kept_values):
+            kept.append(x)
+            kept_values.append(values)
+    return tuple(sorted(kept))
 
 
 def _decompose_over(
@@ -124,13 +129,13 @@ def _decompose_over(
 
     Depth-first over multiplicities, generators in decreasing grading order;
     a partial residue is abandoned when it leaves the pruning cone.
+    Generators of higher degree than x are never used and are left out.
     """
     if not prune.contains(x):
         return None
-    lvals = [dot(grading, g) for g in gens]
-    order = sorted(range(len(gens)), key=lambda i: (-lvals[i], gens[i]))
-    gs = [gens[i] for i in order]
-    ls = [lvals[i] for i in order]
+    top = dot(grading, x)
+    gs = sorted((g for g in gens if dot(grading, g) <= top), key=lambda g: (-dot(grading, g), g))
+    ls = [dot(grading, g) for g in gs]
     failed: set[tuple[int, Vec]] = set()
 
     def rec(i: int, r: Vec) -> Optional[dict[Vec, int]]:

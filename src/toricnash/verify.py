@@ -18,7 +18,7 @@ from . import fixtures
 from .exactmath import Mat, Vec, add, det, det_p, dot, is_unimodular, mat_apply, sub, vec
 from .iso import certificate_for_matrix, find_isomorphism, verify_certificate
 from .nash import chart, g_set
-from .search import explore, find_cycles, verify_report_cycles
+from .search import explore, verify_report_cycles
 from .semigroup import AffineSemigroup, saturation_hilbert_basis
 
 
@@ -64,10 +64,6 @@ class VerificationLedger:
                 )
             )
         return "\n".join(lines)
-
-
-def _fmt_vec(v: Vec) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
 
 
 def _check(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from toricnash import fixtures
 from toricnash.cone import NotPointedError
-from toricnash.exactmath import det_p, mat, sub, vec
+from toricnash.exactmath import InvalidCharacteristic, det_p, mat, sub, vec
 from toricnash.nash import blowup_step, chart, g_set
 from toricnash.search import explore
 from toricnash.semigroup import AffineSemigroup, NotFullLatticeError, saturation_hilbert_basis
@@ -77,6 +77,18 @@ def test_chart_rejects_zero_det():
             break
     else:
         pytest.fail("no dependent subset found")
+
+
+@pytest.mark.parametrize("p", [-3, 1, 4, 9])
+def test_chart_and_g_set_reject_nonprime_characteristic(p):
+    # the subset has determinant -1, so only the characteristic can be at fault
+    s = _source()
+    subset = fixtures.chart_subset_vectors()
+    with pytest.raises(InvalidCharacteristic):
+        chart(s, subset, p)
+    with pytest.raises(InvalidCharacteristic):
+        g_set(s, subset, subset[0], p)
+    assert chart(s, subset, 2, normalize=False).det_value == 1
 
 
 def test_blowup_step_counts():

@@ -1,14 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from toricnash.cone import Cone, NotPointedError
-from toricnash.exactmath import add, neg, primitive, scale, vec
+from toricnash.cone import Cone, NotPointedError, _triangulate_rays
+from toricnash.exactmath import add, dot, neg, primitive, rank_of_vectors, scale, sub, vec, zero_vec
 from toricnash.semigroup import (
     AffineSemigroup,
     NotFullLatticeError,
     NotSaturatedError,
+    _parallelepiped_points,
     coordinates_in_basis,
     saturation_hilbert_basis,
 )
@@ -250,3 +251,56 @@ def test_nonpointed_without_opposite_pair(gens):
     dim = len(gens[0])
     assert not Cone(gens, dim).is_pointed
     assert not AffineSemigroup(gens, dim).is_pointed
+
+
+def _all_pairs_hilbert_basis(c):
+    """The former reduction: drop a candidate x when x - h is in the cone for any other h."""
+    cands = set(c.generators)
+    for piece in _triangulate_rays(c.generators, c.dim):
+        cands |= _parallelepiped_points(piece, c.dim)
+    cands.discard(zero_vec(c.dim))
+    ordered = sorted(cands)
+    return tuple(x for x in ordered if not any(h != x and c.contains(sub(x, h)) for h in ordered))
+
+
+@st.composite
+def _embedded_pointed_cones(draw):
+    """Orthant cones in Z^dim, dim 2..5, moved by a GL_dim(Z) map.
+
+    At least half have rank dim; the rest have rank dim - 1 or dim - 2 (at
+    least 1), so they are not full-dimensional.
+    """
+    dim = draw(st.sampled_from((2, 3, 4, 5)))
+    rank = dim - draw(st.sampled_from((0, 0, 1, 2)[: dim + 1]))
+    vector = st.tuples(*[st.integers(0, 3)] * rank).filter(any)
+    gens = draw(st.lists(vector, min_size=rank + 1, max_size=rank + 2))
+    assume(rank_of_vectors(gens) == rank)
+    u = draw(_unimodular(dim))
+    return dim, [apply_matrix(u, g + (0,) * (dim - rank)) for g in gens]
+
+
+@given(_embedded_pointed_cones())
+def test_hilbert_basis_matches_all_pairs_reduction(drawn):
+    dim, gens = drawn
+    cone = Cone(gens, dim)
+    got = saturation_hilbert_basis(cone)
+    assert got == _all_pairs_hilbert_basis(cone)
+    assert list(got) == sorted(got)
+
+
+@given(_embedded_pointed_cones(), st.data())
+def test_hilbert_basis_commutes_with_unimodular_maps(drawn, data):
+    dim, gens = drawn
+    u = data.draw(_unimodular(dim))
+    base = saturation_hilbert_basis(Cone(gens, dim))
+    moved = saturation_hilbert_basis(Cone([apply_matrix(u, g) for g in gens], dim))
+    assert moved == tuple(sorted(apply_matrix(u, h) for h in base))
+
+
+def test_hilbert_basis_sorted_although_reduced_by_degree():
+    cone = Cone(((-1, 1), (3, 2)), 2)
+    got = saturation_hilbert_basis(cone)
+    assert got == ((-1, 1), (0, 1), (1, 1), (3, 2))
+    # the reduction walks the interior element (1, 1) first: it has the lowest degree
+    grading = cone.positive_grading()
+    assert sorted(got, key=lambda v: (dot(grading, v), v))[0] == (1, 1)
