@@ -8,6 +8,7 @@ freely.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -145,6 +146,40 @@ def det(m: Mat) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def maximal_minors(vectors: Sequence[Vec], d: int) -> tuple[int, ...]:
+    """det(mat(c)) for every c in itertools.combinations(vectors, d), in order.
+
+    One pass for all of them: the k x k minors on the first k coordinates
+    of every k-subset come from the (k-1)-minors by Laplace expansion along
+    row k.  Each nonzero (k-1)-minor of columns T is pushed into T + {i}
+    for every column i outside T with a nonzero entry in row k, negated
+    when an odd number of members of T come after i.  Subsets are bitmasks
+    of positions.
+    """
+    for v in vectors:
+        if len(v) != d:
+            raise DimensionMismatch(f"maximal_minors: vector of length {len(v)}, not {d}")
+    n = len(vectors)
+    if d > n:
+        return ()
+    level = {0: 1}
+    for k in range(d):
+        # last column first, so passing a member of T flips the sign
+        row = [(1 << i, vectors[i][k]) for i in reversed(range(n))]
+        nxt: dict[int, int] = {}
+        for t, m in level.items():
+            flip = False
+            for bit, e in row:
+                if t & bit:
+                    flip = not flip
+                elif e:
+                    s = t | bit
+                    nxt[s] = nxt.get(s, 0) + (-e * m if flip else e * m)
+        level = {s: m for s, m in nxt.items() if m}
+    masks = map(sum, combinations([1 << i for i in range(n)], d))
+    return tuple(level.get(s, 0) for s in masks)
 
 
 def is_prime(p: int) -> bool:

@@ -10,15 +10,14 @@ be re-verified independently.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from .cone import NotPointedError
 from .exactmath import (
     Mat,
     Vec,
-    det,
     dot,
     identity,
     independent_indices,
@@ -26,6 +25,7 @@ from .exactmath import (
     mat,
     mat_apply,
     mat_mul,
+    maximal_minors,
     primitive,
     solve,
 )
@@ -85,15 +85,6 @@ class Fingerprint:
         return hashlib.sha256(self.to_bytes()).hexdigest()[:16]
 
 
-def _subset_count(n: int, k: int) -> int:
-    if k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _element_profile(v: Vec, cone) -> tuple[int, int]:
     ray = 1 if primitive(v) in cone.generators else 0
     incidence = sum(1 for n in cone.facet_normals if dot(n, v) == 0)
@@ -118,12 +109,12 @@ def fingerprint(s: AffineSemigroup) -> Fingerprint:
         )
     )
     d = s.dim
-    if _subset_count(len(h), d) <= _DET_SUBSET_CAP:
+    if comb(len(h), d) <= _DET_SUBSET_CAP:
         source = 0
-        dets = sorted(abs(det(mat(c))) for c in itertools.combinations(h, d))
-    elif _subset_count(len(rays), d) <= _DET_SUBSET_CAP:
+        dets = sorted(map(abs, s.hilbert_minors()))
+    elif comb(len(rays), d) <= _DET_SUBSET_CAP:
         source = 1
-        dets = sorted(abs(det(mat(c))) for c in itertools.combinations(rays, d))
+        dets = sorted(map(abs, maximal_minors(rays, d)))
     else:
         source = 2
         dets = []

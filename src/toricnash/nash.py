@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactmath import InvalidCharacteristic, Vec, det_p, is_prime, mat, solve, sub, vec
+from .exactmath import InvalidCharacteristic, Vec, is_prime, mat, solve, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
 from .cone import NotPointedError
 
@@ -52,12 +52,16 @@ def _validated_subset(s: AffineSemigroup, subset: Sequence[Sequence[int]]) -> tu
     return a
 
 
+def _check_characteristic(p: int) -> None:
+    if p and not is_prime(p):
+        raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
+
+
 def _g_sets(
     s: AffineSemigroup, a: tuple[Vec, ...], p: int
 ) -> tuple[int, dict[Vec, tuple[Vec, ...]]]:
     """det_p of a validated subset and the replacement set of each member."""
-    if p and not is_prime(p):
-        raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
+    _check_characteristic(p)
     rest = [g for g in s.hilbert_basis() if g not in a]
     det_a, table = solve(mat(a), rest)
     dp = det_a % p if p else det_a
@@ -114,16 +118,17 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
 
     Charts with a non-pointed semigroup are kept and flagged; their
     normalization is not computed.  The subset family itself does not
-    depend on the normalized flag.
+    depend on the normalized flag; it is read from the semigroup's cached
+    minor table, which a search has already filled by fingerprinting.
     """
+    _check_characteristic(p)
     if not s.is_pointed:
         raise NotPointedError("blowup requires a pointed semigroup")
     if not s.generates_full_lattice():
         raise NotFullLatticeError("blowup requires generators spanning Z^d as a group")
-    h = s.hilbert_basis()
-    out = []
-    for combo in itertools.combinations(h, s.dim):
-        if det_p(mat(combo), p) == 0:
-            continue
-        out.append(chart(s, combo, p, normalize=normalized))
-    return tuple(out)
+    subsets = itertools.combinations(s.hilbert_basis(), s.dim)
+    return tuple(
+        chart(s, combo, p, normalize=normalized)
+        for combo, m in zip(subsets, s.hilbert_minors())
+        if (m % p if p else m)
+    )

@@ -11,8 +11,9 @@ chart at depth k from some node isomorphic to that node.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactmath import Mat, identity, vec
 from .iso import (
@@ -324,31 +325,60 @@ def verify_report_cycles(report: SearchReport) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def save_graph(report: SearchReport, path: str) -> None:
-    lines = [
-        "meta {} {} {} {}".format(
-            report.characteristic,
-            1 if report.normalized else 0,
-            report.termination,
-            report.start_key,
-        )
-    ]
+def _graph_lines(report: SearchReport) -> Iterator[str]:
+    yield "meta {} {} {} {}".format(
+        report.characteristic,
+        1 if report.normalized else 0,
+        report.termination,
+        report.start_key,
+    )
     for key in sorted(report.nodes):
         n = report.nodes[key]
         gens = n.semigroup.hilbert_basis()  # minimal, so reloads stay canonical
         flat = " ".join(str(e) for g in gens for e in g)
-        lines.append(
-            f"node {key} {n.depth} {1 if n.smooth else 0} {n.semigroup.dim} {len(gens)} {flat}".rstrip()
-        )
+        yield f"node {key} {n.depth} {1 if n.smooth else 0} {n.semigroup.dim} {len(gens)} {flat}".rstrip()
     for e in report.edges:
         subset = ",".join(str(i) for i in e.subset)
         dim = len(e.certificate)
         flat = " ".join(str(x) for col in zip(*e.certificate) for x in col)
-        lines.append(f"edge {e.src} {e.dst} {subset} {dim} {flat}")
+        yield f"edge {e.src} {e.dst} {subset} {dim} {flat}"
     for key in report.frontier:
-        lines.append(f"frontier {key}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        yield f"frontier {key}"
+
+
+def save_graph(report: SearchReport, path: str) -> None:
+    """Write the graph to a temp file beside `path`, then rename it over `path`.
+
+    A run that dies mid-write leaves the previous file as it was; a failed
+    write also removes the temp file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            for line in _graph_lines(report):
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _check_edge(lineno: int, e: GraphEdge, nodes: dict[str, GraphNode]) -> None:
+    """An edge joins two nodes of the same dimension d at a subset of d
+    distinct positions in the source's Hilbert basis, by a d x d certificate."""
+    if e.src not in nodes or e.dst not in nodes:
+        raise GraphFormatError(f"line {lineno}: edge {e.src}->{e.dst} references a missing node")
+    src, dst = nodes[e.src].semigroup, nodes[e.dst].semigroup
+    d, n = src.dim, len(src.hilbert_basis())
+    if not (len(e.subset) == len(set(e.subset)) == d and all(0 <= i < n for i in e.subset)):
+        raise GraphFormatError(
+            f"line {lineno}: edge subset {e.subset} is not {d} distinct indices in [0, {n})"
+        )
+    if len(e.certificate) != d or dst.dim != d:
+        raise GraphFormatError(
+            f"line {lineno}: certificate dimension {len(e.certificate)} does not match "
+            f"node dimensions {d} and {dst.dim}"
+        )
 
 
 def load_graph(path: str) -> SearchReport:
@@ -357,6 +387,7 @@ def load_graph(path: str) -> SearchReport:
     nodes: dict[str, GraphNode] = {}
     edges: list[GraphEdge] = []
     frontier: list[str] = []
+    edge_lines: list[int] = []  # line number of each edge record
     meta: Optional[tuple[int, bool, str, str]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -388,6 +419,7 @@ def load_graph(path: str) -> SearchReport:
                 s = AffineSemigroup.from_hilbert_basis(gens, dim)
                 nodes[key] = GraphNode(key, s, depth, smooth)
             elif kind == "edge":
+                edge_lines.append(lineno)
                 src, dst = parts[1], parts[2]
                 subset = tuple(int(x) for x in parts[3].split(",")) if parts[3] else ()
                 dim = int(parts[4])
@@ -410,9 +442,8 @@ def load_graph(path: str) -> SearchReport:
         if nodes or edges or frontier:
             raise GraphFormatError("line 1: missing meta record")
         return SearchReport(0, True, {}, [], [], [], TERMINATION_EXHAUSTED, "")
-    for e in edges:
-        if e.src not in nodes or e.dst not in nodes:
-            raise GraphFormatError(f"edge {e.src}->{e.dst} references a missing node")
+    for lineno, e in zip(edge_lines, edges):
+        _check_edge(lineno, e, nodes)
     for key in frontier:
         if key not in nodes:
             raise GraphFormatError(f"frontier references a missing node {key}")

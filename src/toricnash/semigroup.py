@@ -19,6 +19,7 @@ from .exactmath import (
     lattice_is_full,
     mat,
     mat_apply,
+    maximal_minors,
     neg,
     orthogonal_complement,
     primitive,
@@ -167,7 +168,9 @@ def _decompose_over(
 class AffineSemigroup(object):
     """Semigroup generated by finitely many lattice points (zero dropped)."""
 
-    __slots__ = ("dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_grading")
+    __slots__ = (
+        "dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_grading", "_minors"
+    )
 
     def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None):
         gens = [vec(g) for g in generators]
@@ -185,6 +188,7 @@ class AffineSemigroup(object):
         self._saturated: Optional[bool] = None
         self._full: Optional[bool] = None
         self._grading: Optional[Vec] = None
+        self._minors: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_hilbert_basis(
@@ -262,6 +266,16 @@ class AffineSemigroup(object):
                     keep.append(g)
             self._hilbert = tuple(keep)
         return self._hilbert
+
+    def hilbert_minors(self) -> tuple[int, ...]:
+        """det of every dim-subset of the Hilbert basis, in combinations order.
+
+        Computed once by maximal_minors and kept: fingerprints and blowup
+        steps both read it.
+        """
+        if self._minors is None:
+            self._minors = maximal_minors(self.hilbert_basis(), self.dim)
+        return self._minors
 
     def saturate(self) -> "AffineSemigroup":
         sat = saturation_hilbert_basis(self.cone)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from toricnash.exactmath import (
     mat,
     mat_apply,
     mat_mul,
+    maximal_minors,
     orthogonal_complement,
     primitive,
     rank_of_vectors,
@@ -61,6 +63,48 @@ def test_det_larger_entries():
 def test_det_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
         det(((1, 0), (0, 1), (1, 1)))
+
+
+def _minor_cases(rng):
+    """Seeded vector lists for every n in 0..9 and d in 0..5, with a zero
+    row and with repeated vectors among them."""
+    for n in range(10):
+        for d in range(6):
+            vs = [vec(rng.randint(-4, 4) for _ in range(d)) for _ in range(n)]
+            yield vs
+            if n and d:
+                k = rng.randrange(d)
+                yield [v[:k] + (0,) + v[k + 1 :] for v in vs]  # row k is zero
+                yield vs[: (n + 1) // 2] + vs[: n // 2]  # the first half again
+
+
+def test_maximal_minors_against_sympy():
+    rng = random.Random(131)
+    for vs in _minor_cases(rng):
+        d = len(vs[0]) if vs else 0
+        want = tuple(sympy_det(c) if c else 1 for c in itertools.combinations(vs, d))
+        assert maximal_minors(vs, d) == want
+
+
+def test_maximal_minors_edge_cases():
+    assert maximal_minors([], 0) == (1,)
+    assert maximal_minors([(), ()], 0) == (1,)
+    assert maximal_minors([], 2) == ()
+    assert maximal_minors([(1, 2)], 2) == ()  # n < d
+    assert maximal_minors([(1, 0), (0, 1), (1, 1)], 2) == (1, 1, -1)
+    with pytest.raises(DimensionMismatch):
+        maximal_minors([(1, 0), (0, 1, 0)], 2)
+
+
+def test_maximal_minors_gl_property():
+    # minors of U.H are det(U) times those of H, subset by subset
+    rng = random.Random(132)
+    for _ in range(40):
+        d = rng.randint(1, 5)
+        vs = [vec(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d, 9))]
+        u = random_unimodular(rng, d)
+        moved = [mat_apply(u, v) for v in vs]
+        assert maximal_minors(moved, d) == tuple(det(u) * m for m in maximal_minors(vs, d))
 
 
 def test_det_p_reduction():

@@ -1,15 +1,20 @@
-"""Source hygiene: every imported name is used in the module that imports it.
+"""Source hygiene: every imported name is used in the module that imports it,
+and every third-party module the tests import is declared.
 
 Each module under src/toricnash and tests is parsed with ast.  A name bound
 by an import must be read somewhere in the module, in code or in a quoted
 annotation; a mention in a docstring or comment does not count.  The
 package __init__ only re-exports, and `from __future__ import annotations`
-binds nothing, so both are exempt.
+binds nothing, so both are exempt.  A top-level module imported under
+tests/ that is neither in the standard library nor the package or the
+suite's own helpers must be named in the `test` extra of pyproject.toml.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +76,31 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_third_party_test_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(ROOT.joinpath("pyproject.toml").read_text())["project"]
+    # distribution names, compared with import names after normalizing
+    declared = {
+        re.split(r"[\s\[<>=!~;]", req, maxsplit=1)[0].lower().replace("-", "_")
+        for req in project["optional-dependencies"]["test"]
+    }
+    local = {"toricnash", "helpers", "conftest"}
+    imported = set().union(
+        *(imported_modules(p.read_text()) for p in ROOT.joinpath("tests").glob("*.py"))
+    )
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert "sympy" in third_party  # the scan sees the suite's oracle
+    assert sorted(third_party - declared) == []

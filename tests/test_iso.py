@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 import random
+from math import comb
 
 import pytest
 
-from toricnash import fixtures
+from toricnash import fixtures, nash, semigroup
 from toricnash.cone import Cone, NotPointedError
-from toricnash.exactmath import identity, mat_apply, mat_mul
+from toricnash.exactmath import det, identity, mat, mat_apply, mat_mul
 from toricnash.iso import (
+    _DET_SUBSET_CAP,
     Fingerprint,
     IsoCertificate,
     certificate_for_matrix,
@@ -14,7 +18,8 @@ from toricnash.iso import (
     invert_certificate,
     verify_certificate,
 )
-from toricnash.nash import chart
+from toricnash.nash import blowup_step, chart
+from toricnash.search import explore
 from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis
 
 from helpers import apply_matrix, random_pointed_gens, random_unimodular
@@ -138,3 +143,65 @@ def test_fingerprint_mismatch_blocks_search():
     a = AffineSemigroup(((1, 0), (0, 1)), 2)
     b = AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2)
     assert fingerprint(a).hilbert_count != fingerprint(b).hilbert_count
+
+
+# Reference for the cached minor table: one Bareiss determinant per subset.
+def _per_subset_dets(vectors, d):
+    return [det(mat(c)) for c in itertools.combinations(vectors, d)]
+
+
+def _reference_fingerprint_bytes(s):
+    h, rays, d = s.hilbert_basis(), s.cone.generators, s.dim
+    if comb(len(h), d) <= _DET_SUBSET_CAP:
+        source, dets = 0, _per_subset_dets(h, d)
+    elif comb(len(rays), d) <= _DET_SUBSET_CAP:
+        source, dets = 1, _per_subset_dets(rays, d)
+    else:
+        source, dets = 2, []
+    fp = dataclasses.replace(
+        fingerprint(s), det_source=source, det_multiset=tuple(sorted(map(abs, dets)))
+    )
+    return fp.to_bytes()
+
+
+def _wide_semigroup():
+    """Source 1: its 91 Hilbert elements make 4095 pairs, over the cap; its 2 rays make one."""
+    return AffineSemigroup(saturation_hilbert_basis(Cone(((1, 0), (1, 90)), 2)), 2)
+
+
+def _search_nodes(name, depth):
+    cf = fixtures.BUILTIN_CONES[name]
+    start = AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
+    report = explore(start, cf.characteristic, max_depth=depth)
+    return [(n.semigroup, cf.characteristic) for n in report.nodes.values()]
+
+
+def test_minor_table_matches_per_subset_det(monkeypatch):
+    nodes = _search_nodes("B", 1) + _search_nodes("dim4char3", 2) + _search_nodes("reeves", 1)
+    # every node of these searches, plus one semigroup whose determinants come from its rays
+    nodes.append((_wide_semigroup(), 3))
+    # with charts stubbed out, blowup_step returns just its subset family
+    monkeypatch.setattr(nash, "chart", lambda s, combo, p, normalize: combo)
+    sources = set()
+    for s, p in nodes:
+        fp = fingerprint(s)
+        assert fp.to_bytes() == _reference_fingerprint_bytes(s)
+        sources.add(fp.det_source)
+        h = s.hilbert_basis()
+        subsets = zip(itertools.combinations(h, s.dim), _per_subset_dets(h, s.dim))
+        assert blowup_step(s, p) == tuple(c for c, m in subsets if m % p)
+    assert sources == {0, 1, 2}
+
+
+def test_fingerprint_builds_no_minor_table_above_cap(monkeypatch):
+    nodes = [s for s, _ in _search_nodes("B", 1)]
+    big = [s for s in nodes if comb(len(s.hilbert_basis()), s.dim) > _DET_SUBSET_CAP]
+    assert big
+
+    def refuse(vectors, d):
+        raise AssertionError("Hilbert basis minor table built above the cap")
+
+    monkeypatch.setattr(semigroup, "maximal_minors", refuse)
+    fresh = AffineSemigroup.from_hilbert_basis(big[0].hilbert_basis(), big[0].dim)
+    assert fingerprint(fresh).det_source == 2
+    assert fingerprint(_wide_semigroup()).det_source == 1

@@ -91,6 +91,13 @@ def test_chart_and_g_set_reject_nonprime_characteristic(p):
     assert chart(s, subset, 2, normalize=False).det_value == 1
 
 
+@pytest.mark.parametrize("p", [-3, 1, 4, 9])
+def test_blowup_step_rejects_nonprime_characteristic(p):
+    # every minor is 0 mod 1, so a bare filter would return no charts for p = 1
+    with pytest.raises(InvalidCharacteristic):
+        blowup_step(_source(), p)
+
+
 def test_blowup_step_counts():
     s = _source()
     charts = blowup_step(s, 3)

@@ -1,9 +1,10 @@
+import errno
 import typing
 from typing import Optional
 
 import pytest
 
-from toricnash import fixtures
+from toricnash import fixtures, search
 from toricnash.cone import Cone
 from toricnash.exactmath import identity
 from toricnash.iso import IsoCertificate, find_isomorphism
@@ -222,6 +223,78 @@ def test_graph_format_errors_carry_line_numbers(tmp_path):
     with pytest.raises(GraphFormatError) as err:
         load_graph(str(p))
     assert "line 2" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def b_graph_lines(tmp_path_factory):
+    """The depth-one graph of the paper's example, saved, as a list of lines."""
+    path = tmp_path_factory.mktemp("graph") / "B.graph"
+    save_graph(explore(fixtures.source_semigroup(), 3, max_depth=1), str(path))
+    return path.read_text().splitlines()
+
+
+def _loop_edge_line(lines):
+    """Index of the one-step loop edge, the chart at subset 0,1,3,4,8."""
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "edge" and parts[1] == parts[2] and parts[3] == "0,1,3,4,8":
+            return i
+    raise AssertionError("the graph has no loop edge at subset 0,1,3,4,8")
+
+
+@pytest.mark.parametrize(
+    "subset, dim",
+    [
+        ("0,1,2,3,99", "5"),  # index past the Hilbert basis
+        ("0,0,1,2,3", "5"),  # repeated index
+        ("0,1,2", "5"),  # too few indices
+        ("-1,0,1,2,3", "5"),  # negative index
+        ("0,1,3,4,8", "4"),  # certificate of the wrong dimension
+    ],
+)
+def test_load_rejects_bad_edge_records(tmp_path, b_graph_lines, subset, dim):
+    lines = list(b_graph_lines)
+    i = _loop_edge_line(lines)
+    parts = lines[i].split()
+    entries = parts[5 : 5 + int(dim) ** 2]
+    lines[i] = " ".join(parts[:3] + [subset, dim] + entries)
+    path = tmp_path / "bad.graph"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(str(path))
+    assert f"line {i + 1}:" in str(err.value)
+
+
+def test_save_graph_failure_keeps_previous_file(tmp_path, monkeypatch):
+    report = explore(fixtures.source_semigroup(), 3, max_depth=1)
+    path = tmp_path / "graph.txt"
+    save_graph(report, str(path))
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A text file with room for half the graph; the write after that fails."""
+
+        def __init__(self, fh):
+            self.fh, self.room = fh, len(before) // 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if len(text) > self.room:
+                self.fh.write(text[: self.room])
+                raise OSError(errno.ENOSPC, "no space left on device")
+            self.room -= len(text)
+            return self.fh.write(text)
+
+    monkeypatch.setattr(search, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+    with pytest.raises(OSError):
+        save_graph(report, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.txt"]
 
 
 def test_class_index_annotations_resolve():
