@@ -25,6 +25,7 @@ from .search import (
     explore,
     load_graph,
     save_graph,
+    verify_report_cycles,
 )
 from .semigroup import AffineSemigroup, NotFullLatticeError, saturation_hilbert_basis
 from .verify import run_all_checks, run_lineage_check
@@ -189,6 +190,9 @@ def cmd_search(args) -> int:
         )
     except InvalidCharacteristic as exc:
         raise CliError(str(exc))
+    # a loaded file is untrusted: re-derive every reported cycle before claiming it
+    if args.load and not verify_report_cycles(report):
+        raise CliError(f"{args.load}: a cycle certificate does not check out", EXIT_MATH)
     if args.save:
         save_graph(report, args.save)
     _render_report(report, wanted)

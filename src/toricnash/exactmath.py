@@ -148,22 +148,23 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def maximal_minors(vectors: Sequence[Vec], d: int) -> tuple[int, ...]:
-    """det(mat(c)) for every c in itertools.combinations(vectors, d), in order.
+def minor_table(vectors: Sequence[Vec], d: int) -> dict[int, int]:
+    """The nonzero d-minors of the vectors, keyed by the bitmask of positions.
 
-    One pass for all of them: the k x k minors on the first k coordinates
-    of every k-subset come from the (k-1)-minors by Laplace expansion along
-    row k.  Each nonzero (k-1)-minor of columns T is pushed into T + {i}
-    for every column i outside T with a nonzero entry in row k, negated
-    when an odd number of members of T come after i.  Subsets are bitmasks
-    of positions.
+    Bit i of a key stands for vectors[i]; the value is det(mat(c)) for the
+    subset c in increasing position order.  One pass for all of them: the
+    k x k minors on the first k coordinates of every k-subset come from the
+    (k-1)-minors by Laplace expansion along row k.  Each nonzero (k-1)-minor
+    of columns T is pushed into T + {i} for every column i outside T with a
+    nonzero entry in row k, negated when an odd number of members of T come
+    after i.
     """
     for v in vectors:
         if len(v) != d:
-            raise DimensionMismatch(f"maximal_minors: vector of length {len(v)}, not {d}")
+            raise DimensionMismatch(f"minor_table: vector of length {len(v)}, not {d}")
     n = len(vectors)
     if d > n:
-        return ()
+        return {}
     level = {0: 1}
     for k in range(d):
         # last column first, so passing a member of T flips the sign
@@ -178,8 +179,14 @@ def maximal_minors(vectors: Sequence[Vec], d: int) -> tuple[int, ...]:
                     s = t | bit
                     nxt[s] = nxt.get(s, 0) + (-e * m if flip else e * m)
         level = {s: m for s, m in nxt.items() if m}
-    masks = map(sum, combinations([1 << i for i in range(n)], d))
-    return tuple(level.get(s, 0) for s in masks)
+    return level
+
+
+def maximal_minors(vectors: Sequence[Vec], d: int) -> tuple[int, ...]:
+    """det(mat(c)) for every c in itertools.combinations(vectors, d), in order."""
+    table = minor_table(vectors, d)
+    masks = map(sum, combinations([1 << i for i in range(len(vectors))], d))
+    return tuple(table.get(s, 0) for s in masks)
 
 
 def is_prime(p: int) -> bool:

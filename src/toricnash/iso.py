@@ -111,7 +111,8 @@ def fingerprint(s: AffineSemigroup) -> Fingerprint:
     d = s.dim
     if comb(len(h), d) <= _DET_SUBSET_CAP:
         source = 0
-        dets = sorted(map(abs, s.hilbert_minors()))
+        table = s.hilbert_minors()  # nonzero minors only
+        dets = [0] * (comb(len(h), d) - len(table)) + sorted(map(abs, table.values()))
     elif comb(len(rays), d) <= _DET_SUBSET_CAP:
         source = 1
         dets = sorted(map(abs, maximal_minors(rays, d)))

@@ -1,55 +1,87 @@
 """Nash blowup charts of a pointed affine semigroup, any characteristic.
 
-A chart is indexed by a d-subset A of the Hilbert basis whose determinant
+A chart is indexed by a d-subset A of the Hilbert basis H whose determinant
 is nonzero in the ground characteristic.  For h in A the replacement set
 collects g - h over the leftover Hilbert elements g whose substitution into
 h's column keeps that determinant nonzero; the chart semigroup is generated
-by the Hilbert basis together with all replacement sets.
+by H together with all replacement sets.
 
-The whole replacement table comes from one exact solve.  By Cramer's rule,
-replacing column i of A by g gives det = (adj(A) g)_i, so one fraction-free
-elimination of A against all leftover Hilbert elements, reduced mod p,
-decides every (h, g) pair at once.
+Charts are worked out in index space, as lookups into the semigroup's
+cached table of the d-minors of H, keyed by bitmasks of positions.
+Substituting g for h in A gives, up to sign, the minor of (A - {h}) + {g},
+so each replacement pair is one lookup.  Pointedness has an index-space
+certificate too: every element of H and every difference H[j] - H[i] gets
+the id of its primitive vector, and a chart whose ids include two opposite
+ones contains a line (|b| u + |a| v == 0 for the nonzero entries a of u and
+b of v in one coordinate).  Vectors, the chart semigroup and its Cone are
+built only for charts this certificate does not settle, or on request.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactmath import InvalidCharacteristic, Vec, is_prime, mat, solve, sub, vec
+from .exactmath import InvalidCharacteristic, Vec, is_prime, neg, primitive, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
 from .cone import NotPointedError
 
 
-@dataclass
 class BlowupChart:
-    source: AffineSemigroup
-    characteristic: int
-    subset: tuple[Vec, ...]  # the chosen d Hilbert elements, sorted
-    det_value: int  # det_p of the subset matrix
-    g_sets: dict[Vec, tuple[Vec, ...]]  # h -> sorted replacement differences
-    generators: tuple[Vec, ...]  # Hilbert basis union all replacement sets
-    chart_semigroup: AffineSemigroup
-    pointed: bool
-    normalized_chart: Optional[AffineSemigroup] = None
+    """One chart, held as positions in the source's sorted Hilbert basis.
+
+    `_replacements[k]` lists the positions g of the leftover Hilbert elements
+    that may replace the k-th subset member h; g_sets, generators and
+    chart_semigroup are built from them on first use.  The step that builds
+    the chart sets `pointed` and, when asked, `normalized_chart`.
+    """
+
+    def __init__(
+        self,
+        source: AffineSemigroup,
+        characteristic: int,
+        members: tuple[int, ...],
+        det_value: int,
+        replacements: tuple[tuple[int, ...], ...],
+    ):
+        self.source = source
+        self.characteristic = characteristic
+        self._members = members  # subset positions, increasing
+        self.det_value = det_value  # det_p of the subset matrix
+        self._replacements = replacements
+        self.pointed = False
+        self.normalized_chart: Optional[AffineSemigroup] = None
+
+    @property
+    def subset(self) -> tuple[Vec, ...]:
+        """The chosen d Hilbert elements, sorted."""
+        h = self.source.hilbert_basis()
+        return tuple(h[i] for i in self._members)
 
     def subset_indices(self) -> tuple[int, ...]:
         """0-based positions of the subset inside the sorted Hilbert basis."""
+        return self._members
+
+    @cached_property
+    def g_sets(self) -> dict[Vec, tuple[Vec, ...]]:
+        """h -> sorted replacement differences g - h."""
         h = self.source.hilbert_basis()
-        return tuple(h.index(a) for a in self.subset)
+        return {
+            h[i]: _differences(h, i, js) for i, js in zip(self._members, self._replacements)
+        }
+
+    @cached_property
+    def generators(self) -> tuple[Vec, ...]:
+        """The Hilbert basis together with all replacement sets, sorted."""
+        return tuple(sorted(set(self.source.hilbert_basis()).union(*self.g_sets.values())))
+
+    @cached_property
+    def chart_semigroup(self) -> AffineSemigroup:
+        return AffineSemigroup(self.generators, self.source.dim)
 
 
-def _validated_subset(s: AffineSemigroup, subset: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
-    a = tuple(sorted(vec(x) for x in subset))
-    if len(set(a)) != s.dim:
-        raise ValueError(f"chart subset must contain {s.dim} distinct elements")
-    basis = set(s.hilbert_basis())
-    for x in a:
-        if x not in basis:
-            raise ValueError(f"{x} is not a Hilbert basis element")
-    return a
+def _differences(h: Sequence[Vec], i: int, js: Sequence[int]) -> tuple[Vec, ...]:
+    return tuple(sorted(sub(h[j], h[i]) for j in js))
 
 
 def _check_characteristic(p: int) -> None:
@@ -57,31 +89,107 @@ def _check_characteristic(p: int) -> None:
         raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
 
 
-def _g_sets(
-    s: AffineSemigroup, a: tuple[Vec, ...], p: int
-) -> tuple[int, dict[Vec, tuple[Vec, ...]]]:
-    """det_p of a validated subset and the replacement set of each member."""
-    _check_characteristic(p)
-    rest = [g for g in s.hilbert_basis() if g not in a]
-    det_a, table = solve(mat(a), rest)
-    dp = det_a % p if p else det_a
-    if dp == 0:
-        raise ValueError("chart subset has vanishing determinant in this characteristic")
-    return dp, {
-        h: tuple(sorted(sub(g, h) for g, col in zip(rest, table) if (col[i] % p if p else col[i])))
-        for i, h in enumerate(a)
-    }
+def _live(minor: int, p: int) -> bool:
+    """Is the minor nonzero in characteristic p?"""
+    return bool(minor % p if p else minor)
+
+
+class _Step:
+    """Index-space data shared by the charts of one semigroup in characteristic p.
+
+    Class ids are handed out on first use: the source's Hilbert elements at
+    once, each difference H[j] - H[i] when a chart first holds it, so a lone
+    chart() pays only for its own.  `_opposite[c]` is the id of the negative
+    of class c, or -1 while it has none.
+    """
+
+    def __init__(self, s: AffineSemigroup, p: int):
+        _check_characteristic(p)
+        self.s, self.p = s, p
+        self.h = s.hilbert_basis()
+        self.minors = s.hilbert_minors()  # nonzero minors only, keyed by bitmask
+        self._ids: dict[Vec, int] = {}
+        self._opposite: list[int] = []
+        self._h_ids = [self._class_id(v) for v in self.h]
+        self._pair_ids: dict[tuple[int, int], int] = {}  # (i, j) -> class of H[j] - H[i]
+
+    def _class_id(self, v: Vec) -> int:
+        u = primitive(v)
+        c = self._ids.get(u)
+        if c is None:
+            c = self._ids[u] = len(self._opposite)
+            o = self._ids.get(neg(u), -1)
+            self._opposite.append(o)
+            if o >= 0:
+                self._opposite[o] = c
+        return c
+
+    def replacements(self, members: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Per member i, the outside positions j whose swap for i keeps a live minor."""
+        mask = sum(1 << i for i in members)
+        minors, p = self.minors, self.p
+        if not _live(minors.get(mask, 0), p):
+            raise ValueError("chart subset has vanishing determinant in this characteristic")
+        outside = [j for j in range(len(self.h)) if not mask >> j & 1]
+        return tuple(
+            tuple(j for j in outside if _live(minors.get(mask ^ 1 << i | 1 << j, 0), p))
+            for i in members
+        )
+
+    def _has_opposite_classes(
+        self, members: tuple[int, ...], replacements: tuple[tuple[int, ...], ...]
+    ) -> bool:
+        """The certificate: do the chart's generators hold two opposite classes?
+
+        H itself holds none, since the source is pointed.
+        """
+        h, ids, opposite = self.h, self._pair_ids, self._opposite
+        seen = set(self._h_ids)
+        for i, js in zip(members, replacements):
+            for j in js:
+                c = ids.get((i, j))
+                if c is None:
+                    c = ids[i, j] = self._class_id(sub(h[j], h[i]))
+                if opposite[c] in seen:
+                    return True
+                seen.add(c)
+        return False
+
+    def chart(self, members: tuple[int, ...], normalize: bool) -> BlowupChart:
+        reps = self.replacements(members)
+        m = self.minors[sum(1 << i for i in members)]
+        ch = BlowupChart(self.s, self.p, members, m % self.p if self.p else m, reps)
+        if not self._has_opposite_classes(members, reps):
+            ch.pointed = ch.chart_semigroup.cone.is_pointed
+            if ch.pointed and normalize:
+                ch.normalized_chart = ch.chart_semigroup.saturate()
+        return ch
+
+
+def _members(s: AffineSemigroup, subset: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Positions of a chart subset in the sorted Hilbert basis, validated."""
+    a = {vec(x) for x in subset}
+    if len(a) != s.dim or len(subset) != s.dim:
+        raise ValueError(f"chart subset must contain {s.dim} distinct elements")
+    pos = {v: i for i, v in enumerate(s.hilbert_basis())}
+    for x in a:
+        if x not in pos:
+            raise ValueError(f"{x} is not a Hilbert basis element")
+    return tuple(sorted(pos[x] for x in a))
 
 
 def g_set(
     s: AffineSemigroup, subset: Sequence[Sequence[int]], h: Sequence[int], p: int
 ) -> tuple[Vec, ...]:
     """Replacement differences g - h for one member h of the chart subset."""
-    a = _validated_subset(s, subset)
+    members = _members(s, subset)
+    basis = s.hilbert_basis()
     hv = vec(h)
-    if hv not in a:
+    i = basis.index(hv) if hv in basis else -1
+    if i not in members:
         raise ValueError(f"{hv} is not in the chart subset")
-    return _g_sets(s, a, p)[1][hv]
+    reps = _Step(s, p).replacements(members)
+    return _differences(basis, i, reps[members.index(i)])
 
 
 def chart(
@@ -91,26 +199,8 @@ def chart(
     normalize: bool = True,
 ) -> BlowupChart:
     """The blowup chart of s at the given Hilbert subset."""
-    a = _validated_subset(s, subset)
-    dp, gsets = _g_sets(s, a, p)
-    gens = set(s.hilbert_basis())
-    for diffs in gsets.values():
-        gens.update(diffs)
-    gens_sorted = tuple(sorted(gens))
-    sa = AffineSemigroup(gens_sorted, s.dim)
-    pointed = sa.is_pointed
-    normalized = sa.saturate() if (pointed and normalize) else None
-    return BlowupChart(
-        source=s,
-        characteristic=p,
-        subset=a,
-        det_value=dp,
-        g_sets=gsets,
-        generators=gens_sorted,
-        chart_semigroup=sa,
-        pointed=pointed,
-        normalized_chart=normalized,
-    )
+    members = _members(s, subset)
+    return _Step(s, p).chart(members, normalize)
 
 
 def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[BlowupChart, ...]:
@@ -126,9 +216,11 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
         raise NotPointedError("blowup requires a pointed semigroup")
     if not s.generates_full_lattice():
         raise NotFullLatticeError("blowup requires generators spanning Z^d as a group")
-    subsets = itertools.combinations(s.hilbert_basis(), s.dim)
-    return tuple(
-        chart(s, combo, p, normalize=normalized)
-        for combo, m in zip(subsets, s.hilbert_minors())
-        if (m % p if p else m)
+    step = _Step(s, p)
+    n = len(step.h)
+    subsets = sorted(
+        tuple(i for i in range(n) if mask >> i & 1)
+        for mask, minor in step.minors.items()
+        if _live(minor, p)
     )
+    return tuple(step.chart(members, normalized) for members in subsets)

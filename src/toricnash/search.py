@@ -117,16 +117,11 @@ def _chart_targets(
     s: AffineSemigroup, p: int, normalized: bool
 ) -> list[tuple[tuple[int, ...], AffineSemigroup]]:
     """(subset indices, chart target semigroup) for every pointed chart."""
-    h = s.hilbert_basis()
-    pos = {v: i for i, v in enumerate(h)}
-    out = []
-    for ch in blowup_step(s, p, normalized=normalized):
-        if not ch.pointed:
-            continue
-        target = ch.normalized_chart if normalized else ch.chart_semigroup
-        subset = tuple(sorted(pos[v] for v in ch.subset))
-        out.append((subset, target))
-    return out
+    return [
+        (ch.subset_indices(), ch.normalized_chart if normalized else ch.chart_semigroup)
+        for ch in blowup_step(s, p, normalized=normalized)
+        if ch.pointed
+    ]
 
 
 def explore(

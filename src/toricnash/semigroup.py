@@ -19,7 +19,7 @@ from .exactmath import (
     lattice_is_full,
     mat,
     mat_apply,
-    maximal_minors,
+    minor_table,
     neg,
     orthogonal_complement,
     primitive,
@@ -188,7 +188,7 @@ class AffineSemigroup(object):
         self._saturated: Optional[bool] = None
         self._full: Optional[bool] = None
         self._grading: Optional[Vec] = None
-        self._minors: Optional[tuple[int, ...]] = None
+        self._minors: Optional[dict[int, int]] = None
 
     @classmethod
     def from_hilbert_basis(
@@ -267,14 +267,14 @@ class AffineSemigroup(object):
             self._hilbert = tuple(keep)
         return self._hilbert
 
-    def hilbert_minors(self) -> tuple[int, ...]:
-        """det of every dim-subset of the Hilbert basis, in combinations order.
+    def hilbert_minors(self) -> dict[int, int]:
+        """The nonzero dim-minors of the Hilbert basis, keyed by position bitmask.
 
-        Computed once by maximal_minors and kept: fingerprints and blowup
-        steps both read it.
+        Computed once by minor_table and kept: fingerprints and Nash charts
+        both read it.
         """
         if self._minors is None:
-            self._minors = maximal_minors(self.hilbert_basis(), self.dim)
+            self._minors = minor_table(self.hilbert_basis(), self.dim)
         return self._minors
 
     def saturate(self) -> "AffineSemigroup":

@@ -129,7 +129,7 @@ def run_all_checks(
         zeros = set()
         complement = [i for i in range(1, 10) if i not in fixtures.CHART_SUBSET]
         # each determinant taken directly, as the paper states it, so this
-        # check does not share the exact solve that nash's g-sets use
+        # check does not share the minor table that nash's g-sets read
         for pos, a in enumerate(fixtures.CHART_SUBSET):
             for g in complement:
                 cols = list(ordered)

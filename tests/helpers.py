@@ -16,6 +16,7 @@ import random
 from typing import Sequence
 
 import sympy
+from hypothesis import strategies as st
 
 Vec = tuple[int, ...]
 
@@ -36,6 +37,12 @@ def _gcd_reduce(v: Vec) -> Vec:
     for x in v:
         g = math.gcd(g, abs(x))
     return v if g <= 1 else tuple(x // g for x in v)
+
+
+def has_opposite_primitives(gens: Sequence[Vec]) -> bool:
+    """Do two of the vectors point in exactly opposite directions?"""
+    prims = {_gcd_reduce(tuple(g)) for g in gens}
+    return any(tuple(-x for x in v) in prims for v in prims)
 
 
 def oracle_facets(gens: Sequence[Vec]) -> list[Vec]:
@@ -125,6 +132,20 @@ def random_unimodular(rng: random.Random, dim: int, steps: int = 12) -> tuple[Ve
         else:
             cols[i] = [-x for x in cols[i]]
     return tuple(tuple(col) for col in cols)
+
+
+@st.composite
+def unimodular_matrices(draw, dim):
+    """A product of elementary integer column operations (determinant +-1)."""
+    cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i == j:
+            cols[i] = [-x for x in cols[i]]
+        else:
+            c = draw(st.sampled_from((-2, -1, 1, 2)))
+            cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
+    return tuple(tuple(c) for c in cols)
 
 
 def apply_matrix(cols: Sequence[Vec], v: Vec) -> Vec:

@@ -141,6 +141,37 @@ def test_search_save_and_load(tmp_path, capsys):
     assert "cycle length 1: found" in out2
 
 
+def _swap_loop_certificate_rows(path):
+    """Swap rows 0 and 1 of the one-step loop edge's certificate, in place."""
+    with open(path) as fh:
+        records = [line.split() for line in fh.read().splitlines()]
+    loops = [r for r in records if r[0] == "edge" and r[1] == r[2]]
+    assert len(loops) == 1
+    parts = loops[0]
+    d = int(parts[4])
+    rows = [parts[5 + r * d : 5 + (r + 1) * d] for r in range(d)]
+    assert rows[0] != rows[1]
+    rows[0], rows[1] = rows[1], rows[0]
+    parts[5:] = [x for row in rows for x in row]
+    lines = [" ".join(r) for r in records]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_search_load_rejects_forged_cycle_certificate(tmp_path, capsys):
+    path = str(tmp_path / "g.txt")
+    code, saved, _ = run(capsys, "search", "builtin:B", "--max-depth", "1", "--save", path)
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "search", "--load", path, "--max-depth", "1")
+    assert code == EXIT_OK
+    assert out == saved  # an honest file reloads to the same report
+    _swap_loop_certificate_rows(path)
+    code, out, err = run(capsys, "search", "--load", path, "--max-depth", "1")
+    assert code == EXIT_MATH
+    assert "cycle certificate" in err
+    assert "found" not in out
+
+
 def test_search_requires_cone_or_load(capsys):
     code, _, err = run(capsys, "search")
     assert code == EXIT_USAGE

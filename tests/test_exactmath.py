@@ -21,6 +21,7 @@ from toricnash.exactmath import (
     mat_apply,
     mat_mul,
     maximal_minors,
+    minor_table,
     orthogonal_complement,
     primitive,
     rank_of_vectors,
@@ -84,6 +85,20 @@ def test_maximal_minors_against_sympy():
         d = len(vs[0]) if vs else 0
         want = tuple(sympy_det(c) if c else 1 for c in itertools.combinations(vs, d))
         assert maximal_minors(vs, d) == want
+
+
+def test_minor_table_keys_nonzero_minors_by_position_mask():
+    rng = random.Random(133)
+    for vs in _minor_cases(rng):
+        d = len(vs[0]) if vs else 0
+        want = {}
+        for c in itertools.combinations(range(len(vs)), d):
+            m = det(mat([vs[i] for i in c])) if c else 1
+            if m:
+                want[sum(1 << i for i in c)] = m
+        assert minor_table(vs, d) == want
+    with pytest.raises(DimensionMismatch):
+        minor_table([(1, 0), (0, 1, 0)], 2)
 
 
 def test_maximal_minors_edge_cases():

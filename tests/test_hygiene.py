@@ -8,11 +8,14 @@ package __init__ only re-exports, and `from __future__ import annotations`
 binds nothing, so both are exempt.  A top-level module imported under
 tests/ that is neither in the standard library nor the package or the
 suite's own helpers must be named in the `test` extra of pyproject.toml.
+The benchmark's tracer (bench/tracer.py) wraps package functions by name,
+so every name in its TRACED table must still resolve.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -104,3 +107,29 @@ def test_third_party_test_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - local
     assert "sympy" in third_party  # the scan sees the suite's oracle
     assert sorted(third_party - declared) == []
+
+
+def _bench_tracer(monkeypatch):
+    """bench/tracer.py, executed from its file without writing bytecode beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve(monkeypatch):
+    tracer = _bench_tracer(monkeypatch)
+    traced = set()
+    for module_name, names in tracer.TRACED.items():
+        home = importlib.import_module(f"toricnash.{module_name}")
+        for name in names:
+            obj = home
+            for part in name.split("."):
+                assert hasattr(obj, part), f"traced name toricnash.{module_name}.{name} is gone"
+                obj = getattr(obj, part)
+            assert callable(obj)
+            traced.add(f"{module_name}.{name}")
+    assert "nash.blowup_step" in traced  # the table was read, not an empty stand-in
+    assert set(tracer.OBSERVED) <= traced
+    assert {num.rsplit(".", 1)[0] for num, _ in tracer.RATIOS.values()} <= traced

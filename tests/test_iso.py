@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from toricnash import fixtures, nash, semigroup
+from toricnash import fixtures, semigroup
 from toricnash.cone import Cone, NotPointedError
 from toricnash.exactmath import det, identity, mat, mat_apply, mat_mul
 from toricnash.iso import (
@@ -176,12 +176,10 @@ def _search_nodes(name, depth):
     return [(n.semigroup, cf.characteristic) for n in report.nodes.values()]
 
 
-def test_minor_table_matches_per_subset_det(monkeypatch):
+def test_minor_table_matches_per_subset_det():
     nodes = _search_nodes("B", 1) + _search_nodes("dim4char3", 2) + _search_nodes("reeves", 1)
     # every node of these searches, plus one semigroup whose determinants come from its rays
     nodes.append((_wide_semigroup(), 3))
-    # with charts stubbed out, blowup_step returns just its subset family
-    monkeypatch.setattr(nash, "chart", lambda s, combo, p, normalize: combo)
     sources = set()
     for s, p in nodes:
         fp = fingerprint(s)
@@ -189,7 +187,7 @@ def test_minor_table_matches_per_subset_det(monkeypatch):
         sources.add(fp.det_source)
         h = s.hilbert_basis()
         subsets = zip(itertools.combinations(h, s.dim), _per_subset_dets(h, s.dim))
-        assert blowup_step(s, p) == tuple(c for c, m in subsets if m % p)
+        assert tuple(ch.subset for ch in blowup_step(s, p)) == tuple(c for c, m in subsets if m % p)
     assert sources == {0, 1, 2}
 
 
@@ -201,7 +199,7 @@ def test_fingerprint_builds_no_minor_table_above_cap(monkeypatch):
     def refuse(vectors, d):
         raise AssertionError("Hilbert basis minor table built above the cap")
 
-    monkeypatch.setattr(semigroup, "maximal_minors", refuse)
+    monkeypatch.setattr(semigroup, "minor_table", refuse)
     fresh = AffineSemigroup.from_hilbert_basis(big[0].hilbert_basis(), big[0].dim)
     assert fingerprint(fresh).det_source == 2
     assert fingerprint(_wide_semigroup()).det_source == 1

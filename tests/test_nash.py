@@ -12,7 +12,14 @@ from toricnash.search import explore
 from toricnash.semigroup import AffineSemigroup, NotFullLatticeError, saturation_hilbert_basis
 from toricnash.cone import Cone
 
-from helpers import apply_matrix, random_pointed_gens, random_unimodular, sympy_det
+from helpers import (
+    apply_matrix,
+    has_opposite_primitives,
+    random_pointed_gens,
+    random_unimodular,
+    sympy_det,
+    unimodular_matrices,
+)
 
 
 def _source():
@@ -187,20 +194,35 @@ def _reference_g_set(s, a, h, p):
 
 
 def _assert_charts_match_reference(s, p):
+    """blowup_step and the one-chart chart() against the reference, chart by chart.
+
+    The chart semigroup (and with it a Cone) must be built by blowup_step
+    exactly for the charts whose generators hold no two opposite primitive
+    vectors; the other charts are settled in index space.
+    """
+    h = s.hilbert_basis()
     charts = iter(blowup_step(s, p))
-    for a in itertools.combinations(s.hilbert_basis(), s.dim):
+    for a in itertools.combinations(h, s.dim):
         dp = det_p(mat(a), p)
         if dp == 0:
             continue
         ch = next(charts)
-        gsets = {h: _reference_g_set(s, a, h, p) for h in a}
-        gens = tuple(sorted(set(s.hilbert_basis()).union(*gsets.values())))
+        built = "chart_semigroup" in vars(ch)
+        gsets = {v: _reference_g_set(s, a, v, p) for v in a}
+        gens = tuple(sorted(set(h).union(*gsets.values())))
         cone = Cone(gens, s.dim)
-        assert ch.subset == a
-        assert ch.det_value == dp
-        assert ch.g_sets == gsets
-        assert ch.generators == gens
-        assert ch.pointed == cone.is_pointed
+        assert built == (not has_opposite_primitives(gens))
+        single = chart(s, a, p, normalize=False)
+        for c in (ch, single):
+            assert c.subset == a
+            assert c.subset_indices() == tuple(h.index(v) for v in a)
+            assert c.det_value == dp
+            assert c.g_sets == gsets
+            assert c.generators == gens
+            assert c.chart_semigroup.generators == gens
+            assert c.pointed == cone.is_pointed
+        assert single.normalized_chart is None
+        assert {v: g_set(s, a, v, p) for v in a} == gsets
         if cone.is_pointed:
             assert ch.normalized_chart.hilbert_basis() == saturation_hilbert_basis(cone)
         else:
@@ -232,3 +254,28 @@ def _pointed_full_lattice_semigroups(draw):
 @given(_pointed_full_lattice_semigroups(), st.sampled_from((0, 2, 3, 5)))
 def test_charts_match_reference_on_drawn_semigroups(s, p):
     _assert_charts_match_reference(s, p)
+
+
+@given(_pointed_full_lattice_semigroups(), st.sampled_from((0, 2, 3, 5)), st.data())
+def test_blowup_step_commutes_with_unimodular_maps(s, p, data):
+    u = data.draw(unimodular_matrices(s.dim))
+
+    def image(vectors):
+        return tuple(sorted(apply_matrix(u, v) for v in vectors))
+
+    moved = AffineSemigroup(image(s.hilbert_basis()), s.dim)
+    assert moved.hilbert_basis() == image(s.hilbert_basis())
+    charts = {image(c.subset): c for c in blowup_step(s, p)}
+    moved_charts = blowup_step(moved, p)
+    assert len(moved_charts) == len(charts)
+    for mc in moved_charts:
+        c = charts[mc.subset]
+        # U and the column order change the determinant's sign only
+        assert mc.det_value in {c.det_value, -c.det_value % p if p else -c.det_value}
+        assert mc.g_sets == {apply_matrix(u, h): image(diffs) for h, diffs in c.g_sets.items()}
+        assert mc.generators == image(c.generators)
+        assert mc.pointed == c.pointed
+        if c.pointed:
+            assert mc.normalized_chart.hilbert_basis() == image(c.normalized_chart.hilbert_basis())
+        else:
+            assert mc.normalized_chart is None

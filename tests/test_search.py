@@ -1,8 +1,10 @@
 import errno
+import functools
 import typing
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricnash import fixtures, search
 from toricnash.cone import Cone
@@ -25,6 +27,8 @@ from toricnash.search import (
     verify_report_cycles,
 )
 from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis
+
+from helpers import apply_matrix, unimodular_matrices
 
 
 def _saturated(columns, dim):
@@ -300,3 +304,30 @@ def test_save_graph_failure_keeps_previous_file(tmp_path, monkeypatch):
 def test_class_index_annotations_resolve():
     hints = typing.get_type_hints(_ClassIndex.locate)
     assert hints["return"] == tuple[bytes, Optional[str], Optional[IsoCertificate]]
+
+
+def _explore_summary(s, p, depth):
+    report = explore(s, p, max_depth=depth, cycle_lengths=(1, 2))
+    depths = sorted(n.depth for n in report.nodes.values())
+    return len(report.nodes), len(report.edges), depths, report.termination, sorted(
+        c.length for c in report.cycles
+    )
+
+
+@functools.cache
+def _builtin_summary(name, depth):
+    cf = fixtures.BUILTIN_CONES[name]
+    basis = saturation_hilbert_basis(Cone(cf.generators, cf.dim))
+    return basis, _explore_summary(AffineSemigroup(basis, cf.dim), cf.characteristic, depth)
+
+
+@pytest.mark.parametrize("name, depth", [("B", 1), ("dim4char3", 2)])
+@settings(max_examples=8)  # one explore per example
+@given(data=st.data())
+def test_explore_commutes_with_unimodular_maps(name, depth, data):
+    cf = fixtures.BUILTIN_CONES[name]
+    basis, want = _builtin_summary(name, depth)
+    assert want[-1]  # the loop is there to be found
+    u = data.draw(unimodular_matrices(cf.dim))
+    moved = AffineSemigroup([apply_matrix(u, v) for v in basis], cf.dim)
+    assert _explore_summary(moved, cf.characteristic, depth) == want

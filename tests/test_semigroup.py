@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from toricnash.cone import Cone, NotPointedError, _triangulate_rays
-from toricnash.exactmath import add, dot, neg, primitive, rank_of_vectors, scale, sub, vec, zero_vec
+from toricnash.exactmath import add, dot, rank_of_vectors, scale, sub, vec, zero_vec
 from toricnash.semigroup import (
     AffineSemigroup,
     NotFullLatticeError,
@@ -14,7 +14,14 @@ from toricnash.semigroup import (
     saturation_hilbert_basis,
 )
 
-from helpers import oracle_hilbert_basis, random_pointed_gens, random_unimodular, apply_matrix
+from helpers import (
+    apply_matrix,
+    has_opposite_primitives,
+    oracle_hilbert_basis,
+    random_pointed_gens,
+    random_unimodular,
+    unimodular_matrices,
+)
 
 
 def test_hilbert_basis_quadrant():
@@ -199,33 +206,14 @@ def _generator_sets(draw):
     return dim, gens
 
 
-@st.composite
-def _unimodular(draw, dim):
-    """A product of elementary integer column operations (determinant +-1)."""
-    cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
-    for _ in range(draw(st.integers(0, 8))):
-        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        if i == j:
-            cols[i] = [-x for x in cols[i]]
-        else:
-            c = draw(st.sampled_from((-2, -1, 1, 2)))
-            cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
-    return tuple(tuple(c) for c in cols)
-
-
-def _has_opposite_pair(gens):
-    prims = {primitive(vec(g)) for g in gens}
-    return any(neg(v) in prims for v in prims)
-
-
 @given(_generator_sets(), st.data())
 def test_is_pointed_agrees_with_cone(drawn, data):
     dim, gens = drawn
     verdict = Cone(gens, dim).is_pointed
     assert AffineSemigroup(gens, dim).is_pointed == verdict
-    if _has_opposite_pair(gens):
+    if has_opposite_primitives(gens):
         assert not verdict
-    u = data.draw(_unimodular(dim))
+    u = data.draw(unimodular_matrices(dim))
     image = [apply_matrix(u, g) for g in gens]
     assert AffineSemigroup(image, dim).is_pointed == verdict
 
@@ -247,7 +235,7 @@ def test_planted_opposite_pair_with_unequal_multiples():
     ],
 )
 def test_nonpointed_without_opposite_pair(gens):
-    assert not _has_opposite_pair(gens)
+    assert not has_opposite_primitives(gens)
     dim = len(gens[0])
     assert not Cone(gens, dim).is_pointed
     assert not AffineSemigroup(gens, dim).is_pointed
@@ -275,7 +263,7 @@ def _embedded_pointed_cones(draw):
     vector = st.tuples(*[st.integers(0, 3)] * rank).filter(any)
     gens = draw(st.lists(vector, min_size=rank + 1, max_size=rank + 2))
     assume(rank_of_vectors(gens) == rank)
-    u = draw(_unimodular(dim))
+    u = draw(unimodular_matrices(dim))
     return dim, [apply_matrix(u, g + (0,) * (dim - rank)) for g in gens]
 
 
@@ -291,7 +279,7 @@ def test_hilbert_basis_matches_all_pairs_reduction(drawn):
 @given(_embedded_pointed_cones(), st.data())
 def test_hilbert_basis_commutes_with_unimodular_maps(drawn, data):
     dim, gens = drawn
-    u = data.draw(_unimodular(dim))
+    u = data.draw(unimodular_matrices(dim))
     base = saturation_hilbert_basis(Cone(gens, dim))
     moved = saturation_hilbert_basis(Cone([apply_matrix(u, g) for g in gens], dim))
     assert moved == tuple(sorted(apply_matrix(u, h) for h in base))
