@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from .exactmath import (
     Vec,
@@ -30,22 +31,19 @@ class NotPointedError(ValueError):
     """Operation requires a strongly convex (pointed) cone."""
 
 
-def _tight_mask(r: Vec, constraints: Sequence[Vec], upto: int) -> int:
-    m = 0
-    for i in range(upto):
-        if dot(constraints[i], r) == 0:
-            m |= 1 << i
-    return m
-
-
 def _dd_rays(constraints: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     """Extreme rays of {x : <c, x> >= 0 for all c} by double description.
 
     Pre: the constraints span R^dim, so the cone is pointed.  Start from the
     simplicial cone cut out by dim independent constraints (its rays are the
-    sign-fixed adjugate columns), then insert the remaining halfspaces one at
-    a time.  Adjacency of rays u, v is the standard combinatorial test: no
-    third ray is tight on every constraint that is tight on both u and v.
+    sign-fixed adjugate columns, ray j tight on every base constraint but
+    the j-th), then insert the remaining halfspaces one at a time.  Adjacency
+    of rays u, v is the standard combinatorial test: no third ray is tight on
+    every constraint that is tight on both u and v.  Each ray carries its
+    tight set as a bitmask over the constraints inserted so far.  A fresh ray
+    vals[u] * v - vals[v] * u inherits tight[u] & tight[v] plus the new
+    constraint, exactly: on an earlier constraint both terms are >= 0, so
+    their sum vanishes only where both do.
     """
     base = [constraints[i] for i in independent_indices(constraints, dim)]
     rest = [c for c in constraints if c not in base]
@@ -54,8 +52,8 @@ def _dd_rays(constraints: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     rows_as_cols = mat(tuple(zip(*base)))  # matrix with rows = base constraints
     d0, adj = solve(rows_as_cols, identity(dim))
     s = 1 if d0 > 0 else -1
-    rays = [primitive(tuple(s * e for e in col)) for col in adj]
-    tight = {r: _tight_mask(r, ordered, dim) for r in rays}
+    rays = [primitive(scale(s, col)) for col in adj]
+    tight = {r: ((1 << dim) - 1) ^ 1 << j for j, r in enumerate(rays)}
 
     for k in range(dim, len(ordered)):
         c = ordered[k]
@@ -68,7 +66,7 @@ def _dd_rays(constraints: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
         plus = [r for r in rays if vals[r] > 0]
         zero = [r for r in rays if vals[r] == 0]
         minus = [r for r in rays if vals[r] < 0]
-        fresh: list[Vec] = []
+        fresh: dict[Vec, int] = {}  # new ray -> its tight set
         for u in plus:
             for v in minus:
                 common = tight[u] & tight[v]
@@ -82,17 +80,9 @@ def _dd_rays(constraints: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
                 if not adjacent:
                     continue
                 w = primitive(sub(scale(vals[u], v), scale(vals[v], u)))
-                if w not in fresh:
-                    fresh.append(w)
-        rays = plus + zero + fresh
-        new_tight = {}
-        for r in plus:
-            new_tight[r] = tight[r]
-        for r in zero:
-            new_tight[r] = tight[r] | 1 << k
-        for r in fresh:
-            new_tight[r] = _tight_mask(r, ordered, k + 1)
-        tight = new_tight
+                fresh.setdefault(w, common | 1 << k)
+        rays = plus + zero + list(fresh)
+        tight = {r: tight[r] for r in plus} | {r: tight[r] | 1 << k for r in zero} | fresh
 
     return tuple(sorted(set(rays)))
 
@@ -127,7 +117,10 @@ class Cone(object):
     Generators are primitivised and deduplicated; when the cone is pointed
     they are further reduced to the extreme rays.  The facet description
     (facet normals plus span equations for lower-dimensional cones) is
-    computed eagerly, so membership tests are plain integer dot products.
+    computed eagerly by one double description, so membership tests are
+    plain integer dot products.  The extreme rays are read from the facet
+    incidence: in a pointed cone a generator is extreme exactly when no
+    other generator lies on every facet that it lies on.
     """
 
     __slots__ = (
@@ -154,17 +147,18 @@ class Cone(object):
         self.facet_normals = normals
         self.span_equations = lin_dual  # x in span(cone) iff all these vanish on x
 
-        # double dual: extreme rays and lineality of the cone itself
-        constraints = list(normals)
-        for e in lin_dual:
-            constraints.append(e)
-            constraints.append(neg(e))
-        lineality, rays = dual_description(constraints, ambient_dim)
-        self.lineality_basis = lineality
-        if lineality:
+        # the cone is cut out by the (primitive) normals and +-lin_dual
+        constraints = sorted((*normals, *lin_dual, *map(neg, lin_dual)))
+        self.lineality_basis = orthogonal_complement(constraints, ambient_dim)
+        if self.lineality_basis:
             self.generators = prim
-        else:
-            self.generators = rays
+            return
+        masks = [sum(1 << i for i, n in enumerate(normals) if not dot(n, g)) for g in prim]
+        self.generators = tuple(
+            g
+            for g, m in zip(prim, masks)
+            if not any(h != g and m & mh == m for h, mh in zip(prim, masks))
+        )
 
     @property
     def is_pointed(self) -> bool:
@@ -174,20 +168,23 @@ class Cone(object):
     def is_full_dimensional(self) -> bool:
         return not self.span_equations
 
-    def contains(self, x: Sequence[int]) -> bool:
+    def _facet_values(self, x: Sequence[int]) -> Optional[Iterator[int]]:
+        """<n, x> for every facet normal n, or None when x is off the span."""
         v = vec(x)
         if len(v) != self.dim:
             raise DimensionMismatch("point of wrong length")
-        return all(dot(e, v) == 0 for e in self.span_equations) and all(
-            dot(n, v) >= 0 for n in self.facet_normals
-        )
+        if any(sum(map(mul, e, v)) for e in self.span_equations):
+            return None
+        return (sum(map(mul, n, v)) for n in self.facet_normals)
+
+    def contains(self, x: Sequence[int]) -> bool:
+        vals = self._facet_values(x)
+        return vals is not None and all(t >= 0 for t in vals)
 
     def interior_contains(self, x: Sequence[int]) -> bool:
         """Relative interior membership."""
-        v = vec(x)
-        return all(dot(e, v) == 0 for e in self.span_equations) and all(
-            dot(n, v) > 0 for n in self.facet_normals
-        )
+        vals = self._facet_values(x)
+        return vals is not None and all(t > 0 for t in vals)
 
     def positive_grading(self) -> Vec:
         """An integral L with <L, g> >= 1 for every (nonzero) generator."""

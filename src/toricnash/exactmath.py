@@ -8,8 +8,10 @@ freely.
 
 from __future__ import annotations
 
-from itertools import combinations
+import operator
+from itertools import combinations, repeat
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -25,7 +27,7 @@ class InvalidCharacteristic(ValueError):
 
 
 def vec(entries: Iterable[int]) -> Vec:
-    return tuple(int(e) for e in entries)
+    return tuple(map(int, entries))
 
 
 def zero_vec(dim: int) -> Vec:
@@ -33,40 +35,37 @@ def zero_vec(dim: int) -> Vec:
 
 
 def is_zero(v: Vec) -> bool:
-    return all(e == 0 for e in v)
+    return not any(v)
 
 
 def dot(u: Vec, v: Vec) -> int:
     if len(u) != len(v):
         raise DimensionMismatch(f"dot: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def add(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"add: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def sub(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"sub: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def neg(v: Vec) -> Vec:
-    return tuple(-e for e in v)
+    return tuple(map(operator.neg, v))
 
 
 def scale(k: int, v: Vec) -> Vec:
-    return tuple(k * e for e in v)
+    return tuple(map(mul, repeat(k), v))
 
 
 def content(v: Vec) -> int:
-    g = 0
-    for e in v:
-        g = gcd(g, e)
-    return g
+    return gcd(*v)
 
 
 def primitive(v: Vec) -> Vec:
@@ -74,7 +73,7 @@ def primitive(v: Vec) -> Vec:
     g = content(v)
     if g <= 1:
         return tuple(v)
-    return tuple(e // g for e in v)
+    return tuple(map(operator.floordiv, v, repeat(g)))
 
 
 def mat(columns: Iterable[Iterable[int]]) -> Mat:

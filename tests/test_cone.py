@@ -1,11 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricnash.cone import Cone, NotPointedError, dual_description
-from toricnash.exactmath import det, dot, primitive, rank_of_vectors, vec
+from toricnash.exactmath import (
+    DimensionMismatch,
+    det,
+    dot,
+    identity,
+    independent_indices,
+    mat,
+    mat_apply,
+    orthogonal_complement,
+    primitive,
+    rank_of_vectors,
+    solve,
+    vec,
+)
 
-from helpers import oracle_facets, random_pointed_gens, random_unimodular, apply_matrix
+from helpers import apply_matrix, oracle_facets, random_pointed_gens, unimodular_matrices
 
 
 def test_quadrant():
@@ -30,6 +44,16 @@ def test_full_space_cone():
     assert c.facet_normals == ()
     assert len(c.lineality_basis) == 2
     assert c.contains((-5, 7))
+    assert c.interior_contains((-5, 7))
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3), (1,), ()])
+def test_membership_rejects_wrong_length(point):
+    c = Cone(((1, 0), (-1, 0), (0, 1), (0, -1)), 2)  # no normals, no equations
+    with pytest.raises(DimensionMismatch):
+        c.contains(point)
+    with pytest.raises(DimensionMismatch):
+        c.interior_contains(point)
 
 
 def test_low_dimensional_cone():
@@ -117,17 +141,120 @@ def test_dual_description_consistency():
         assert all(dot(n, g) >= 0 for n in rays for g in gens)
 
 
-def test_unimodular_equivariance():
-    rng = random.Random(206)
-    for _ in range(25):
-        dim = rng.choice((2, 3))
-        gens = random_pointed_gens(rng, dim, dim + 2)
-        u = random_unimodular(rng, dim)
-        c = Cone(gens, dim)
-        cu = Cone([apply_matrix(u, g) for g in gens], dim)
-        assert set(cu.generators) == {apply_matrix(u, r) for r in c.generators}
-        assert len(cu.facet_normals) == len(c.facet_normals)
-        assert cu.is_pointed == c.is_pointed
+# --- differential gate: one double description against the former two ---
+
+
+def _reference_dd_rays(constraints, dim):
+    """The double description as it was before tight sets were inherited:
+    every new ray's tight set is recomputed against all constraints so far."""
+    base = [constraints[i] for i in independent_indices(constraints, dim)]
+    ordered = base + [c for c in constraints if c not in base]
+
+    def tight_mask(r, upto):
+        return sum(1 << i for i in range(upto) if dot(ordered[i], r) == 0)
+
+    d0, adj = solve(mat(tuple(zip(*base))), identity(dim))
+    s = 1 if d0 > 0 else -1
+    rays = [primitive(tuple(s * e for e in col)) for col in adj]
+    tight = {r: tight_mask(r, dim) for r in rays}
+    for k in range(dim, len(ordered)):
+        vals = {r: dot(ordered[k], r) for r in rays}
+        plus = [r for r in rays if vals[r] > 0]
+        zero = [r for r in rays if vals[r] == 0]
+        fresh = []
+        for u in plus:
+            for v in (r for r in rays if vals[r] < 0):
+                common = tight[u] & tight[v]
+                if any(tight[w] & common == common for w in rays if w not in (u, v)):
+                    continue
+                w = primitive(tuple(vals[u] * b - vals[v] * a for a, b in zip(u, v)))
+                if w not in fresh:
+                    fresh.append(w)
+        rays = plus + zero + fresh
+        tight = {r: tight_mask(r, k + 1) for r in rays}
+    return tuple(sorted(set(rays)))
+
+
+def _reference_dual_description(vectors, dim):
+    vs = sorted({primitive(v) for v in vectors if any(v)})
+    if not vs:
+        return identity(dim), ()
+    lin = orthogonal_complement(vs, dim)
+    if not lin:
+        return (), _reference_dd_rays(vs, dim)
+    span_basis = orthogonal_complement(lin, dim)
+    projected = [tuple(dot(v, w) for w in span_basis) for v in vs]
+    rays_y = _reference_dd_rays(sorted(set(projected)), len(span_basis))
+    return lin, tuple(sorted(primitive(mat_apply(mat(span_basis), y)) for y in rays_y))
+
+
+def _reference_cone(generators, dim):
+    """(generators, facet_normals, span_equations, lineality_basis) the way
+    Cone computed them with a second double description over its facets."""
+    prim = tuple(sorted({primitive(vec(g)) for g in generators if any(g)}))
+    lin_dual, normals = _reference_dual_description(prim, dim)
+    constraints = list(normals)
+    for e in lin_dual:
+        constraints += [e, tuple(-x for x in e)]
+    lineality, rays = _reference_dual_description(constraints, dim)
+    return (prim if lineality else rays), normals, lin_dual, lineality
+
+
+@st.composite
+def _generator_lists(draw):
+    """(dim, generators): dim 1..5, at most 9 vectors with entries in [-3, 3].
+
+    Planted: a zero coordinate throughout (lower-dimensional), all entries
+    made nonnegative (pointed), and lines g, -2g, duplicates, scaled copies
+    and zero vectors; the list may be empty.
+    """
+    dim = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=6))
+    if gens and dim > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, dim - 1))
+        gens = [g[:k] + (0,) + g[k + 1 :] for g in gens]
+    if draw(st.booleans()):
+        gens = [tuple(map(abs, g)) for g in gens]
+    for plant in draw(st.lists(st.sampled_from(("line", "dup", "scaled", "zero")), max_size=3)):
+        if plant == "zero" or not gens:
+            gens.append((0,) * dim)
+            continue
+        g = draw(st.sampled_from(gens))
+        factor = {"line": -2, "dup": 1, "scaled": draw(st.integers(2, 3))}[plant]
+        gens.append(tuple(factor * x for x in g))
+    return dim, draw(st.permutations(gens))
+
+
+@settings(max_examples=300)
+@given(_generator_lists())
+def test_cone_matches_two_pass_reference(drawn):
+    dim, gens = drawn
+    c = Cone(gens, dim)
+    assert (c.generators, c.facet_normals, c.span_equations, c.lineality_basis) == (
+        _reference_cone(gens, dim)
+    )
+
+
+@given(_generator_lists(), st.data())
+def test_unimodular_equivariance(drawn, data):
+    dim, gens = drawn
+    u = data.draw(unimodular_matrices(dim))
+    c = Cone(gens, dim)
+    cu = Cone([apply_matrix(u, g) for g in gens], dim)
+    assert set(cu.generators) == {apply_matrix(u, r) for r in c.generators}
+    assert len(cu.facet_normals) == len(c.facet_normals)
+    assert len(cu.span_equations) == len(c.span_equations)
+    assert len(cu.lineality_basis) == len(c.lineality_basis)
+    assert (cu.is_pointed, cu.is_full_dimensional) == (c.is_pointed, c.is_full_dimensional)
+    for line in c.lineality_basis:
+        image = apply_matrix(u, line)
+        assert cu.contains(image) and cu.contains(tuple(-x for x in image))
+    points = [*gens, *c.generators, vec(sum(col) for col in zip((0,) * dim, *gens))]
+    points.append(data.draw(st.tuples(*[st.integers(-3, 3)] * dim)))
+    for x in points:
+        image = apply_matrix(u, x)
+        assert cu.contains(image) == c.contains(x)
+        assert cu.interior_contains(image) == c.interior_contains(x)
 
 
 def test_triangulate_2d_consecutive():

@@ -1,11 +1,15 @@
 import itertools
 import random
+from functools import reduce
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toricnash.exactmath import (
     DimensionMismatch,
     InvalidCharacteristic,
+    add,
     adjugate,
     content,
     det,
@@ -15,6 +19,7 @@ from toricnash.exactmath import (
     identity,
     independent_indices,
     is_unimodular,
+    is_zero,
     kernel_basis,
     lattice_is_full,
     mat,
@@ -22,11 +27,14 @@ from toricnash.exactmath import (
     mat_mul,
     maximal_minors,
     minor_table,
+    neg,
     orthogonal_complement,
     primitive,
     rank_of_vectors,
+    scale,
     solve,
     solve_integral,
+    sub,
     transpose,
     vec,
 )
@@ -330,6 +338,38 @@ def test_primitive_and_content():
     assert primitive((-3, 0)) == (-1, 0)
     assert content((4, 6)) == 2
     assert content((0, 0, 0)) == 0
+
+
+@pytest.mark.parametrize("op", [dot, add, sub], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("u, v", [((1, 2), (1, 2, 3)), ((), (4,)), ((0, 0, 0), ())])
+def test_vector_helpers_reject_unequal_lengths(op, u, v):
+    # checked up front: zip and map would silently drop the longer tail
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(DimensionMismatch):
+            op(a, b)
+
+
+_ENTRIES = st.one_of(st.integers(-5, 5), st.integers(-(2**70), 2**70))
+
+
+@given(st.data())
+def test_vector_helpers_match_comprehensions(data):
+    n = data.draw(st.integers(0, 6))
+    vector = st.one_of(st.tuples(*[_ENTRIES] * n), st.just((0,) * n))
+    u, v = data.draw(vector), data.draw(vector)
+    k = data.draw(st.one_of(_ENTRIES, st.booleans()))
+    raw = data.draw(st.lists(st.one_of(_ENTRIES, st.booleans()), max_size=6))
+    assert vec(raw) == tuple(int(e) for e in raw)
+    assert all(type(e) is int for e in vec(raw))  # bools come out as ints
+    assert is_zero(u) == all(e == 0 for e in u)
+    assert neg(u) == tuple(-e for e in u)
+    assert scale(k, u) == tuple(k * e for e in u)
+    assert dot(u, v) == sum(a * b for a, b in zip(u, v))
+    assert add(u, v) == tuple(a + b for a, b in zip(u, v))
+    assert sub(u, v) == tuple(a - b for a, b in zip(u, v))
+    g = reduce(gcd, u, 0)
+    assert content(u) == g
+    assert primitive(u) == (u if g <= 1 else tuple(e // g for e in u))
 
 
 def test_transpose_matmul_consistency():

@@ -8,7 +8,8 @@ package __init__ only re-exports, and `from __future__ import annotations`
 binds nothing, so both are exempt.  A top-level module imported under
 tests/ that is neither in the standard library nor the package or the
 suite's own helpers must be named in the `test` extra of pyproject.toml.
-The benchmark's tracer (bench/tracer.py) wraps package functions by name,
+A private module-level function, class or constant in src/toricnash must
+be read somewhere in src/ outside its own definition.  The benchmark's tracer (bench/tracer.py) wraps package functions by name,
 so every name in its TRACED table must still resolve.
 """
 
@@ -79,6 +80,70 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names read in tree, as in _names, plus attribute and imported names."""
+    out = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for every private module-level def, class or constant that
+    no top-level statement of any source reads, its own definition aside."""
+    parsed = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
+    refs = [_references(stmt) for _, stmt in parsed]
+    dead = []
+    for i, (module, stmt) in enumerate(parsed):
+        for name in _defined_names(stmt):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in r for j, r in enumerate(refs) if j != i):
+                dead.append(f"{module}:{name}")
+    return dead
+
+
+def test_dead_private_detector():
+    sources = {
+        "a": (
+            '"""Mentions _in_docstring only here."""\n'
+            "import b\n"
+            "from b import _imported\n"
+            "_CONST = 3\n"
+            "_unused: int = 4\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "def _in_docstring(): pass\n"
+            "def _called(): return b._by_attribute() + _CONST\n"
+            "class _Annotated: pass\n"
+            "def public(x: '_Annotated') -> int: return _called()\n"
+            "def unused_public(): pass\n"
+        ),
+        "b": "def _by_attribute(): return 1\n_imported = 2\n_dead = 5\n",
+    }
+    assert dead_private_names(sources) == [
+        "a:_unused",
+        "a:_recursive",
+        "a:_in_docstring",
+        "b:_dead",
+    ]
+
+
+def test_no_dead_private_names():
+    src = ROOT.joinpath("src", "toricnash")
+    sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    assert "cone.py" in sources
+    assert dead_private_names(sources) == []
 
 
 def imported_modules(source: str) -> set[str]:
