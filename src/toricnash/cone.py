@@ -18,7 +18,6 @@ from .exactmath import (
     neg,
     orthogonal_complement,
     primitive,
-    rank_of_vectors,
     scale,
     solve,
     sub,
@@ -31,31 +30,39 @@ class NotPointedError(ValueError):
     """Operation requires a strongly convex (pointed) cone."""
 
 
-def _dd_rays(constraints: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
+def _dd_rays(constraints: Sequence[Vec], dim: int, seed: Optional[Cone] = None) -> tuple[Vec, ...]:
     """Extreme rays of {x : <c, x> >= 0 for all c} by double description.
 
-    Pre: the constraints span R^dim, so the cone is pointed.  Start from the
-    simplicial cone cut out by dim independent constraints (its rays are the
-    sign-fixed adjugate columns, ray j tight on every base constraint but
-    the j-th), then insert the remaining halfspaces one at a time.  Adjacency
-    of rays u, v is the standard combinatorial test: no third ray is tight on
-    every constraint that is tight on both u and v.  Each ray carries its
-    tight set as a bitmask over the constraints inserted so far.  A fresh ray
+    Pre: the constraints span R^dim, so the cone is pointed.  There are two
+    start states.  Unseeded, start from the simplicial cone cut out by dim
+    independent constraints (its rays are the sign-fixed adjugate columns,
+    ray j tight on every base constraint but the j-th).  Seeded with a
+    pointed, full-dimensional Cone whose extreme rays are among the
+    constraints, start from the dual of that cone: its rays are the seed's
+    facet normals, each tight on the seed rays it vanishes on.  Both are
+    exact start states, since the invariant below holds there; then insert
+    the remaining halfspaces one at a time.  Adjacency of rays u, v is the
+    standard combinatorial test: no third ray is tight on every constraint
+    that is tight on both u and v.  Each ray carries its tight set as a
+    bitmask over the constraints inserted so far.  A fresh ray
     vals[u] * v - vals[v] * u inherits tight[u] & tight[v] plus the new
     constraint, exactly: on an earlier constraint both terms are >= 0, so
     their sum vanishes only where both do.
     """
-    base = [constraints[i] for i in independent_indices(constraints, dim)]
-    rest = [c for c in constraints if c not in base]
-    ordered = base + rest
+    if seed is None:
+        base = [constraints[i] for i in independent_indices(constraints, dim)]
+        rows_as_cols = mat(tuple(zip(*base)))  # matrix with rows = base constraints
+        d0, adj = solve(rows_as_cols, identity(dim))
+        s = 1 if d0 > 0 else -1
+        rays = [primitive(scale(s, col)) for col in adj]
+        tight = {r: ((1 << dim) - 1) ^ 1 << j for j, r in enumerate(rays)}
+    else:
+        base = list(seed.generators)
+        rays = list(seed.facet_normals)
+        tight = {n: sum(1 << i for i, g in enumerate(base) if not dot(n, g)) for n in rays}
+    ordered = base + [c for c in constraints if c not in base]
 
-    rows_as_cols = mat(tuple(zip(*base)))  # matrix with rows = base constraints
-    d0, adj = solve(rows_as_cols, identity(dim))
-    s = 1 if d0 > 0 else -1
-    rays = [primitive(scale(s, col)) for col in adj]
-    tight = {r: ((1 << dim) - 1) ^ 1 << j for j, r in enumerate(rays)}
-
-    for k in range(dim, len(ordered)):
+    for k in range(len(base), len(ordered)):
         c = ordered[k]
         vals = {r: dot(c, r) for r in rays}
         if all(v >= 0 for v in vals.values()):
@@ -112,7 +119,7 @@ def dual_description(vectors: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...],
 
 
 class Cone(object):
-    """Cone(generators, ambient_dim=None) -> rational polyhedral cone.
+    """Cone(generators, ambient_dim=None, inner=None) -> rational polyhedral cone.
 
     Generators are primitivised and deduplicated; when the cone is pointed
     they are further reduced to the extreme rays.  The facet description
@@ -121,6 +128,11 @@ class Cone(object):
     plain integer dot products.  The extreme rays are read from the facet
     incidence: in a pointed cone a generator is extreme exactly when no
     other generator lies on every facet that it lies on.
+
+    `inner`, when given, is a pointed, full-dimensional Cone of the same
+    dimension whose extreme rays are among the primitive generators (a
+    blowup chart and its source, say).  The double description then starts
+    from its facets instead of from a simplex; the result is the same.
     """
 
     __slots__ = (
@@ -131,7 +143,10 @@ class Cone(object):
         "lineality_basis",
     )
 
-    def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None):
+    def __init__(
+        self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None,
+        inner: Optional[Cone] = None,
+    ):
         gens = [vec(g) for g in generators]
         if ambient_dim is None:
             if not gens:
@@ -143,7 +158,14 @@ class Cone(object):
         self.dim = ambient_dim
         prim = tuple(sorted({primitive(g) for g in gens if not is_zero(g)}))
 
-        lin_dual, normals = dual_description(prim, ambient_dim)
+        if inner is None:
+            lin_dual, normals = dual_description(prim, ambient_dim)
+        else:
+            if not (inner.dim == ambient_dim and inner.is_pointed and inner.is_full_dimensional):
+                raise ValueError("inner must be pointed and full-dimensional in this dimension")
+            if not set(inner.generators) <= set(prim):
+                raise ValueError("the extreme rays of inner must be among the generators")
+            lin_dual, normals = (), _dd_rays(prim, ambient_dim, inner)
         self.facet_normals = normals
         self.span_equations = lin_dual  # x in span(cone) iff all these vanish on x
 
@@ -200,13 +222,15 @@ class Cone(object):
 
         Pulling construction: recursively triangulate every facet missing
         the lexicographically least ray, then join each piece to that ray.
-        The pieces cover the cone and have pairwise disjoint interiors.
+        The facets of each face are read from the cone's facet incidence, so
+        no double description runs below the cone's own.  The pieces cover
+        the cone and have pairwise disjoint interiors.
         """
         if not self.is_pointed:
             raise NotPointedError("triangulation requires a pointed cone")
         if not self.is_full_dimensional:
             raise ValueError("triangulation requires a full-dimensional cone")
-        pieces = _triangulate_rays(self.generators, self.dim)
+        pieces = _triangulate_rays(self)
         return tuple(Cone(rs, self.dim) for rs in sorted(pieces))
 
     def __eq__(self, other: object) -> bool:
@@ -223,17 +247,31 @@ class Cone(object):
         return f"Cone(dim={self.dim}, generators={list(self.generators)})"
 
 
-def _triangulate_rays(rays: Sequence[Vec], dim: int) -> list[tuple[Vec, ...]]:
-    rays = tuple(sorted(rays))
-    if len(rays) == rank_of_vectors(rays):
-        return [rays]
-    v0 = rays[0]
-    _, normals = dual_description(rays, dim)
-    out: list[tuple[Vec, ...]] = []
-    for n in normals:
-        if dot(n, v0) <= 0:
-            continue
-        facet_rays = tuple(r for r in rays if dot(n, r) == 0)
-        for piece in _triangulate_rays(facet_rays, dim):
-            out.append(tuple(sorted(piece + (v0,))))
-    return out
+def _triangulate_rays(c: Cone) -> list[tuple[Vec, ...]]:
+    """Ray sets of the pieces of a pointed cone's pulling triangulation.
+
+    Works on bitmasks over the sorted extreme rays, read from the facet
+    incidence alone.  Every proper face of a face F is an intersection of
+    the cone's facets, so the facets of F are the inclusion-maximal proper
+    sets F & G over the cone's facets G.  F is simplicial when it has as
+    many rays as its dimension: c's dimension at the top, one less per
+    level.  Otherwise every facet of F missing F's least ray is split in
+    turn and each piece joined to that ray.
+    """
+    rays = c.generators
+    facets = [sum(1 << i for i, r in enumerate(rays) if not dot(n, r)) for n in c.facet_normals]
+
+    def split(face: int, k: int) -> list[int]:
+        if bin(face).count("1") == k:
+            return [face]
+        v0 = face & -face
+        sub_faces = {face & g for g in facets} - {face}
+        return [
+            piece | v0
+            for f in sub_faces
+            if not f & v0 and not any(f & h == f != h for h in sub_faces)
+            for piece in split(f, k - 1)
+        ]
+
+    pieces = split((1 << len(rays)) - 1, c.dim - len(c.span_equations))
+    return [tuple(r for i, r in enumerate(rays) if p >> i & 1) for p in pieces]

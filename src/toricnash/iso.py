@@ -148,7 +148,10 @@ def certificate_for_matrix(a: AffineSemigroup, m: Mat) -> IsoCertificate:
 
 
 def verify_certificate(a: AffineSemigroup, b: AffineSemigroup, cert: IsoCertificate) -> bool:
-    """True iff the matrix is unimodular and maps H(a) onto H(b) bijectively."""
+    """True iff the matrix is unimodular and maps H(a) onto H(b) bijectively.
+
+    A non-empty declared mapping must be exactly the pairs (h, M h), h in H(a).
+    """
     if a.dim != b.dim or len(cert.matrix) != a.dim:
         return False
     if not is_unimodular(cert.matrix):
@@ -158,10 +161,8 @@ def verify_certificate(a: AffineSemigroup, b: AffineSemigroup, cert: IsoCertific
     images = [mat_apply(cert.matrix, h) for h in ha]
     if len(ha) != len(hb) or set(images) != hb:
         return False
-    declared = dict(cert.mapping)
-    if declared and any(declared.get(h, img) != img for h, img in zip(ha, images)):
-        return False
-    return True
+    pairs = set(zip(ha, images))
+    return not cert.mapping or (len(cert.mapping) == len(pairs) and set(cert.mapping) == pairs)
 
 
 def invert_certificate(b: AffineSemigroup, cert: IsoCertificate) -> IsoCertificate:

@@ -77,16 +77,11 @@ class BlowupChart:
 
     @cached_property
     def chart_semigroup(self) -> AffineSemigroup:
-        return AffineSemigroup(self.generators, self.source.dim)
+        return AffineSemigroup(self.generators, self.source.dim, inner=self.source.cone)
 
 
 def _differences(h: Sequence[Vec], i: int, js: Sequence[int]) -> tuple[Vec, ...]:
     return tuple(sorted(sub(h[j], h[i]) for j in js))
-
-
-def _check_characteristic(p: int) -> None:
-    if p and not is_prime(p):
-        raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
 
 
 def _live(minor: int, p: int) -> bool:
@@ -100,11 +95,17 @@ class _Step:
     Class ids are handed out on first use: the source's Hilbert elements at
     once, each difference H[j] - H[i] when a chart first holds it, so a lone
     chart() pays only for its own.  `_opposite[c]` is the id of the negative
-    of class c, or -1 while it has none.
+    of class c, or -1 while it has none.  The source must be pointed and
+    generate Z^d, so its cone is full-dimensional and seeds every chart's.
     """
 
     def __init__(self, s: AffineSemigroup, p: int):
-        _check_characteristic(p)
+        if p and not is_prime(p):
+            raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
+        if not s.is_pointed:
+            raise NotPointedError("blowup requires a pointed semigroup")
+        if not s.generates_full_lattice():
+            raise NotFullLatticeError("blowup requires generators spanning Z^d as a group")
         self.s, self.p = s, p
         self.h = s.hilbert_basis()
         self.minors = s.hilbert_minors()  # nonzero minors only, keyed by bitmask
@@ -211,11 +212,6 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
     depend on the normalized flag; it is read from the semigroup's cached
     minor table, which a search has already filled by fingerprinting.
     """
-    _check_characteristic(p)
-    if not s.is_pointed:
-        raise NotPointedError("blowup requires a pointed semigroup")
-    if not s.generates_full_lattice():
-        raise NotFullLatticeError("blowup requires generators spanning Z^d as a group")
     step = _Step(s, p)
     n = len(step.h)
     subsets = sorted(

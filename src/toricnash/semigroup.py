@@ -23,7 +23,6 @@ from .exactmath import (
     neg,
     orthogonal_complement,
     primitive,
-    scale,
     solve,
     solve_integral,
     sub,
@@ -93,8 +92,9 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
 
     Candidates: the primitive extreme rays together with the lattice points
     of the fundamental parallelepiped of every simplicial piece of a
-    triangulation.  An irreducible element lies in some piece with all ray
-    coefficients below one, so the candidates generate.
+    triangulation, which is read from c's facet incidence with no further
+    double description.  An irreducible element lies in some piece with all
+    ray coefficients below one, so the candidates generate.
 
     Reduction in degree order, as in Normaliz.  The candidates lie in the
     cone's span, so x - h is in the cone iff no facet value of h exceeds
@@ -109,7 +109,7 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     if not rays:
         return ()
     cands: set[Vec] = set(rays)
-    for piece in _triangulate_rays(rays, c.dim):
+    for piece in _triangulate_rays(c):
         cands |= _parallelepiped_points(piece, c.dim)
     cands.discard(zero_vec(c.dim))
     grading = c.positive_grading()
@@ -123,43 +123,41 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     return tuple(sorted(kept))
 
 
-def _decompose_over(
-    gens: Sequence[Vec], x: Vec, prune: Cone, grading: Vec
+def _facet_rows(c: Cone, gens: Sequence[Vec]) -> tuple[list[Vec], list[tuple[int, ...]]]:
+    """gens sorted by (-degree, g), with their facet-value rows; a row sums to the degree."""
+    rows = {g: tuple(dot(n, g) for n in c.facet_normals) for g in gens}
+    order = sorted(gens, key=lambda g: (-sum(rows[g]), g))
+    return order, [rows[g] for g in order]
+
+
+def _decompose(
+    gs: Sequence[Vec], rows: Sequence[tuple[int, ...]], x: tuple[int, ...], skip: int = -1
 ) -> Optional[dict[Vec, int]]:
-    """Nonnegative integer combination of gens equal to x, or None.
+    """Nonnegative integer combination of gs, gs[skip] left out, with facet values x.
 
-    Depth-first over multiplicities, generators in decreasing grading order;
-    a partial residue is abandoned when it leaves the pruning cone.
-    Generators of higher degree than x are never used and are left out.
+    Depth-first over multiplicities in the order of _facet_rows.  In a
+    pointed cone a point of the span is fixed by its facet values, so the
+    residue is carried as those.  The largest multiplicity of gs[i] that
+    keeps the residue r in the cone is the minimum of r_f // g_f over the
+    facets f with g_f > 0, and every smaller one keeps it there too.
     """
-    if not prune.contains(x):
-        return None
-    top = dot(grading, x)
-    gs = sorted((g for g in gens if dot(grading, g) <= top), key=lambda g: (-dot(grading, g), g))
-    ls = [dot(grading, g) for g in gs]
-    failed: set[tuple[int, Vec]] = set()
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    def rec(i: int, r: Vec) -> Optional[dict[Vec, int]]:
-        if is_zero(r):
+    def rec(i: int, r: tuple[int, ...]) -> Optional[dict[Vec, int]]:
+        if not any(r):
             return {}
-        if i >= len(gs):
+        if i == skip:
+            i += 1
+        if i >= len(gs) or (i, r) in failed:
             return None
-        key = (i, r)
-        if key in failed:
-            return None
-        g, lg = gs[i], ls[i]
-        budget = dot(grading, r) // lg
-        for mult in range(budget, -1, -1):
-            r2 = sub(r, scale(mult, g)) if mult else r
-            if not prune.contains(r2):
-                continue
-            res = rec(i + 1, r2)
+        row = rows[i]
+        for mult in range(min(a // b for a, b in zip(r, row) if b), -1, -1):
+            res = rec(i + 1, tuple([a - mult * b for a, b in zip(r, row)]) if mult else r)
             if res is not None:
                 if mult:
-                    res = dict(res)
-                    res[g] = mult
+                    res[gs[i]] = mult
                 return res
-        failed.add(key)
+        failed.add((i, r))
         return None
 
     return rec(0, x)
@@ -169,10 +167,13 @@ class AffineSemigroup(object):
     """Semigroup generated by finitely many lattice points (zero dropped)."""
 
     __slots__ = (
-        "dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_grading", "_minors"
+        "dim", "generators", "_cone", "_inner", "_hilbert", "_saturated", "_full", "_minors"
     )
 
-    def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None):
+    def __init__(
+        self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None,
+        inner: Optional[Cone] = None,
+    ):
         gens = [vec(g) for g in generators]
         if ambient_dim is None:
             if not gens:
@@ -184,10 +185,10 @@ class AffineSemigroup(object):
         self.dim = ambient_dim
         self.generators = tuple(sorted({g for g in gens if not is_zero(g)}))
         self._cone: Optional[Cone] = None
+        self._inner = inner  # passed on to the Cone: see Cone for the conditions
         self._hilbert: Optional[tuple[Vec, ...]] = None
         self._saturated: Optional[bool] = None
         self._full: Optional[bool] = None
-        self._grading: Optional[Vec] = None
         self._minors: Optional[dict[int, int]] = None
 
     @classmethod
@@ -207,7 +208,7 @@ class AffineSemigroup(object):
     @property
     def cone(self) -> Cone:
         if self._cone is None:
-            self._cone = Cone(self.generators, self.dim)
+            self._cone = Cone(self.generators, self.dim, inner=self._inner)
         return self._cone
 
     @property
@@ -231,13 +232,12 @@ class AffineSemigroup(object):
             self._full = lattice_is_full(self.generators, self.dim)
         return self._full
 
-    def grading(self) -> Vec:
-        if self._grading is None:
-            self._grading = self.cone.positive_grading()
-        return self._grading
-
     def decompose(self, x: Sequence[int]) -> Optional[dict[Vec, int]]:
-        """A witness {generator: multiplicity} with sum == x, or None."""
+        """A witness {generator: multiplicity} with sum == x, or None.
+
+        The first witness of a depth-first search over multiplicities,
+        generators taken by decreasing degree, residues kept as facet values.
+        """
         v = vec(x)
         if len(v) != self.dim:
             raise DimensionMismatch("point of wrong length")
@@ -245,7 +245,11 @@ class AffineSemigroup(object):
             return {}
         if not self.is_pointed:
             raise NotPointedError("membership search requires a pointed semigroup")
-        return _decompose_over(self.generators, v, self.cone, self.grading())
+        c = self.cone
+        if not c.contains(v):
+            return None
+        row = tuple(dot(n, v) for n in c.facet_normals)
+        return _decompose(*_facet_rows(c, self.generators), row)
 
     def membership(self, x: Sequence[int]) -> bool:
         return self.decompose(x) is not None
@@ -254,17 +258,18 @@ class AffineSemigroup(object):
         return self.membership(x)
 
     def hilbert_basis(self) -> tuple[Vec, ...]:
-        """The unique minimal generating set (pointed semigroups only)."""
+        """The unique minimal generating set (pointed semigroups only).
+
+        A generator is kept when the others do not decompose it; the sorted
+        generators and their facet values are computed once for all tests.
+        """
         if self._hilbert is None:
             if not self.is_pointed:
                 raise NotPointedError("Hilbert basis of a non-pointed semigroup")
-            grading = self.grading()
-            keep = []
-            for g in self.generators:
-                others = [o for o in self.generators if o != g]
-                if _decompose_over(others, g, self.cone, grading) is None:
-                    keep.append(g)
-            self._hilbert = tuple(keep)
+            gs, rows = _facet_rows(self.cone, self.generators)
+            self._hilbert = tuple(
+                sorted(g for i, g in enumerate(gs) if _decompose(gs, rows, rows[i], i) is None)
+            )
         return self._hilbert
 
     def hilbert_minors(self) -> dict[int, int]:
@@ -281,7 +286,6 @@ class AffineSemigroup(object):
         sat = saturation_hilbert_basis(self.cone)
         out = AffineSemigroup.from_hilbert_basis(sat, self.dim, saturated=True)
         out._cone = self.cone  # saturation spans the same cone
-        out._grading = self._grading
         return out
 
     def is_saturated(self) -> bool:

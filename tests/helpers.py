@@ -16,7 +16,7 @@ import random
 from typing import Sequence
 
 import sympy
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 Vec = tuple[int, ...]
 
@@ -146,6 +146,23 @@ def unimodular_matrices(draw, dim):
             c = draw(st.sampled_from((-2, -1, 1, 2)))
             cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
     return tuple(tuple(c) for c in cols)
+
+
+@st.composite
+def embedded_pointed_cones(draw, extra=2):
+    """Orthant cones in Z^dim, dim 2..5, moved by a GL_dim(Z) map.
+
+    At least half have rank dim; the rest have rank dim - 1 or dim - 2 (at
+    least 1), so they are not full-dimensional.  There are rank + 1 to
+    rank + extra generators.
+    """
+    dim = draw(st.sampled_from((2, 3, 4, 5)))
+    rank = dim - draw(st.sampled_from((0, 0, 1, 2)[: dim + 1]))
+    vector = st.tuples(*[st.integers(0, 3)] * rank).filter(any)
+    gens = draw(st.lists(vector, min_size=rank + 1, max_size=rank + extra))
+    assume(sympy.Matrix([list(g) for g in gens]).rank() == rank)
+    u = draw(unimodular_matrices(dim))
+    return dim, [apply_matrix(u, g + (0,) * (dim - rank)) for g in gens]
 
 
 def apply_matrix(cols: Sequence[Vec], v: Vec) -> Vec:

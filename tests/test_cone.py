@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from toricnash.cone import Cone, NotPointedError, dual_description
+from toricnash.cone import Cone, NotPointedError, _triangulate_rays, dual_description
 from toricnash.exactmath import (
     DimensionMismatch,
     det,
@@ -19,7 +19,13 @@ from toricnash.exactmath import (
     vec,
 )
 
-from helpers import apply_matrix, oracle_facets, random_pointed_gens, unimodular_matrices
+from helpers import (
+    apply_matrix,
+    embedded_pointed_cones,
+    oracle_facets,
+    random_pointed_gens,
+    unimodular_matrices,
+)
 
 
 def test_quadrant():
@@ -288,11 +294,85 @@ def test_triangulate_properties():
             assert others == 0
 
 
+# Reference: the former pulling triangulation, with a fresh double
+# description on every face it recurses into.
+def _dd_triangulation(rays, dim):
+    rays = tuple(sorted(rays))
+    if len(rays) == rank_of_vectors(rays):
+        return [rays]
+    v0 = rays[0]
+    _, normals = dual_description(rays, dim)
+    out = []
+    for n in normals:
+        if dot(n, v0) <= 0:
+            continue
+        facet_rays = tuple(r for r in rays if dot(n, r) == 0)
+        for piece in _dd_triangulation(facet_rays, dim):
+            out.append(tuple(sorted(piece + (v0,))))
+    return out
+
+
+def _assert_triangulation_matches_reference(c):
+    pieces = _triangulate_rays(c)
+    want = _dd_triangulation(c.generators, c.dim)
+    assert len(pieces) == len(set(pieces)) == len(want)
+    assert set(pieces) == set(want)
+    if c.is_full_dimensional:
+        assert c.triangulate() == tuple(Cone(p, c.dim) for p in sorted(want))
+
+
+@st.composite
+def _cones_over_polytopes(draw):
+    """Cones over lattice polytopes with vertices in {0, 1, 2}^(rank - 1), moved by GL_dim(Z).
+
+    Such cones often have non-simplicial faces, which the pulling
+    triangulation must recurse into.  Dim 2..5; some have rank below dim.
+    """
+    dim = draw(st.sampled_from((2, 3, 4, 5)))
+    rank = dim - draw(st.sampled_from((0, 0, 1)))
+    point = st.tuples(st.just(1), *[st.integers(0, 2)] * (rank - 1))
+    gens = draw(st.lists(point, min_size=rank + 1, max_size=rank + 6, unique=True))
+    assume(rank_of_vectors(gens) == rank)
+    u = draw(unimodular_matrices(dim))
+    return dim, [apply_matrix(u, g + (0,) * (dim - rank)) for g in gens]
+
+
+@settings(max_examples=200)
+@given(st.one_of(embedded_pointed_cones(extra=5), _cones_over_polytopes()))
+def test_triangulation_matches_dd_reference(drawn):
+    dim, gens = drawn
+    _assert_triangulation_matches_reference(Cone(gens, dim))
+
+
+def test_triangulation_matches_dd_reference_on_square_times_octahedron():
+    # A facet square x triangle meets another facet in the face square x
+    # vertex only: a 3-dimensional face with 4 rays that is not a facet of
+    # the first, which only the maximality filter keeps out of the recursion.
+    octahedron = [tuple(s * (j == i) for j in range(3)) for i in range(3) for s in (1, -1)]
+    rays = [(1, a, b) + o for a in (0, 1) for b in (0, 1) for o in octahedron]
+    _assert_triangulation_matches_reference(Cone(rays, 6))
+
+
 def test_triangulate_requires_pointed_fulldim():
     with pytest.raises(NotPointedError):
         Cone(((1, 0), (-1, 0), (0, 1)), 2).triangulate()
     with pytest.raises(ValueError):
         Cone(((1, 0, 0), (0, 1, 0)), 3).triangulate()
+
+
+def test_inner_cone_must_be_a_pointed_full_dimensional_subcone():
+    gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1))
+    inner = Cone(gens[:3], 3)
+    assert Cone(gens, 3, inner=inner).facet_normals == Cone(gens, 3).facet_normals
+    bad = (
+        Cone(((1, 0), (0, 1)), 2),  # other dimension
+        Cone(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), 3),  # not pointed
+        Cone(((1, 0, 0), (0, 1, 0)), 3),  # not full-dimensional
+        Cone(((1, 0, 0), (0, 1, 0), (1, 1, 1)), 3),  # a ray outside the generators
+    )
+    for seed in bad:
+        with pytest.raises(ValueError):
+            Cone(gens, 3, inner=seed)
 
 
 def test_cone_equality_hash():

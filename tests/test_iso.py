@@ -128,6 +128,19 @@ def test_verify_certificate_rejects_bad_input():
     assert not verify_certificate(s, t, good)
 
 
+def test_verify_certificate_rejects_forged_mapping():
+    a = AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2)
+    good = certificate_for_matrix(a, identity(2))
+    assert verify_certificate(a, a, good)
+    assert verify_certificate(a, a, IsoCertificate(good.matrix, ()))
+    extra = IsoCertificate(good.matrix, good.mapping + (((5, 5), (7, 7)),))
+    assert not verify_certificate(a, a, extra)
+    cut = IsoCertificate(good.matrix, good.mapping[:1])
+    assert not verify_certificate(a, a, cut)
+    repeated = IsoCertificate(good.matrix, good.mapping + good.mapping[:1])
+    assert not verify_certificate(a, a, repeated)
+
+
 def test_embedded_loop_pair():
     s = fixtures.source_semigroup()
     ch = chart(s, fixtures.chart_subset_vectors(), 3, normalize=False)

@@ -139,6 +139,16 @@ def test_blowup_requires_pointed_and_full_lattice():
         blowup_step(AffineSemigroup(((2, 0), (0, 2)), 2), 0)
 
 
+def test_chart_and_g_set_require_full_lattice():
+    s = AffineSemigroup(((2, 0), (0, 2), (1, 1)), 2)  # lattice of index 2
+    with pytest.raises(NotFullLatticeError):
+        blowup_step(s, 3)
+    with pytest.raises(NotFullLatticeError):
+        chart(s, [(2, 0), (0, 2)], 3)
+    with pytest.raises(NotFullLatticeError):
+        g_set(s, [(2, 0), (0, 2)], (2, 0), 3)
+
+
 def test_nonpointed_charts_are_flagged():
     charts = blowup_step(_source(), 3)
     flags = {tuple(c.subset): c.pointed for c in charts}
@@ -279,3 +289,29 @@ def test_blowup_step_commutes_with_unimodular_maps(s, p, data):
             assert mc.normalized_chart.hilbert_basis() == image(c.normalized_chart.hilbert_basis())
         else:
             assert mc.normalized_chart is None
+
+
+def _assert_seeded_cones_match(s, p):
+    """Every chart's Cone, seeded by the source cone, equals the unseeded one."""
+    charts = blowup_step(s, p)
+    assert any(not ch.pointed for ch in charts)
+    for ch in charts:
+        plain = Cone(ch.generators, s.dim)
+        for seeded in (Cone(ch.generators, s.dim, inner=s.cone), ch.chart_semigroup.cone):
+            assert seeded.generators == plain.generators
+            assert seeded.facet_normals == plain.facet_normals
+            assert seeded.span_equations == plain.span_equations
+            assert seeded.lineality_basis == plain.lineality_basis
+
+
+@pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
+def test_seeded_chart_cones_match_unseeded_on_fixtures(name):
+    cf = fixtures.BUILTIN_CONES[name]
+    start = AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
+    _assert_seeded_cones_match(start, cf.characteristic)
+
+
+@given(_pointed_full_lattice_semigroups(), st.sampled_from((0, 2, 3, 5)))
+def test_seeded_chart_cones_match_unseeded_on_drawn_semigroups(s, p):
+    assume(any(not ch.pointed for ch in blowup_step(s, p)))
+    _assert_seeded_cones_match(s, p)

@@ -1,5 +1,6 @@
 import errno
 import functools
+import os
 import typing
 from typing import Optional
 
@@ -331,3 +332,14 @@ def test_explore_commutes_with_unimodular_maps(name, depth, data):
     u = data.draw(unimodular_matrices(cf.dim))
     moved = AffineSemigroup([apply_matrix(u, v) for v in basis], cf.dim)
     assert _explore_summary(moved, cf.characteristic, depth) == want
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TORICNASH_RUN_CLOSURE"),
+    reason="set TORICNASH_RUN_CLOSURE=1 to run the full class graph of B (about 15 s)",
+)
+def test_closure_of_b_in_characteristic_3():
+    report = explore(fixtures.source_semigroup(), 3, max_depth=100, cycle_lengths=(1, 2, 3, 4))
+    assert report.termination == TERMINATION_EXHAUSTED
+    assert (len(report.nodes), len(report.edges)) == (75, 1265)
+    assert sorted(c.length for c in report.cycles) == [1]

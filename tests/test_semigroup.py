@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from toricnash.cone import Cone, NotPointedError, _triangulate_rays
-from toricnash.exactmath import add, dot, rank_of_vectors, scale, sub, vec, zero_vec
+from toricnash.exactmath import add, dot, is_zero, scale, sub, vec, zero_vec
 from toricnash.semigroup import (
     AffineSemigroup,
     NotFullLatticeError,
@@ -16,6 +16,7 @@ from toricnash.semigroup import (
 
 from helpers import (
     apply_matrix,
+    embedded_pointed_cones,
     has_opposite_primitives,
     oracle_hilbert_basis,
     random_pointed_gens,
@@ -244,30 +245,14 @@ def test_nonpointed_without_opposite_pair(gens):
 def _all_pairs_hilbert_basis(c):
     """The former reduction: drop a candidate x when x - h is in the cone for any other h."""
     cands = set(c.generators)
-    for piece in _triangulate_rays(c.generators, c.dim):
+    for piece in _triangulate_rays(c):
         cands |= _parallelepiped_points(piece, c.dim)
     cands.discard(zero_vec(c.dim))
     ordered = sorted(cands)
     return tuple(x for x in ordered if not any(h != x and c.contains(sub(x, h)) for h in ordered))
 
 
-@st.composite
-def _embedded_pointed_cones(draw):
-    """Orthant cones in Z^dim, dim 2..5, moved by a GL_dim(Z) map.
-
-    At least half have rank dim; the rest have rank dim - 1 or dim - 2 (at
-    least 1), so they are not full-dimensional.
-    """
-    dim = draw(st.sampled_from((2, 3, 4, 5)))
-    rank = dim - draw(st.sampled_from((0, 0, 1, 2)[: dim + 1]))
-    vector = st.tuples(*[st.integers(0, 3)] * rank).filter(any)
-    gens = draw(st.lists(vector, min_size=rank + 1, max_size=rank + 2))
-    assume(rank_of_vectors(gens) == rank)
-    u = draw(unimodular_matrices(dim))
-    return dim, [apply_matrix(u, g + (0,) * (dim - rank)) for g in gens]
-
-
-@given(_embedded_pointed_cones())
+@given(embedded_pointed_cones())
 def test_hilbert_basis_matches_all_pairs_reduction(drawn):
     dim, gens = drawn
     cone = Cone(gens, dim)
@@ -276,7 +261,7 @@ def test_hilbert_basis_matches_all_pairs_reduction(drawn):
     assert list(got) == sorted(got)
 
 
-@given(_embedded_pointed_cones(), st.data())
+@given(embedded_pointed_cones(), st.data())
 def test_hilbert_basis_commutes_with_unimodular_maps(drawn, data):
     dim, gens = drawn
     u = data.draw(unimodular_matrices(dim))
@@ -292,3 +277,88 @@ def test_hilbert_basis_sorted_although_reduced_by_degree():
     # the reduction walks the interior element (1, 1) first: it has the lowest degree
     grading = cone.positive_grading()
     assert sorted(got, key=lambda v: (dot(grading, v), v))[0] == (1, 1)
+
+
+# Reference: the former decomposition, with residues kept as vectors and
+# every candidate residue tested against the cone.
+def _decompose_over(gens, x, prune, grading):
+    if not prune.contains(x):
+        return None
+    top = dot(grading, x)
+    gs = sorted((g for g in gens if dot(grading, g) <= top), key=lambda g: (-dot(grading, g), g))
+    ls = [dot(grading, g) for g in gs]
+    failed = set()
+
+    def rec(i, r):
+        if is_zero(r):
+            return {}
+        if i >= len(gs):
+            return None
+        key = (i, r)
+        if key in failed:
+            return None
+        g, lg = gs[i], ls[i]
+        budget = dot(grading, r) // lg
+        for mult in range(budget, -1, -1):
+            r2 = sub(r, scale(mult, g)) if mult else r
+            if not prune.contains(r2):
+                continue
+            res = rec(i + 1, r2)
+            if res is not None:
+                if mult:
+                    res = dict(res)
+                    res[g] = mult
+                return res
+        failed.add(key)
+        return None
+
+    return rec(0, x)
+
+
+def _reference_decompose(s, x):
+    v = vec(x)
+    return {} if is_zero(v) else _decompose_over(s.generators, v, s.cone, s.cone.positive_grading())
+
+
+def _reference_hilbert_basis(s):
+    grading = s.cone.positive_grading()
+    return tuple(
+        g
+        for g in s.generators
+        if _decompose_over([o for o in s.generators if o != g], g, s.cone, grading) is None
+    )
+
+
+@st.composite
+def _semigroups_with_points(draw):
+    """Semigroups on unsaturated generator sets, with points in, near and off them.
+
+    Numerical semigroups in dimension 1, and generators of the orthant cones
+    of embedded_pointed_cones (lower-dimensional ones included).  The points
+    are a combination of the generators, that combination shifted by a small
+    vector, and the small vector alone, which often lies off the cone or off
+    its span.
+    """
+    if draw(st.booleans()):
+        dim = 1
+        gens = draw(st.lists(st.integers(2, 12).map(lambda n: (n,)), min_size=1, max_size=4))
+    else:
+        dim, gens = draw(embedded_pointed_cones(extra=4))
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+    inside = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim))
+    shift = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+    return AffineSemigroup(gens, dim), (inside, add(inside, shift), shift)
+
+
+@given(_semigroups_with_points())
+def test_decomposition_matches_former_search(drawn):
+    s, points = drawn
+    for x in points:
+        got = s.decompose(x)
+        assert got == _reference_decompose(s, x)
+        if got is not None:
+            total = zero_vec(s.dim)
+            for g, m in got.items():
+                total = add(total, scale(m, g))
+            assert total == x
+    assert s.hilbert_basis() == _reference_hilbert_basis(s)
