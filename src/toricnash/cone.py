@@ -126,8 +126,8 @@ class Cone(object):
     (facet normals plus span equations for lower-dimensional cones) is
     computed eagerly by one double description, so membership tests are
     plain integer dot products.  The extreme rays are read from the facet
-    incidence: in a pointed cone a generator is extreme exactly when no
-    other generator lies on every facet that it lies on.
+    incidence (_extreme_rays).  Cone.from_facets builds a cone whose facets
+    are already known.
 
     `inner`, when given, is a pointed, full-dimensional Cone of the same
     dimension whose extreme rays are among the primitive generators (a
@@ -172,15 +172,25 @@ class Cone(object):
         # the cone is cut out by the (primitive) normals and +-lin_dual
         constraints = sorted((*normals, *lin_dual, *map(neg, lin_dual)))
         self.lineality_basis = orthogonal_complement(constraints, ambient_dim)
-        if self.lineality_basis:
-            self.generators = prim
-            return
-        masks = [sum(1 << i for i, n in enumerate(normals) if not dot(n, g)) for g in prim]
-        self.generators = tuple(
-            g
-            for g, m in zip(prim, masks)
-            if not any(h != g and m & mh == m for h, mh in zip(prim, masks))
-        )
+        self.generators = prim if self.lineality_basis else _extreme_rays(prim, normals)
+
+    @classmethod
+    def from_facets(
+        cls, generators: Sequence[Sequence[int]], ambient_dim: int, facet_normals: Sequence[Vec]
+    ) -> Cone:
+        """The pointed, full-dimensional cone of the generators, whose facets are known.
+
+        Trusted and unchecked, like AffineSemigroup.from_hilbert_basis: the
+        facet_normals must be exactly the cone's primitive ones.  No double
+        description runs; the extreme rays are read as in Cone().
+        """
+        out = cls.__new__(cls)
+        out.dim = ambient_dim
+        out.facet_normals = tuple(sorted(facet_normals))
+        out.span_equations = out.lineality_basis = ()
+        prim = tuple(sorted({primitive(vec(g)) for g in generators if not is_zero(g)}))
+        out.generators = _extreme_rays(prim, out.facet_normals)
+        return out
 
     @property
     def is_pointed(self) -> bool:
@@ -245,6 +255,16 @@ class Cone(object):
 
     def __repr__(self) -> str:
         return f"Cone(dim={self.dim}, generators={list(self.generators)})"
+
+
+def _extreme_rays(prim: Sequence[Vec], normals: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The generators g of a pointed cone with no other generator on every facet through g."""
+    masks = [sum(1 << i for i, n in enumerate(normals) if not dot(n, g)) for g in prim]
+    return tuple(
+        g
+        for g, m in zip(prim, masks)
+        if not any(h != g and m & mh == m for h, mh in zip(prim, masks))
+    )
 
 
 def _triangulate_rays(c: Cone) -> list[tuple[Vec, ...]]:

@@ -152,7 +152,8 @@ def verify_certificate(a: AffineSemigroup, b: AffineSemigroup, cert: IsoCertific
 
     A non-empty declared mapping must be exactly the pairs (h, M h), h in H(a).
     """
-    if a.dim != b.dim or len(cert.matrix) != a.dim:
+    square = len(cert.matrix) == a.dim and all(len(col) == a.dim for col in cert.matrix)
+    if a.dim != b.dim or not square:
         return False
     if not is_unimodular(cert.matrix):
         return False

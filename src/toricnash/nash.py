@@ -1,20 +1,17 @@
 """Nash blowup charts of a pointed affine semigroup, any characteristic.
 
-A chart is indexed by a d-subset A of the Hilbert basis H whose determinant
-is nonzero in the ground characteristic.  For h in A the replacement set
-collects g - h over the leftover Hilbert elements g whose substitution into
-h's column keeps that determinant nonzero; the chart semigroup is generated
-by H together with all replacement sets.
+A chart is indexed by a d-subset A of the Hilbert basis H with det_p(A) != 0.
+For h in A its replacement set holds g - h over the other Hilbert elements g
+whose swap for h keeps that determinant nonzero, a lookup into the cached
+table of d-minors of H; the chart semigroup is generated by H and those sets.
 
-Charts are worked out in index space, as lookups into the semigroup's
-cached table of the d-minors of H, keyed by bitmasks of positions.
-Substituting g for h in A gives, up to sign, the minor of (A - {h}) + {g},
-so each replacement pair is one lookup.  Pointedness has an index-space
-certificate too: every element of H and every difference H[j] - H[i] gets
-the id of its primitive vector, and a chart whose ids include two opposite
-ones contains a line (|b| u + |a| v == 0 for the nonzero entries a of u and
-b of v in one coordinate).  Vectors, the chart semigroup and its Cone are
-built only for charts this certificate does not settle, or on request.
+Its cone sigma + cone{g - h} depends on A only through v_A = sum of A: live
+subsets are the bases of the matroid of H over F_p, whose base polytope has
+tangent cones spanned by single exchanges (Gelfand, Goresky, MacPherson and
+Serganova 1987).  So it is the tangent cone at v_A of the Newton polyhedron
+conv{v_B : B live} + sigma, whose normal fan gives the normalized Nash blowup
+(Atanasov, Lopez, Perry, Proudfoot and Thaddeus, Exp. Math. 2011).  A chart is
+pointed exactly when v_A is a vertex, with the facets through v_A as its own.
 """
 
 from __future__ import annotations
@@ -22,34 +19,30 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactmath import InvalidCharacteristic, Vec, is_prime, neg, primitive, sub, vec
+from .exactmath import InvalidCharacteristic, Vec, dot, is_prime, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
-from .cone import NotPointedError
+from .cone import Cone, NotPointedError
 
 
 class BlowupChart:
     """One chart, held as positions in the source's sorted Hilbert basis.
 
-    `_replacements[k]` lists the positions g of the leftover Hilbert elements
-    that may replace the k-th subset member h; g_sets, generators and
-    chart_semigroup are built from them on first use.  The step that builds
-    the chart sets `pointed` and, when asked, `normalized_chart`.
+    g_sets, generators and chart_semigroup are computed on first use.  Facet
+    normals of the chart cone, when the step knows them, mark it pointed;
+    without them chart_semigroup's Cone is seeded with the source cone.
     """
 
     def __init__(
-        self,
-        source: AffineSemigroup,
-        characteristic: int,
-        members: tuple[int, ...],
-        det_value: int,
-        replacements: tuple[tuple[int, ...], ...],
+        self, step: _Step, members: tuple[int, ...], det_value: int,
+        facets: Optional[tuple[Vec, ...]] = None,
     ):
-        self.source = source
-        self.characteristic = characteristic
+        self._step = step
+        self.source = step.s
+        self.characteristic = step.p
         self._members = members  # subset positions, increasing
         self.det_value = det_value  # det_p of the subset matrix
-        self._replacements = replacements
-        self.pointed = False
+        self._facets = facets
+        self.pointed = facets is not None
         self.normalized_chart: Optional[AffineSemigroup] = None
 
     @property
@@ -66,9 +59,8 @@ class BlowupChart:
     def g_sets(self) -> dict[Vec, tuple[Vec, ...]]:
         """h -> sorted replacement differences g - h."""
         h = self.source.hilbert_basis()
-        return {
-            h[i]: _differences(h, i, js) for i, js in zip(self._members, self._replacements)
-        }
+        reps = self._step.replacements(self._members)
+        return {h[i]: _differences(h, i, js) for i, js in zip(self._members, reps)}
 
     @cached_property
     def generators(self) -> tuple[Vec, ...]:
@@ -77,26 +69,25 @@ class BlowupChart:
 
     @cached_property
     def chart_semigroup(self) -> AffineSemigroup:
-        return AffineSemigroup(self.generators, self.source.dim, inner=self.source.cone)
+        dim, gens = self.source.dim, self.generators
+        if self._facets is None:
+            return AffineSemigroup(gens, dim, cone=Cone(gens, dim, inner=self.source.cone))
+        return AffineSemigroup(gens, dim, cone=Cone.from_facets(gens, dim, self._facets))
 
 
 def _differences(h: Sequence[Vec], i: int, js: Sequence[int]) -> tuple[Vec, ...]:
     return tuple(sorted(sub(h[j], h[i]) for j in js))
 
 
-def _live(minor: int, p: int) -> bool:
-    """Is the minor nonzero in characteristic p?"""
-    return bool(minor % p if p else minor)
+def _det_p(minor: int, p: int) -> int:
+    """The minor in characteristic p; nonzero exactly when the subset is live."""
+    return minor % p if p else minor
 
 
 class _Step:
-    """Index-space data shared by the charts of one semigroup in characteristic p.
+    """The source, characteristic and minor table that one step's charts share.
 
-    Class ids are handed out on first use: the source's Hilbert elements at
-    once, each difference H[j] - H[i] when a chart first holds it, so a lone
-    chart() pays only for its own.  `_opposite[c]` is the id of the negative
-    of class c, or -1 while it has none.  The source must be pointed and
-    generate Z^d, so its cone is full-dimensional and seeds every chart's.
+    The source must be pointed and generate Z^d, so its cone is full-dimensional.
     """
 
     def __init__(self, s: AffineSemigroup, p: int):
@@ -109,62 +100,39 @@ class _Step:
         self.s, self.p = s, p
         self.h = s.hilbert_basis()
         self.minors = s.hilbert_minors()  # nonzero minors only, keyed by bitmask
-        self._ids: dict[Vec, int] = {}
-        self._opposite: list[int] = []
-        self._h_ids = [self._class_id(v) for v in self.h]
-        self._pair_ids: dict[tuple[int, int], int] = {}  # (i, j) -> class of H[j] - H[i]
 
-    def _class_id(self, v: Vec) -> int:
-        u = primitive(v)
-        c = self._ids.get(u)
-        if c is None:
-            c = self._ids[u] = len(self._opposite)
-            o = self._ids.get(neg(u), -1)
-            self._opposite.append(o)
-            if o >= 0:
-                self._opposite[o] = c
-        return c
+    def det(self, members: tuple[int, ...]) -> int:
+        """det_p of the subset matrix, which must not vanish."""
+        m = _det_p(self.minors.get(sum(1 << i for i in members), 0), self.p)
+        if not m:
+            raise ValueError("chart subset has vanishing determinant in this characteristic")
+        return m
 
     def replacements(self, members: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Per member i, the outside positions j whose swap for i keeps a live minor."""
+        self.det(members)  # the subset itself must be live
         mask = sum(1 << i for i in members)
         minors, p = self.minors, self.p
-        if not _live(minors.get(mask, 0), p):
-            raise ValueError("chart subset has vanishing determinant in this characteristic")
         outside = [j for j in range(len(self.h)) if not mask >> j & 1]
         return tuple(
-            tuple(j for j in outside if _live(minors.get(mask ^ 1 << i | 1 << j, 0), p))
+            tuple(j for j in outside if _det_p(minors.get(mask ^ 1 << i | 1 << j, 0), p))
             for i in members
         )
 
-    def _has_opposite_classes(
-        self, members: tuple[int, ...], replacements: tuple[tuple[int, ...], ...]
-    ) -> bool:
-        """The certificate: do the chart's generators hold two opposite classes?
 
-        H itself holds none, since the source is pointed.
-        """
-        h, ids, opposite = self.h, self._pair_ids, self._opposite
-        seen = set(self._h_ids)
-        for i, js in zip(members, replacements):
-            for j in js:
-                c = ids.get((i, j))
-                if c is None:
-                    c = ids[i, j] = self._class_id(sub(h[j], h[i]))
-                if opposite[c] in seen:
-                    return True
-                seen.add(c)
-        return False
+def _tangent_facets(points: Sequence[Vec], sigma: Cone) -> dict[Vec, tuple[Vec, ...]]:
+    """Vertex v of conv(points) + sigma -> the facet normals of its tangent cone.
 
-    def chart(self, members: tuple[int, ...], normalize: bool) -> BlowupChart:
-        reps = self.replacements(members)
-        m = self.minors[sum(1 << i for i in members)]
-        ch = BlowupChart(self.s, self.p, members, m % self.p if self.p else m, reps)
-        if not self._has_opposite_classes(members, reps):
-            ch.pointed = ch.chart_semigroup.cone.is_pointed
-            if ch.pointed and normalize:
-                ch.normalized_chart = ch.chart_semigroup.saturate()
-        return ch
+    The rays (1, v) of the homogenized cone K are the vertices; a facet (c, n)
+    of K is <n, x> >= -c, or t >= 0, which no vertex lies on.  n is primitive
+    when the facet holds a lattice point v, since gcd(n) divides c = -<n, v>.
+    """
+    k = Cone([(1,) + v for v in points] + [(0,) + r for r in sigma.generators], sigma.dim + 1)
+    return {
+        g[1:]: tuple(sorted(n[1:] for n in k.facet_normals if not dot(n, g)))
+        for g in k.generators
+        if g[0] == 1
+    }
 
 
 def _members(s: AffineSemigroup, subset: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -201,7 +169,12 @@ def chart(
 ) -> BlowupChart:
     """The blowup chart of s at the given Hilbert subset."""
     members = _members(s, subset)
-    return _Step(s, p).chart(members, normalize)
+    step = _Step(s, p)
+    ch = BlowupChart(step, members, step.det(members))
+    ch.pointed = ch.chart_semigroup.cone.is_pointed
+    if ch.pointed and normalize:
+        ch.normalized_chart = ch.chart_semigroup.saturate()
+    return ch
 
 
 def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[BlowupChart, ...]:
@@ -211,12 +184,18 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
     normalization is not computed.  The subset family itself does not
     depend on the normalized flag; it is read from the semigroup's cached
     minor table, which a search has already filled by fingerprinting.
+    One Cone over the Newton polyhedron settles every chart.
     """
     step = _Step(s, p)
-    n = len(step.h)
     subsets = sorted(
-        tuple(i for i in range(n) if mask >> i & 1)
+        tuple(i for i in range(len(step.h)) if mask >> i & 1)
         for mask, minor in step.minors.items()
-        if _live(minor, p)
+        if _det_p(minor, p)
     )
-    return tuple(step.chart(members, normalized) for members in subsets)
+    sums = [tuple(map(sum, zip(*(step.h[i] for i in members)))) for members in subsets]
+    facets = _tangent_facets(sorted(set(sums)), s.cone)
+    charts = tuple(BlowupChart(step, m, step.det(m), facets.get(v)) for m, v in zip(subsets, sums))
+    for ch in charts:
+        if ch.pointed and normalized:
+            ch.normalized_chart = ch.chart_semigroup.saturate()
+    return charts

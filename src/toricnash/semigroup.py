@@ -164,15 +164,16 @@ def _decompose(
 
 
 class AffineSemigroup(object):
-    """Semigroup generated by finitely many lattice points (zero dropped)."""
+    """Semigroup generated by finitely many lattice points (zero dropped).
 
-    __slots__ = (
-        "dim", "generators", "_cone", "_inner", "_hilbert", "_saturated", "_full", "_minors"
-    )
+    `cone`, when given, is a prebuilt Cone of exactly these generators, trusted unchecked.
+    """
+
+    __slots__ = ("dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_minors")
 
     def __init__(
         self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None,
-        inner: Optional[Cone] = None,
+        cone: Optional[Cone] = None,
     ):
         gens = [vec(g) for g in generators]
         if ambient_dim is None:
@@ -184,8 +185,7 @@ class AffineSemigroup(object):
                 raise DimensionMismatch("generator of wrong length")
         self.dim = ambient_dim
         self.generators = tuple(sorted({g for g in gens if not is_zero(g)}))
-        self._cone: Optional[Cone] = None
-        self._inner = inner  # passed on to the Cone: see Cone for the conditions
+        self._cone = cone
         self._hilbert: Optional[tuple[Vec, ...]] = None
         self._saturated: Optional[bool] = None
         self._full: Optional[bool] = None
@@ -208,7 +208,7 @@ class AffineSemigroup(object):
     @property
     def cone(self) -> Cone:
         if self._cone is None:
-            self._cone = Cone(self.generators, self.dim, inner=self._inner)
+            self._cone = Cone(self.generators, self.dim)
         return self._cone
 
     @property
@@ -283,9 +283,9 @@ class AffineSemigroup(object):
         return self._minors
 
     def saturate(self) -> "AffineSemigroup":
-        sat = saturation_hilbert_basis(self.cone)
-        out = AffineSemigroup.from_hilbert_basis(sat, self.dim, saturated=True)
-        out._cone = self.cone  # saturation spans the same cone
+        # the saturation spans the same cone, so it shares self.cone
+        out = AffineSemigroup(saturation_hilbert_basis(self.cone), self.dim, cone=self.cone)
+        out._hilbert, out._saturated = out.generators, True
         return out
 
     def is_saturated(self) -> bool:

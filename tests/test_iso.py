@@ -141,6 +141,16 @@ def test_verify_certificate_rejects_forged_mapping():
     assert not verify_certificate(a, a, repeated)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [((1, 0, 0), (0, 1, 0)), ((1,), (0,)), ((1, 0), (0,)), ((1,), (0, 1))],
+    ids=["3x2", "1x2", "ragged", "ragged-first"],
+)
+def test_verify_certificate_rejects_non_square_matrix(matrix):
+    a = AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2)
+    assert not verify_certificate(a, a, IsoCertificate(matrix, ()))
+
+
 def test_embedded_loop_pair():
     s = fixtures.source_semigroup()
     ch = chart(s, fixtures.chart_subset_vectors(), 3, normalize=False)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricnash import fixtures
 from toricnash.cone import NotPointedError
@@ -14,7 +14,6 @@ from toricnash.cone import Cone
 
 from helpers import (
     apply_matrix,
-    has_opposite_primitives,
     random_pointed_gens,
     random_unimodular,
     sympy_det,
@@ -207,8 +206,8 @@ def _assert_charts_match_reference(s, p):
     """blowup_step and the one-chart chart() against the reference, chart by chart.
 
     The chart semigroup (and with it a Cone) must be built by blowup_step
-    exactly for the charts whose generators hold no two opposite primitive
-    vectors; the other charts are settled in index space.
+    exactly for the pointed charts; the others are settled by the Newton
+    polyhedron's vertices.
     """
     h = s.hilbert_basis()
     charts = iter(blowup_step(s, p))
@@ -221,7 +220,7 @@ def _assert_charts_match_reference(s, p):
         gsets = {v: _reference_g_set(s, a, v, p) for v in a}
         gens = tuple(sorted(set(h).union(*gsets.values())))
         cone = Cone(gens, s.dim)
-        assert built == (not has_opposite_primitives(gens))
+        assert built == cone.is_pointed
         single = chart(s, a, p, normalize=False)
         for c in (ch, single):
             assert c.subset == a
@@ -315,3 +314,58 @@ def test_seeded_chart_cones_match_unseeded_on_fixtures(name):
 def test_seeded_chart_cones_match_unseeded_on_drawn_semigroups(s, p):
     assume(any(not ch.pointed for ch in blowup_step(s, p)))
     _assert_seeded_cones_match(s, p)
+
+
+# Differential gate for the Newton polyhedron: every chart's verdict, and a
+# pointed chart's Cone, against an unseeded Cone of its generators.
+def _assert_newton_verdicts(s, p, normalized=True):
+    for ch in blowup_step(s, p, normalized=normalized):
+        ref = Cone(ch.generators, s.dim)
+        assert ch.pointed == ref.is_pointed
+        if ch.pointed:
+            got = ch.chart_semigroup.cone
+            assert got.generators == ref.generators
+            assert got.facet_normals == ref.facet_normals
+            assert got.span_equations == ref.span_equations == ()
+            assert got.lineality_basis == ref.lineality_basis == ()
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+@pytest.mark.parametrize("name, depth", [("B", 1), ("dim4char3", 3), ("reeves", 2)])
+def test_newton_verdicts_match_reference_on_search_nodes(name, depth, p):
+    cf = fixtures.BUILTIN_CONES[name]
+    start = AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
+    report = explore(start, p, max_depth=depth)
+    expanded = [n for n in report.nodes.values() if n.depth < depth and not n.smooth]
+    assert expanded
+    for node in expanded:
+        _assert_newton_verdicts(node.semigroup, p)
+
+
+@st.composite
+def _pointed_sources(draw):
+    """(semigroup, saturated) in d 2..5, spanning Z^d, moved by a GL_d(Z) map.
+
+    The saturation of an orthant cone, or, unsaturated, the semigroup its
+    Hilbert basis spans with some elements off the extreme rays left out.
+    At most d + 6 Hilbert elements keep the number of charts in the hundreds.
+    """
+    dim = draw(st.sampled_from((2, 3, 4, 4, 5, 5)))
+    vector = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    cone = Cone(draw(st.lists(vector, min_size=dim, max_size=dim + 2)), dim)
+    assume(cone.is_full_dimensional)
+    h = saturation_hilbert_basis(cone)
+    assume(len(h) <= dim + 6)
+    inner = [g for g in h if g not in cone.generators]
+    left_out = draw(st.sets(st.sampled_from(inner))) if inner else set()
+    s = AffineSemigroup([g for g in h if g not in left_out], dim)
+    assume(s.generates_full_lattice())
+    u = draw(unimodular_matrices(dim))
+    return AffineSemigroup([apply_matrix(u, g) for g in s.generators], dim), not left_out
+
+
+@settings(max_examples=80)
+@given(_pointed_sources(), st.sampled_from((0, 2, 3, 5)))
+def test_newton_verdicts_match_reference_on_drawn_sources(source, p):
+    s, saturated = source
+    _assert_newton_verdicts(s, p, normalized=saturated)

@@ -336,7 +336,7 @@ def test_explore_commutes_with_unimodular_maps(name, depth, data):
 
 @pytest.mark.skipif(
     not os.environ.get("TORICNASH_RUN_CLOSURE"),
-    reason="set TORICNASH_RUN_CLOSURE=1 to run the full class graph of B (about 15 s)",
+    reason="set TORICNASH_RUN_CLOSURE=1 to run the full class graph of B (about 8 s)",
 )
 def test_closure_of_b_in_characteristic_3():
     report = explore(fixtures.source_semigroup(), 3, max_depth=100, cycle_lengths=(1, 2, 3, 4))
