@@ -1,6 +1,6 @@
 """Exact-arithmetic Nash blowup charts and loop search for affine toric varieties."""
 
-from .cone import Cone, NotPointedError, dual_description
+from .cone import Cone, NotFullDimensionalError, NotPointedError, dual_description
 from .conefile import ConeFile, ConeFileError, parse_cone_file, render_cone_file
 from .exactmath import (
     DimensionMismatch,
@@ -60,6 +60,7 @@ __all__ = [
     "GraphNode",
     "InvalidCharacteristic",
     "IsoCertificate",
+    "NotFullDimensionalError",
     "NotFullLatticeError",
     "NotPointedError",
     "NotSaturatedError",

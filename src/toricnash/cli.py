@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import fixtures
-from .cone import Cone, NotPointedError
+from .cone import Cone, NotFullDimensionalError, NotPointedError
 from .conefile import ConeFile, ConeFileError, parse_cone_file
 from .exactmath import InvalidCharacteristic, Vec, primitive
 from .iso import find_isomorphism
@@ -301,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConeFileError, NotFullLatticeError) as exc:
         print(f"toricnash: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NotPointedError as exc:
+    except (NotPointedError, NotFullDimensionalError) as exc:
         print(f"toricnash: {exc}", file=sys.stderr)
         return EXIT_MATH
 

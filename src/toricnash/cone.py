@@ -30,6 +30,10 @@ class NotPointedError(ValueError):
     """Operation requires a strongly convex (pointed) cone."""
 
 
+class NotFullDimensionalError(ValueError):
+    """Operation requires a cone that spans its ambient space."""
+
+
 def _dd_rays(constraints: Sequence[Vec], dim: int, seed: Optional[Cone] = None) -> tuple[Vec, ...]:
     """Extreme rays of {x : <c, x> >= 0 for all c} by double description.
 

@@ -1,10 +1,15 @@
 """Unimodular equivalence of pointed affine semigroups.
 
 Two semigroups are equivalent when some GL_d(Z) matrix maps one Hilbert
-basis onto the other.  A cheap GL(Z)-invariant fingerprint buckets
-candidates; a backtracking search over invariant-compatible assignments of
-an independent d-subset produces an explicit certificate matrix, which can
-be re-verified independently.
+basis onto the other.  Each Hilbert element h of a full-dimensional
+semigroup has a GL(Z)-invariant signature: whether it lies on an extreme
+ray, and its sorted facet values <n_f, h>.  The sorted multiset of
+signatures, with the dimension, is a lookup key that buckets candidate
+classes; a backtracking search over signature-preserving assignments of an
+independent d-subset produces an explicit certificate matrix, which can be
+re-verified independently.  The fingerprint (counts, incidence profiles,
+determinant multiset) names search nodes.  Both are computed once per
+semigroup and kept on it.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .cone import NotPointedError
+from .cone import NotFullDimensionalError, NotPointedError
 from .exactmath import (
     Mat,
     Vec,
@@ -92,6 +97,13 @@ def _element_profile(v: Vec, cone) -> tuple[int, int]:
 
 
 def fingerprint(s: AffineSemigroup) -> Fingerprint:
+    """The semigroup's fingerprint, computed on first use and kept on it."""
+    if s._fingerprint is None:
+        s._fingerprint = _compute_fingerprint(s)
+    return s._fingerprint
+
+
+def _compute_fingerprint(s: AffineSemigroup) -> Fingerprint:
     if not s.is_pointed:
         raise NotPointedError("fingerprint requires a pointed semigroup")
     h = s.hilbert_basis()
@@ -129,6 +141,52 @@ def fingerprint(s: AffineSemigroup) -> Fingerprint:
         det_source=source,
         det_multiset=tuple(dets),
     )
+
+
+Signature = tuple[int, tuple[int, ...]]
+
+
+class Signatures(NamedTuple):
+    """Signatures of the Hilbert elements of a full-dimensional pointed semigroup.
+
+    The signature of h is (1 if h lies on an extreme ray else 0, the sorted
+    facet values <n_f, h>).  Facet normals are primitive and move by U^{-T}
+    under x -> U x, and rays move by U, so every unimodular map between two
+    semigroups preserves signatures, and equivalent semigroups have equal keys.
+    """
+
+    key: tuple[int, tuple[Signature, ...]]  # (dim, sorted multiset of signatures)
+    of: dict[Vec, Signature]  # Hilbert element -> its signature
+    by: dict[Signature, list[Vec]]  # signature -> its Hilbert elements, in sorted order
+
+
+def signatures(s: AffineSemigroup) -> Signatures:
+    """The semigroup's signatures, computed on first use and kept on it.
+
+    A lower-dimensional cone's facet normals are determined only up to its
+    span equations, so its facet values are not invariant: such a semigroup
+    raises NotFullDimensionalError.
+    """
+    if s._signatures is None:
+        if not s.is_pointed:
+            raise NotPointedError("signatures require a pointed semigroup")
+        c = s.cone
+        if not c.is_full_dimensional:
+            raise NotFullDimensionalError(
+                "unimodular equivalence is decided only for full-dimensional cones"
+            )
+        rays = set(c.generators)
+        of: dict[Vec, Signature] = {}
+        by: dict[Signature, list[Vec]] = {}
+        for h in s.hilbert_basis():
+            sig = (
+                1 if primitive(h) in rays else 0,
+                tuple(sorted(dot(n, h) for n in c.facet_normals)),
+            )
+            of[h] = sig
+            by.setdefault(sig, []).append(h)
+        s._signatures = Signatures((s.dim, tuple(sorted(of.values()))), of, by)
+    return s._signatures
 
 
 @dataclass(frozen=True)
@@ -177,10 +235,13 @@ def invert_certificate(b: AffineSemigroup, cert: IsoCertificate) -> IsoCertifica
 def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCertificate]:
     """Search for a unimodular map with f(H(a)) == H(b).
 
-    Completeness: any such map is determined by its values on an
-    independent d-subset D of H(a); every invariant-compatible injective
-    assignment of D into H(b) is tried, so a valid certificate is found
-    whenever one exists.  Fingerprint inequality short-circuits to None.
+    Equal Hilbert bases give the identity in any dimension; otherwise both
+    semigroups must be full-dimensional (NotFullDimensionalError).  Unequal
+    signature keys short-circuit to None.  Completeness: any such map is
+    determined by its values on the first independent d-subset D of sorted
+    H(a) and preserves signatures, so D's images are tried depth-first among
+    the elements of H(b) with the same signature, in sorted order, and a
+    valid certificate is found whenever one exists.
     """
     if a.dim != b.dim:
         return None
@@ -192,28 +253,18 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
         return None
     if set(ha) == set(hb):
         return certificate_for_matrix(a, identity(a.dim))
-    if fingerprint(a) != fingerprint(b):
+    sig_a, sig_b = signatures(a), signatures(b)
+    if sig_a.key != sig_b.key:
         return None
     d = a.dim
-
-    try:
-        base = [ha[i] for i in independent_indices(ha, d)]
-    except ValueError:
-        return None  # degenerate: Hilbert basis does not span
-
-    profile_a = {v: _element_profile(v, a.cone) for v in ha}
-    profile_b = {v: _element_profile(v, b.cone) for v in hb}
-    candidates = [
-        [w for w in hb if profile_b[w] == profile_a[v]] for v in base
-    ]
+    base = [ha[i] for i in independent_indices(ha, d)]
+    candidates = [sig_b.by[sig_a.of[v]] for v in base]
     base_det, base_adj = solve(mat(base), identity(d))
-    ha_set = set(ha)
     hb_set = set(hb)
 
     def assemble(images: Sequence[Vec]) -> Optional[IsoCertificate]:
         # solve m . base == images:  m = images . adj(base) / det(base)
-        img_mat = mat(images)
-        numer = mat_mul(img_mat, base_adj)
+        numer = mat_mul(mat(images), base_adj)
         cols = []
         for col in numer:
             new = []
@@ -223,10 +274,10 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
                 new.append(e // base_det)
             cols.append(tuple(new))
         m = tuple(cols)
-        if not is_unimodular(m):
+        # images in H(b) and m unimodular, so m maps H(a) onto H(b) (equal sizes)
+        if not all(mat_apply(m, h) in hb_set for h in ha):
             return None
-        mapped = {mat_apply(m, h) for h in ha_set}
-        if mapped != hb_set:
+        if not is_unimodular(m):
             return None
         return certificate_for_matrix(a, m)
 

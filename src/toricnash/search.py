@@ -21,6 +21,7 @@ from .iso import (
     certificate_for_matrix,
     find_isomorphism,
     fingerprint,
+    signatures,
     verify_certificate,
 )
 from .nash import blowup_step, chart
@@ -89,28 +90,37 @@ def _node_is_smooth(s: AffineSemigroup) -> bool:
 
 
 class _ClassIndex:
-    """Fingerprint buckets over node representatives."""
+    """Node keys bucketed by signature key, and the per-fingerprint key counters.
+
+    A lookup scans the bucket of the target's signature key, so it needs no
+    fingerprint; equivalent semigroups share a key, so the bucket holds the
+    target's class if the graph has it.  A node key is the first 12 hex
+    digits of sha256(fingerprint bytes) and the node's index among the nodes
+    with that fingerprint, so only new nodes are fingerprinted.
+    """
 
     def __init__(self) -> None:
-        self.buckets: dict[bytes, list[str]] = {}
+        self.buckets: dict[tuple, list[str]] = {}
+        self.counts: dict[bytes, int] = {}
 
     def locate(
         self, s: AffineSemigroup, nodes: dict[str, GraphNode]
-    ) -> tuple[bytes, Optional[str], Optional[IsoCertificate]]:
-        fp = fingerprint(s).to_bytes()
-        for key in self.buckets.get(fp, []):
+    ) -> tuple[Optional[str], Optional[IsoCertificate]]:
+        for key in self.buckets.get(signatures(s).key, []):
             cert = find_isomorphism(s, nodes[key].semigroup)
             if cert is not None:
-                return fp, key, cert
-        return fp, None, None
+                return key, cert
+        return None, None
 
-    def insert(self, fp: bytes, key: str) -> None:
-        self.buckets.setdefault(fp, []).append(key)
-
-
-def _fresh_key(fp: bytes, index: _ClassIndex) -> str:
-    digest = hashlib.sha256(fp).hexdigest()[:12]
-    return f"{digest}-{len(index.buckets.get(fp, []))}"
+    def insert(self, s: AffineSemigroup, key: Optional[str] = None) -> str:
+        """File s as a node, under the given key or a fresh one; return the key."""
+        fp = fingerprint(s).to_bytes()
+        n = self.counts.get(fp, 0)
+        self.counts[fp] = n + 1
+        if key is None:
+            key = f"{hashlib.sha256(fp).hexdigest()[:12]}-{n}"
+        self.buckets.setdefault(signatures(s).key, []).append(key)
+        return key
 
 
 def _chart_targets(
@@ -153,9 +163,7 @@ def explore(
             raise ValueError("search requires a saturated start semigroup")
         if not start.generates_full_lattice():
             raise ValueError("search requires a start semigroup spanning Z^d")
-        fp = fingerprint(start).to_bytes()
-        start_key = _fresh_key(fp, index)
-        index.insert(fp, start_key)
+        start_key = index.insert(start)
         nodes = {start_key: GraphNode(start_key, start, 0, _node_is_smooth(start))}
         edges: list[GraphEdge] = []
         frontier = [] if nodes[start_key].smooth else [start_key]
@@ -167,7 +175,7 @@ def explore(
         frontier = list(state.frontier)
         start_key = state.start_key
         for key, node in nodes.items():
-            index.insert(fingerprint(node.semigroup).to_bytes(), key)
+            index.insert(node.semigroup, key)
 
     termination = TERMINATION_EXHAUSTED
     truncated_by_depth = False
@@ -187,14 +195,13 @@ def explore(
         for key in batch:
             depth = nodes[key].depth
             for subset, target in _chart_targets(nodes[key].semigroup, p, normalized):
-                fp, found, cert = index.locate(target, nodes)
+                found, cert = index.locate(target, nodes)
                 if found is None:
                     if len(nodes) >= max_nodes:
                         termination = TERMINATION_NODES
                         stop = True
                         break
-                    found = _fresh_key(fp, index)
-                    index.insert(fp, found)
+                    found = index.insert(target)
                     node = GraphNode(found, target, depth + 1, _node_is_smooth(target))
                     nodes[found] = node
                     cert = certificate_for_matrix(target, identity(target.dim))

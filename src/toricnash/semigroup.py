@@ -169,7 +169,10 @@ class AffineSemigroup(object):
     `cone`, when given, is a prebuilt Cone of exactly these generators, trusted unchecked.
     """
 
-    __slots__ = ("dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_minors")
+    __slots__ = (
+        "dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_minors",
+        "_fingerprint", "_signatures",
+    )
 
     def __init__(
         self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None,
@@ -190,6 +193,9 @@ class AffineSemigroup(object):
         self._saturated: Optional[bool] = None
         self._full: Optional[bool] = None
         self._minors: Optional[dict[int, int]] = None
+        # filled on first use by iso.fingerprint and iso.signatures
+        self._fingerprint = None
+        self._signatures = None
 
     @classmethod
     def from_hilbert_basis(

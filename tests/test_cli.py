@@ -201,6 +201,19 @@ def test_iso_commands(capsys):
     assert out.strip() == "not equivalent"
 
 
+def test_iso_lower_dimensional_cones_exit_math(tmp_path, capsys):
+    a, b = tmp_path / "a.cone", tmp_path / "b.cone"
+    a.write_text("dim 3\n1 0 0\n0 1 0\n")
+    b.write_text("dim 3\n1 0 0\n0 0 1\n")
+    code, out, err = run(capsys, "iso", str(a), str(b))
+    assert code == EXIT_MATH
+    assert out == ""
+    assert "full-dimensional" in err
+    code, out, _ = run(capsys, "iso", str(a), str(a))
+    assert code == EXIT_OK
+    assert out.splitlines() == ["equivalent", "1 0 0", "0 1 0", "0 0 1"]
+
+
 def test_verify_paper(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == EXIT_OK

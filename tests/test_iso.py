@@ -1,28 +1,43 @@
 import dataclasses
+import functools
 import itertools
 import random
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from toricnash import fixtures, semigroup
-from toricnash.cone import Cone, NotPointedError
-from toricnash.exactmath import det, identity, mat, mat_apply, mat_mul
+from toricnash import fixtures, iso, semigroup
+from toricnash.cone import Cone, NotFullDimensionalError, NotPointedError
+from toricnash.exactmath import (
+    det,
+    dot,
+    identity,
+    independent_indices,
+    is_unimodular,
+    mat,
+    mat_apply,
+    mat_mul,
+    primitive,
+    solve,
+)
 from toricnash.iso import (
     _DET_SUBSET_CAP,
     Fingerprint,
     IsoCertificate,
+    Signatures,
     certificate_for_matrix,
     find_isomorphism,
     fingerprint,
     invert_certificate,
+    signatures,
     verify_certificate,
 )
 from toricnash.nash import blowup_step, chart
-from toricnash.search import explore
+from toricnash.search import _chart_targets, explore
 from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis
 
-from helpers import apply_matrix, random_pointed_gens, random_unimodular
+from helpers import apply_matrix, random_pointed_gens, random_unimodular, unimodular_matrices
 
 
 def _twist(s, u):
@@ -161,11 +176,19 @@ def test_embedded_loop_pair():
     assert verify_certificate(s, ch.chart_semigroup, fixture_cert)
 
 
-def test_fingerprint_mismatch_blocks_search():
-    # hilbert-count mismatch returns before any backtracking
-    a = AffineSemigroup(((1, 0), (0, 1)), 2)
-    b = AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2)
-    assert fingerprint(a).hilbert_count != fingerprint(b).hilbert_count
+def test_fingerprint_mismatch_blocks_search(monkeypatch):
+    # same dimension and Hilbert count, different keys: None before any solve
+    a = AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2)
+    b = AffineSemigroup(((1, 0), (1, 1), (0, 2)), 2)
+    assert len(a.hilbert_basis()) == len(b.hilbert_basis()) == 3
+    assert signatures(a).key != signatures(b).key
+
+    def refuse(*args):
+        raise AssertionError("solve ran although the signature keys differ")
+
+    monkeypatch.setattr(iso, "solve", refuse)
+    assert find_isomorphism(a, b) is None
+    assert find_isomorphism(b, a) is None
 
 
 # Reference for the cached minor table: one Bareiss determinant per subset.
@@ -192,11 +215,16 @@ def _wide_semigroup():
     return AffineSemigroup(saturation_hilbert_basis(Cone(((1, 0), (1, 90)), 2)), 2)
 
 
-def _search_nodes(name, depth):
+@functools.cache
+def _search(name, depth):
     cf = fixtures.BUILTIN_CONES[name]
     start = AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
-    report = explore(start, cf.characteristic, max_depth=depth)
-    return [(n.semigroup, cf.characteristic) for n in report.nodes.values()]
+    return explore(start, cf.characteristic, max_depth=depth), cf.characteristic
+
+
+def _search_nodes(name, depth):
+    report, p = _search(name, depth)
+    return [(n.semigroup, p) for n in report.nodes.values()]
 
 
 def test_minor_table_matches_per_subset_det():
@@ -226,3 +254,180 @@ def test_fingerprint_builds_no_minor_table_above_cap(monkeypatch):
     fresh = AffineSemigroup.from_hilbert_basis(big[0].hilbert_basis(), big[0].dim)
     assert fingerprint(fresh).det_source == 2
     assert fingerprint(_wide_semigroup()).det_source == 1
+
+
+def test_fingerprint_and_signatures_are_kept_on_the_semigroup():
+    s = AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2)
+    assert fingerprint(s) is fingerprint(s)
+    assert signatures(s) is signatures(s)
+
+
+# ---------------------------------------------------------------------------
+# signatures against an independent recomputation, and the lower-dimensional case
+# ---------------------------------------------------------------------------
+
+
+def _on_extreme_ray(h, rays):
+    """h is a positive multiple of one of the rays."""
+    return any(
+        dot(h, r) > 0 and all(h[i] * r[j] == h[j] * r[i] for i in range(len(h)) for j in range(len(h)))
+        for r in rays
+    )
+
+
+def _reference_signatures(s):
+    c = s.cone
+    of = {
+        h: (int(_on_extreme_ray(h, c.generators)), tuple(sorted(dot(n, h) for n in c.facet_normals)))
+        for h in s.hilbert_basis()
+    }
+    by = {}
+    for h in s.hilbert_basis():
+        by.setdefault(of[h], []).append(h)
+    return Signatures((s.dim, tuple(sorted(of.values()))), of, by)
+
+
+def test_signatures_match_reference():
+    nodes = _search_nodes("B", 1) + _search_nodes("dim4char3", 2)
+    nodes.append((AffineSemigroup(((2, 0), (3, 0), (0, 1), (1, 1)), 2), 0))  # two elements on one ray
+    assert any(0 in (sig[0] for sig in signatures(s).of.values()) for s, _ in nodes)
+    for s, _ in nodes:
+        assert signatures(s) == _reference_signatures(s)
+
+
+def test_lower_dimensional_semigroups_are_refused():
+    a = AffineSemigroup(((1, 0, 0), (0, 1, 0)), 3)
+    b = AffineSemigroup(((1, 0, 0), (0, 0, 1)), 3)
+    assert fingerprint(a) == fingerprint(b)  # equivalent by swapping e2 and e3
+    with pytest.raises(NotFullDimensionalError):
+        find_isomorphism(a, b)
+    with pytest.raises(NotFullDimensionalError):
+        find_isomorphism(b, a)
+    # equal Hilbert bases are the identity in any dimension
+    same = find_isomorphism(a, AffineSemigroup(((0, 1, 0), (1, 0, 0)), 3))
+    assert same is not None and same.matrix == identity(3)
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the former routine, fingerprint compare and profile filter
+# ---------------------------------------------------------------------------
+
+
+def _former_profile(v, cone):
+    return (
+        1 if primitive(v) in cone.generators else 0,
+        sum(1 for n in cone.facet_normals if dot(n, v) == 0),
+    )
+
+
+def _former_find_isomorphism(a, b):
+    """find_isomorphism as it was: candidates filtered by (ray flag, incidence count)."""
+    if a.dim != b.dim:
+        return None
+    ha, hb = a.hilbert_basis(), b.hilbert_basis()
+    if len(ha) != len(hb):
+        return None
+    if set(ha) == set(hb):
+        return certificate_for_matrix(a, identity(a.dim))
+    if fingerprint(a) != fingerprint(b):
+        return None
+    d = a.dim
+    try:
+        base = [ha[i] for i in independent_indices(ha, d)]
+    except ValueError:
+        return None
+    profile_b = {w: _former_profile(w, b.cone) for w in hb}
+    candidates = [[w for w in hb if profile_b[w] == _former_profile(v, a.cone)] for v in base]
+    base_det, base_adj = solve(mat(base), identity(d))
+    hb_set = set(hb)
+
+    def assemble(images):
+        numer = mat_mul(mat(images), base_adj)
+        if any(e % base_det for col in numer for e in col):
+            return None
+        m = tuple(tuple(e // base_det for e in col) for col in numer)
+        if not is_unimodular(m) or {mat_apply(m, h) for h in ha} != hb_set:
+            return None
+        return certificate_for_matrix(a, m)
+
+    def backtrack(i, picked):
+        if i == d:
+            return assemble(picked)
+        for w in candidates[i]:
+            if w not in picked:
+                found = backtrack(i + 1, picked + [w])
+                if found is not None:
+                    return found
+        return None
+
+    return backtrack(0, [])
+
+
+def _assert_same_answer(a, b):
+    new, old = find_isomorphism(a, b), _former_find_isomorphism(a, b)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert new.matrix == old.matrix
+        assert new.mapping == old.mapping
+        assert verify_certificate(a, b, new)
+    return new
+
+
+_GATE_SEARCHES = [("B", 2), ("dim4char3", 4), ("reeves", 3)]
+
+
+@pytest.mark.parametrize("name, depth", _GATE_SEARCHES)
+def test_differential_node_pairs(name, depth):
+    report, _ = _search(name, depth)
+    nodes = [report.nodes[k].semigroup for k in sorted(report.nodes)]
+    for a, b in itertools.product(nodes, repeat=2):
+        assert (_assert_same_answer(a, b) is not None) == (a is b)
+
+
+@pytest.mark.parametrize("name, depth", _GATE_SEARCHES)
+def test_differential_chart_targets(name, depth):
+    report, p = _search(name, depth)
+    cert_of = {(e.src, e.subset): (e.dst, e.certificate) for e in report.edges}
+    checked = 0
+    for key in sorted(report.nodes):
+        if key in report.frontier or report.nodes[key].smooth:
+            continue
+        for subset, target in _chart_targets(report.nodes[key].semigroup, p, True):
+            dst, matrix = cert_of[(key, subset)]
+            cert = _assert_same_answer(target, report.nodes[dst].semigroup)
+            assert cert.matrix == matrix
+            checked += 1
+    assert checked == len(report.edges)
+
+
+_full_dimensional_sources = st.integers(2, 5).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(*[st.integers(0, 2)] * d).filter(any), min_size=d, max_size=d + 1),
+    )
+)
+
+
+@settings(max_examples=40)
+@given(source=_full_dimensional_sources, data=st.data())
+def test_differential_unimodular_images(source, data):
+    d, gens = source
+    c = Cone(gens, d)
+    assume(c.is_full_dimensional)
+    a = AffineSemigroup(saturation_hilbert_basis(c), d)
+    u = data.draw(unimodular_matrices(d))
+    b = AffineSemigroup([apply_matrix(u, h) for h in a.hilbert_basis()], d)
+    assert _assert_same_answer(a, b) is not None
+    assert _assert_same_answer(b, a) is not None
+    # a sublattice of index 2 has the same cone and never an equivalent Hilbert basis
+    doubled = AffineSemigroup([tuple(2 * x for x in h) for h in b.hilbert_basis()], d)
+    assert _assert_same_answer(a, doubled) is None
+
+
+def test_non_unimodular_map_between_equal_keys_is_refused():
+    # (1,0) -> (2,0), (1,2) -> (0,2) preserves every signature, with determinant 2
+    a = AffineSemigroup(((1, 0), (1, 2)), 2)
+    b = AffineSemigroup(((2, 0), (0, 2)), 2)
+    assert signatures(a).key == signatures(b).key
+    assert find_isomorphism(a, b) is None
+    assert _former_find_isomorphism(a, b) is None

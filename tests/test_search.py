@@ -1,5 +1,6 @@
 import errno
 import functools
+import hashlib
 import os
 import typing
 from typing import Optional
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from toricnash import fixtures, search
 from toricnash.cone import Cone
 from toricnash.exactmath import identity
-from toricnash.iso import IsoCertificate, find_isomorphism
+from toricnash.iso import IsoCertificate, find_isomorphism, fingerprint, verify_certificate
 from toricnash.search import (
     TERMINATION_CYCLE,
     TERMINATION_DEPTH,
@@ -176,10 +177,46 @@ def test_resume_matches_fresh_run(tmp_path):
     )
     fresh = explore(s, 3, max_depth=2, max_nodes=10_000, cycle_lengths=(1, 2))
     assert set(resumed.nodes) == set(fresh.nodes)
-    assert {(e.src, e.dst, e.subset) for e in resumed.edges} == {
-        (e.src, e.dst, e.subset) for e in fresh.edges
+    assert {(e.src, e.dst, e.subset, e.certificate) for e in resumed.edges} == {
+        (e.src, e.dst, e.subset, e.certificate) for e in fresh.edges
     }
     assert resumed.cycle_lengths_found() == fresh.cycle_lengths_found() == {2}
+
+
+@pytest.fixture
+def one_fingerprint(monkeypatch):
+    """Every semigroup gets the same fingerprint, so keys differ only by their counter."""
+    fp = fingerprint(AffineSemigroup(((1, 0), (0, 1)), 2))
+    monkeypatch.setattr(search, "fingerprint", lambda s: fp)
+    return hashlib.sha256(fp.to_bytes()).hexdigest()[:12]
+
+
+def test_class_index_numbers_keys_per_fingerprint(one_fingerprint):
+    index = _ClassIndex()
+    classes = [
+        _saturated(((1, 0), (0, 1)), 2),
+        _saturated(((1, 0), (1, 2)), 2),
+        _saturated(((1, 0), (1, 3)), 2),
+    ]
+    keys = [index.insert(s) for s in classes]
+    assert keys == [f"{one_fingerprint}-{i}" for i in range(3)]
+    nodes = {k: GraphNode(k, s, 0, False) for k, s in zip(keys, classes)}
+    moved = AffineSemigroup([apply_matrix(((1, 1), (0, 1)), v) for v in classes[2].generators], 2)
+    found, cert = index.locate(moved, nodes)
+    assert found == keys[2] and verify_certificate(moved, classes[2], cert)
+
+
+def test_resume_continues_key_numbering(tmp_path, one_fingerprint):
+    s = _saturated(fixtures.DIM4_CHAR3_COLUMNS, 4)
+    fresh = explore(s, 3, max_depth=2, cycle_lengths=(1, 2))
+    assert list(fresh.nodes) == [f"{one_fingerprint}-{i}" for i in range(len(fresh.nodes))]
+    path = str(tmp_path / "g.txt")
+    save_graph(explore(s, 3, max_depth=1, cycle_lengths=(1, 2)), path)
+    resumed = explore(s, 3, max_depth=2, cycle_lengths=(1, 2), state=load_graph(path))
+    assert resumed.nodes.keys() == fresh.nodes.keys()
+    assert [(e.src, e.dst, e.subset, e.certificate) for e in resumed.edges] == [
+        (e.src, e.dst, e.subset, e.certificate) for e in fresh.edges
+    ]
 
 
 def test_resume_rejects_mismatched_state(tmp_path):
@@ -304,7 +341,9 @@ def test_save_graph_failure_keeps_previous_file(tmp_path, monkeypatch):
 
 def test_class_index_annotations_resolve():
     hints = typing.get_type_hints(_ClassIndex.locate)
-    assert hints["return"] == tuple[bytes, Optional[str], Optional[IsoCertificate]]
+    assert hints["return"] == tuple[Optional[str], Optional[IsoCertificate]]
+    hints = typing.get_type_hints(_ClassIndex.insert)
+    assert hints == {"s": AffineSemigroup, "key": Optional[str], "return": str}
 
 
 def _explore_summary(s, p, depth):
