@@ -21,6 +21,7 @@ from .iso import find_isomorphism
 from .nash import blowup_step
 from .search import (
     TERMINATION_NODES,
+    GraphFormatError,
     SearchReport,
     explore,
     load_graph,
@@ -166,6 +167,10 @@ def cmd_search(args) -> int:
             state = load_graph(args.load)
         except OSError as exc:
             raise CliError(f"cannot read {args.load}: {exc}")
+        except GraphFormatError as exc:
+            raise CliError(f"{args.load}: {exc}")
+        if state.start_key not in state.nodes:  # an empty file loads as an empty graph
+            raise CliError(f"{args.load}: the graph has no start node")
         p = state.characteristic
         normalized = state.normalized
         start = state.nodes[state.start_key].semigroup

@@ -130,8 +130,8 @@ class Cone(object):
     (facet normals plus span equations for lower-dimensional cones) is
     computed eagerly by one double description, so membership tests are
     plain integer dot products.  The extreme rays are read from the facet
-    incidence (_extreme_rays).  Cone.from_facets builds a cone whose facets
-    are already known.
+    incidence (_extreme_rays).  Cone.from_rays_and_facets builds a cone
+    whose extreme rays and facets are already known.
 
     `inner`, when given, is a pointed, full-dimensional Cone of the same
     dimension whose extreme rays are among the primitive generators (a
@@ -179,21 +179,20 @@ class Cone(object):
         self.generators = prim if self.lineality_basis else _extreme_rays(prim, normals)
 
     @classmethod
-    def from_facets(
-        cls, generators: Sequence[Sequence[int]], ambient_dim: int, facet_normals: Sequence[Vec]
+    def from_rays_and_facets(
+        cls, rays: Sequence[Vec], ambient_dim: int, facet_normals: Sequence[Vec]
     ) -> Cone:
-        """The pointed, full-dimensional cone of the generators, whose facets are known.
+        """The pointed, full-dimensional cone whose extreme rays and facets are known.
 
-        Trusted and unchecked, like AffineSemigroup.from_hilbert_basis: the
-        facet_normals must be exactly the cone's primitive ones.  No double
-        description runs; the extreme rays are read as in Cone().
+        Trusted and unchecked, like AffineSemigroup.from_hilbert_basis: rays
+        and facet_normals must be exactly the cone's primitive extreme rays
+        and facet normals, in any order.  No double description runs.
         """
         out = cls.__new__(cls)
         out.dim = ambient_dim
+        out.generators = tuple(sorted(rays))
         out.facet_normals = tuple(sorted(facet_normals))
         out.span_equations = out.lineality_basis = ()
-        prim = tuple(sorted({primitive(vec(g)) for g in generators if not is_zero(g)}))
-        out.generators = _extreme_rays(prim, out.facet_normals)
         return out
 
     @property

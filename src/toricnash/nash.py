@@ -11,7 +11,10 @@ tangent cones spanned by single exchanges (Gelfand, Goresky, MacPherson and
 Serganova 1987).  So it is the tangent cone at v_A of the Newton polyhedron
 conv{v_B : B live} + sigma, whose normal fan gives the normalized Nash blowup
 (Atanasov, Lopez, Perry, Proudfoot and Thaddeus, Exp. Math. 2011).  A chart is
-pointed exactly when v_A is a vertex, with the facets through v_A as its own.
+pointed exactly when v_A is a vertex.  Its cone's facets are then the facets
+of P through v_A, and its extreme rays are P's edge directions at v_A, so
+blowup_step builds each pointed chart's Cone with Cone.from_rays_and_facets
+and never needs the chart's generators.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactmath import InvalidCharacteristic, Vec, dot, is_prime, sub, vec
+from .exactmath import InvalidCharacteristic, Vec, dot, is_prime, primitive, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
 from .cone import Cone, NotPointedError
 
@@ -27,22 +30,24 @@ from .cone import Cone, NotPointedError
 class BlowupChart:
     """One chart, held as positions in the source's sorted Hilbert basis.
 
-    g_sets, generators and chart_semigroup are computed on first use.  Facet
-    normals of the chart cone, when the step knows them, mark it pointed;
-    without them chart_semigroup's Cone is seeded with the source cone.
+    g_sets, generators and chart_semigroup are computed on first use.  A
+    chart cone given by the step, the tangent cone of the Newton polyhedron
+    at v_A, marks the chart pointed and is shared by chart_semigroup;
+    without it chart_semigroup's Cone is a double description of the
+    generators seeded with the source cone.
     """
 
     def __init__(
         self, step: _Step, members: tuple[int, ...], det_value: int,
-        facets: Optional[tuple[Vec, ...]] = None,
+        cone: Optional[Cone] = None,
     ):
         self._step = step
         self.source = step.s
         self.characteristic = step.p
         self._members = members  # subset positions, increasing
         self.det_value = det_value  # det_p of the subset matrix
-        self._facets = facets
-        self.pointed = facets is not None
+        self._cone = cone
+        self.pointed = cone is not None
         self.normalized_chart: Optional[AffineSemigroup] = None
 
     @property
@@ -70,9 +75,10 @@ class BlowupChart:
     @cached_property
     def chart_semigroup(self) -> AffineSemigroup:
         dim, gens = self.source.dim, self.generators
-        if self._facets is None:
-            return AffineSemigroup(gens, dim, cone=Cone(gens, dim, inner=self.source.cone))
-        return AffineSemigroup(gens, dim, cone=Cone.from_facets(gens, dim, self._facets))
+        cone = self._cone
+        if cone is None:
+            cone = Cone(gens, dim, inner=self.source.cone)
+        return AffineSemigroup(gens, dim, cone=cone)
 
 
 def _differences(h: Sequence[Vec], i: int, js: Sequence[int]) -> tuple[Vec, ...]:
@@ -120,19 +126,36 @@ class _Step:
         )
 
 
-def _tangent_facets(points: Sequence[Vec], sigma: Cone) -> dict[Vec, tuple[Vec, ...]]:
-    """Vertex v of conv(points) + sigma -> the facet normals of its tangent cone.
+def _tangent_cones(points: Sequence[Vec], sigma: Cone) -> dict[Vec, Cone]:
+    """Vertex v of P = conv(points) + sigma -> the tangent cone of P at v.
 
-    The rays (1, v) of the homogenized cone K are the vertices; a facet (c, n)
-    of K is <n, x> >= -c, or t >= 0, which no vertex lies on.  n is primitive
-    when the facet holds a lattice point v, since gcd(n) divides c = -<n, v>.
+    The rays (1, v) of the homogenized cone K are the vertices, the rays
+    (0, r) those of sigma; a facet (c, n) of K is <n, x> >= -c, or t >= 0,
+    which no vertex lies on.  n is primitive when the facet holds a lattice
+    point v, since gcd(n) divides c = -<n, v>.  The tangent cone's facets are
+    the n of the facets through (1, v).  Its extreme rays are P's edge
+    directions at v, one per ray w of K adjacent to (1, v): v' - v made
+    primitive for w = (1, v'), r for w = (0, r).  Rays are adjacent when no
+    third ray is tight on every facet tight on both (Fukuda and Prodon 1996).
     """
     k = Cone([(1,) + v for v in points] + [(0,) + r for r in sigma.generators], sigma.dim + 1)
-    return {
-        g[1:]: tuple(sorted(n[1:] for n in k.facet_normals if not dot(n, g)))
-        for g in k.generators
-        if g[0] == 1
-    }
+    rays, normals = k.generators, k.facet_normals
+    tight = [sum(1 << i for i, n in enumerate(normals) if not dot(n, g)) for g in rays]
+    cones = {}
+    for a, g in enumerate(rays):
+        if g[0] != 1:
+            continue
+        v = g[1:]
+        edges = set()
+        for b, w in enumerate(rays):
+            common = tight[a] & tight[b]
+            if b != a and not any(
+                t & common == common for c, t in enumerate(tight) if c != a and c != b
+            ):
+                edges.add(primitive(sub(w[1:], v)) if w[0] else w[1:])
+        facets = [n[1:] for i, n in enumerate(normals) if tight[a] >> i & 1]
+        cones[v] = Cone.from_rays_and_facets(tuple(edges), sigma.dim, facets)
+    return cones
 
 
 def _members(s: AffineSemigroup, subset: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -184,7 +207,9 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
     normalization is not computed.  The subset family itself does not
     depend on the normalized flag; it is read from the semigroup's cached
     minor table, which a search has already filled by fingerprinting.
-    One Cone over the Newton polyhedron settles every chart.
+    One Cone over the Newton polyhedron settles every chart and gives each
+    pointed chart its Cone; normalizing saturates that Cone directly, so no
+    chart's replacement sets are formed here.
     """
     step = _Step(s, p)
     subsets = sorted(
@@ -193,9 +218,9 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
         if _det_p(minor, p)
     )
     sums = [tuple(map(sum, zip(*(step.h[i] for i in members)))) for members in subsets]
-    facets = _tangent_facets(sorted(set(sums)), s.cone)
-    charts = tuple(BlowupChart(step, m, step.det(m), facets.get(v)) for m, v in zip(subsets, sums))
+    cones = _tangent_cones(sorted(set(sums)), s.cone)
+    charts = tuple(BlowupChart(step, m, step.det(m), cones.get(v)) for m, v in zip(subsets, sums))
     for ch in charts:
         if ch.pointed and normalized:
-            ch.normalized_chart = ch.chart_semigroup.saturate()
+            ch.normalized_chart = AffineSemigroup.from_cone(ch._cone)
     return charts

@@ -385,12 +385,15 @@ def _check_edge(lineno: int, e: GraphEdge, nodes: dict[str, GraphNode]) -> None:
 
 def load_graph(path: str) -> SearchReport:
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not an ASCII graph file: {exc}") from None
     nodes: dict[str, GraphNode] = {}
     edges: list[GraphEdge] = []
     frontier: list[str] = []
     edge_lines: list[int] = []  # line number of each edge record
-    meta: Optional[tuple[int, bool, str, str]] = None
+    meta: Optional[tuple[int, bool, str, str, int]] = None  # last: the meta line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -401,7 +404,7 @@ def load_graph(path: str) -> SearchReport:
             if kind == "meta":
                 if meta is not None:
                     raise GraphFormatError(f"line {lineno}: duplicate meta record")
-                meta = (int(parts[1]), parts[2] == "1", parts[3], parts[4])
+                meta = (int(parts[1]), parts[2] == "1", parts[3], parts[4], lineno)
             elif kind == "node":
                 key, depth, smooth, dim, ngens = (
                     parts[1],
@@ -449,7 +452,9 @@ def load_graph(path: str) -> SearchReport:
     for key in frontier:
         if key not in nodes:
             raise GraphFormatError(f"frontier references a missing node {key}")
-    p, normalized, termination, start_key = meta
+    p, normalized, termination, start_key, meta_line = meta
+    if start_key not in nodes:
+        raise GraphFormatError(f"line {meta_line}: start key {start_key} names no node")
     report = SearchReport(
         characteristic=p,
         normalized=normalized,

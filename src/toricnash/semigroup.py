@@ -288,11 +288,15 @@ class AffineSemigroup(object):
             self._minors = minor_table(self.hilbert_basis(), self.dim)
         return self._minors
 
-    def saturate(self) -> "AffineSemigroup":
-        # the saturation spans the same cone, so it shares self.cone
-        out = AffineSemigroup(saturation_hilbert_basis(self.cone), self.dim, cone=self.cone)
+    @classmethod
+    def from_cone(cls, c: Cone) -> "AffineSemigroup":
+        """The saturated semigroup cone(c) intersect Z^d, sharing c as its cone."""
+        out = cls(saturation_hilbert_basis(c), c.dim, cone=c)
         out._hilbert, out._saturated = out.generators, True
         return out
+
+    def saturate(self) -> "AffineSemigroup":
+        return AffineSemigroup.from_cone(self.cone)
 
     def is_saturated(self) -> bool:
         if self._saturated is None:

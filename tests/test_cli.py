@@ -172,6 +172,25 @@ def test_search_load_rejects_forged_cycle_certificate(tmp_path, capsys):
     assert "found" not in out
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"meta 3 1 exhausted a\nnode a 0 0 1 1 1\nbogus\n", "line 3: unknown record kind 'bogus'"),
+        (b"meta 3 1 exhausted ghost\nnode a 0 0 1 1 1\n", "line 1: start key ghost names no node"),
+        (b"", "the graph has no start node"),
+        (b"meta 3 1 exhausted a\n\xc3\xa9\n", "not an ASCII graph file"),
+    ],
+)
+def test_search_load_rejects_malformed_graph(tmp_path, capsys, data, message):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "search", "--load", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: {message}")
+    assert err.count("\n") == 1
+
+
 def test_search_requires_cone_or_load(capsys):
     code, _, err = run(capsys, "search")
     assert code == EXIT_USAGE

@@ -354,12 +354,12 @@ def test_triangulation_matches_dd_reference_on_square_times_octahedron():
 
 
 @given(st.one_of(_generator_lists(), _cones_over_polytopes()))
-def test_from_facets_matches_cone(drawn):
-    # raw generators (zero, duplicate and scaled ones too) and the true facets, unsorted
+def test_from_rays_and_facets_matches_cone(drawn):
+    # the true extreme rays and facets, unsorted
     dim, gens = drawn
     c = Cone(gens, dim)
     assume(c.is_pointed and c.is_full_dimensional)
-    f = Cone.from_facets(gens, dim, c.facet_normals[::-1])
+    f = Cone.from_rays_and_facets(c.generators[::-1], dim, c.facet_normals[::-1])
     assert (f.dim, f.generators, f.facet_normals) == (c.dim, c.generators, c.facet_normals)
     assert f.span_equations == c.span_equations == ()
     assert f.lineality_basis == c.lineality_basis == ()

@@ -202,12 +202,21 @@ def _reference_g_set(s, a, h, p):
     return tuple(sorted(out))
 
 
+def _assert_same_cone(got, ref):
+    assert got.dim == ref.dim
+    assert got.generators == ref.generators
+    assert got.facet_normals == ref.facet_normals
+    assert got.span_equations == ref.span_equations
+    assert got.lineality_basis == ref.lineality_basis
+
+
 def _assert_charts_match_reference(s, p):
     """blowup_step and the one-chart chart() against the reference, chart by chart.
 
-    The chart semigroup (and with it a Cone) must be built by blowup_step
-    exactly for the pointed charts; the others are settled by the Newton
-    polyhedron's vertices.
+    blowup_step must build no chart's replacement sets, generators or
+    semigroup: the Newton polyhedron settles every verdict, and a pointed
+    chart's normalization is the saturation of a Cone read off its edges,
+    which must equal the Cone of the reference generators.
     """
     h = s.hilbert_basis()
     charts = iter(blowup_step(s, p))
@@ -216,11 +225,12 @@ def _assert_charts_match_reference(s, p):
         if dp == 0:
             continue
         ch = next(charts)
-        built = "chart_semigroup" in vars(ch)
+        assert not {"g_sets", "generators", "chart_semigroup"} & set(vars(ch))
         gsets = {v: _reference_g_set(s, a, v, p) for v in a}
         gens = tuple(sorted(set(h).union(*gsets.values())))
         cone = Cone(gens, s.dim)
-        assert built == cone.is_pointed
+        if cone.is_pointed:
+            _assert_same_cone(ch.normalized_chart.cone, cone)
         single = chart(s, a, p, normalize=False)
         for c in (ch, single):
             assert c.subset == a
@@ -297,10 +307,7 @@ def _assert_seeded_cones_match(s, p):
     for ch in charts:
         plain = Cone(ch.generators, s.dim)
         for seeded in (Cone(ch.generators, s.dim, inner=s.cone), ch.chart_semigroup.cone):
-            assert seeded.generators == plain.generators
-            assert seeded.facet_normals == plain.facet_normals
-            assert seeded.span_equations == plain.span_equations
-            assert seeded.lineality_basis == plain.lineality_basis
+            _assert_same_cone(seeded, plain)
 
 
 @pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
@@ -317,17 +324,17 @@ def test_seeded_chart_cones_match_unseeded_on_drawn_semigroups(s, p):
 
 
 # Differential gate for the Newton polyhedron: every chart's verdict, and a
-# pointed chart's Cone, against an unseeded Cone of its generators.
+# pointed chart's Cone, read off the polyhedron's edges, against an unseeded
+# Cone of its generators.
 def _assert_newton_verdicts(s, p, normalized=True):
     for ch in blowup_step(s, p, normalized=normalized):
         ref = Cone(ch.generators, s.dim)
         assert ch.pointed == ref.is_pointed
         if ch.pointed:
-            got = ch.chart_semigroup.cone
-            assert got.generators == ref.generators
-            assert got.facet_normals == ref.facet_normals
-            assert got.span_equations == ref.span_equations == ()
-            assert got.lineality_basis == ref.lineality_basis == ()
+            assert ref.is_full_dimensional
+            _assert_same_cone(ch.chart_semigroup.cone, ref)
+            if normalized:
+                _assert_same_cone(ch.normalized_chart.cone, ref)
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
@@ -369,3 +376,34 @@ def _pointed_sources(draw):
 def test_newton_verdicts_match_reference_on_drawn_sources(source, p):
     s, saturated = source
     _assert_newton_verdicts(s, p, normalized=saturated)
+
+
+def _saturated(gens, dim):
+    return AffineSemigroup(saturation_hilbert_basis(Cone(gens, dim)), dim)
+
+
+def test_pointed_charts_with_non_simplicial_cones():
+    # In characteristic 2 the Newton polyhedron of cone((1,0,0), (0,1,0),
+    # (1,1,2)) has three vertices, and four edges meet at each of them.
+    s = _saturated([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
+    charts = {ch.subset: ch for ch in blowup_step(s, 2)}
+    ch = charts[(0, 1, 0), (1, 0, 0), (1, 1, 1)]  # v_A = (2, 2, 1)
+    assert ch.normalized_chart.cone.generators == ((0, 1, 0), (0, 1, 2), (1, 0, 0), (1, 0, 2))
+    assert ch.normalized_chart.cone.facet_normals == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, -1))
+    assert all(len(c.normalized_chart.cone.generators) == 4 for c in charts.values())
+    _assert_newton_verdicts(s, 2)
+
+
+def test_chart_inside_an_edge_of_the_newton_polyhedron_is_not_pointed():
+    # v_A = (1, 2, 2) is the midpoint of the bounded edge between the vertices
+    # (1, 2, 1) and (1, 2, 3), whose primitive direction is (0, 0, 1).
+    s = _saturated([(1, 0, 0), (0, 1, 0), (0, 1, 2)], 3)
+    charts = {ch.subset: ch for ch in blowup_step(s, 0)}
+    mid = charts[(0, 1, 0), (0, 1, 2), (1, 0, 0)]
+    assert not mid.pointed and mid.normalized_chart is None
+    assert not mid.chart_semigroup.is_pointed
+    low = charts[(0, 1, 0), (0, 1, 1), (1, 0, 0)]  # v_A = (1, 2, 1)
+    high = charts[(0, 1, 1), (0, 1, 2), (1, 0, 0)]  # v_A = (1, 2, 3)
+    assert low.normalized_chart.cone.generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert high.normalized_chart.cone.generators == ((0, 0, -1), (0, 1, 2), (1, 0, 0))
+    _assert_newton_verdicts(s, 0)

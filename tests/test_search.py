@@ -244,10 +244,12 @@ def test_load_rejects_malformed_files(tmp_path):
             "edge a ghost 0 2 1 0 0 1\n"
         ),
         "headless": "node a 0 0 2 2 1 0 0 1\n",
+        "ghost-start": "meta 3 1 exhausted ghost\nnode a 0 0 2 2 1 0 0 1\n",
+        "not-ascii": "meta 3 1 exhausted a\n\u00e9\n",
     }
     for name, text in cases.items():
         p = tmp_path / f"{name}.txt"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(GraphFormatError):
             load_graph(str(p))
 
@@ -382,3 +384,19 @@ def test_closure_of_b_in_characteristic_3():
     assert report.termination == TERMINATION_EXHAUSTED
     assert (len(report.nodes), len(report.edges)) == (75, 1265)
     assert sorted(c.length for c in report.cycles) == [1]
+
+
+# sha256[:12] of the newline-joined graph lines: a change that only makes the
+# search faster must leave every byte of the saved graph as it is.
+@pytest.mark.parametrize(
+    "name, p, depth, digest",
+    [
+        ("dim4char3", 3, 4, "f15a8f41f0e2"),
+        ("B", 5, 2, "c94b580652dc"),
+        ("B", 2, 2, "5451a5faf37d"),
+    ],
+)
+def test_saved_graphs_are_pinned(name, p, depth, digest):
+    cf = fixtures.BUILTIN_CONES[name]
+    lines = search._graph_lines(explore(_saturated(cf.generators, cf.dim), p, max_depth=depth))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12] == digest
