@@ -34,6 +34,7 @@ from .search import (
     load_graph,
     save_graph,
     verify_report_cycles,
+    verify_report_nodes,
 )
 from .semigroup import (
     AffineSemigroup,
@@ -91,5 +92,6 @@ __all__ = [
     "solve_integral",
     "verify_certificate",
     "verify_report_cycles",
+    "verify_report_nodes",
     "__version__",
 ]

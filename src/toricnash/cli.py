@@ -27,8 +27,14 @@ from .search import (
     load_graph,
     save_graph,
     verify_report_cycles,
+    verify_report_nodes,
 )
-from .semigroup import AffineSemigroup, NotFullLatticeError, saturation_hilbert_basis
+from .semigroup import (
+    AffineSemigroup,
+    NotFullLatticeError,
+    NotSaturatedError,
+    saturation_hilbert_basis,
+)
 from .verify import run_all_checks, run_lineage_check
 
 EXIT_OK = 0
@@ -171,6 +177,13 @@ def cmd_search(args) -> int:
             raise CliError(f"{args.load}: {exc}")
         if state.start_key not in state.nodes:  # an empty file loads as an empty graph
             raise CliError(f"{args.load}: the graph has no start node")
+        bad = verify_report_nodes(state)
+        if bad is not None:
+            raise CliError(
+                f"{args.load}: node {bad} does not check out: its basis, its smooth flag "
+                "or the chart that reaches it is wrong",
+                EXIT_MATH,
+            )
         p = state.characteristic
         normalized = state.normalized
         start = state.nodes[state.start_key].semigroup
@@ -303,7 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"toricnash: {exc}", file=sys.stderr)
         return exc.code
-    except (ConeFileError, NotFullLatticeError) as exc:
+    except (ConeFileError, NotFullLatticeError, NotSaturatedError) as exc:
         print(f"toricnash: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotPointedError, NotFullDimensionalError) as exc:

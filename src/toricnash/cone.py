@@ -34,68 +34,73 @@ class NotFullDimensionalError(ValueError):
     """Operation requires a cone that spans its ambient space."""
 
 
-def _dd_rays(constraints: Sequence[Vec], dim: int, seed: Optional[Cone] = None) -> tuple[Vec, ...]:
-    """Extreme rays of {x : <c, x> >= 0 for all c} by double description.
+def double_description(
+    constraints: Sequence[Vec], dim: int, seed: Optional[Cone] = None
+) -> dict[Vec, int]:
+    """Extreme rays of {x : <c, x> >= 0 for all c}, each with its tight set.
 
-    Pre: the constraints span R^dim, so the cone is pointed.  There are two
-    start states.  Unseeded, start from the simplicial cone cut out by dim
-    independent constraints (its rays are the sign-fixed adjugate columns,
-    ray j tight on every base constraint but the j-th).  Seeded with a
-    pointed, full-dimensional Cone whose extreme rays are among the
-    constraints, start from the dual of that cone: its rays are the seed's
-    facet normals, each tight on the seed rays it vanishes on.  Both are
-    exact start states, since the invariant below holds there; then insert
-    the remaining halfspaces one at a time.  Adjacency of rays u, v is the
-    standard combinatorial test: no third ray is tight on every constraint
-    that is tight on both u and v.  Each ray carries its tight set as a
-    bitmask over the constraints inserted so far.  A fresh ray
+    The result maps each primitive extreme ray r to a bitmask over the
+    constraints: bit i is set when <constraints[i], r> == 0, i indexing the
+    caller's list.  Pre: the constraints span R^dim, so the cone is pointed.
+    There are two start states.  Unseeded, start from the simplicial cone
+    cut out by dim independent constraints (its rays are the sign-fixed
+    adjugate columns, ray j tight on every base constraint but the j-th).
+    Seeded with a pointed, full-dimensional Cone whose extreme rays are
+    among the constraints, start from the dual of that cone: its rays are
+    the seed's facet normals, each tight on the seed rays it vanishes on.
+    Both are exact start states, since the invariant below holds there; then
+    insert the remaining halfspaces one at a time.  Adjacency of rays u, v
+    is the standard combinatorial test: no third ray is tight on every
+    constraint that is tight on both u and v.  Adjacent rays span a 2-face,
+    so they share at least dim - 2 tight constraints; pairs sharing fewer
+    are skipped before that scan (Fukuda and Prodon 1996).  Each ray carries
+    its tight set over the constraints inserted so far.  A fresh ray
     vals[u] * v - vals[v] * u inherits tight[u] & tight[v] plus the new
     constraint, exactly: on an earlier constraint both terms are >= 0, so
     their sum vanishes only where both do.
     """
     if seed is None:
-        base = [constraints[i] for i in independent_indices(constraints, dim)]
-        rows_as_cols = mat(tuple(zip(*base)))  # matrix with rows = base constraints
+        base = independent_indices(constraints, dim)
+        rows_as_cols = mat(tuple(zip(*(constraints[i] for i in base))))
         d0, adj = solve(rows_as_cols, identity(dim))
         s = 1 if d0 > 0 else -1
         rays = [primitive(scale(s, col)) for col in adj]
-        tight = {r: ((1 << dim) - 1) ^ 1 << j for j, r in enumerate(rays)}
+        everything = sum(1 << i for i in base)
+        tight = {r: everything ^ 1 << i for r, i in zip(rays, base)}
     else:
-        base = list(seed.generators)
+        pos = {c: i for i, c in enumerate(constraints)}
+        base = [pos[g] for g in seed.generators]
         rays = list(seed.facet_normals)
-        tight = {n: sum(1 << i for i, g in enumerate(base) if not dot(n, g)) for n in rays}
-    ordered = base + [c for c in constraints if c not in base]
+        tight = {n: sum(1 << i for i in base if not sum(map(mul, n, constraints[i]))) for n in rays}
+    inserted = set(base)
 
-    for k in range(len(base), len(ordered)):
-        c = ordered[k]
-        vals = {r: dot(c, r) for r in rays}
-        if all(v >= 0 for v in vals.values()):
-            for r in rays:
-                if vals[r] == 0:
-                    tight[r] |= 1 << k
+    for k in range(len(constraints)):
+        if k in inserted:
             continue
+        c, bit = constraints[k], 1 << k
+        vals = {r: sum(map(mul, c, r)) for r in rays}
         plus = [r for r in rays if vals[r] > 0]
         zero = [r for r in rays if vals[r] == 0]
         minus = [r for r in rays if vals[r] < 0]
+        for r in zero:
+            tight[r] |= bit
+        if not minus:
+            continue
         fresh: dict[Vec, int] = {}  # new ray -> its tight set
         for u in plus:
+            tu = tight[u]
             for v in minus:
-                common = tight[u] & tight[v]
-                adjacent = True
-                for w in rays:
-                    if w == u or w == v:
-                        continue
-                    if tight[w] & common == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                common = tu & tight[v]
+                if common.bit_count() < dim - 2:
+                    continue
+                if any(tight[w] & common == common for w in rays if w != u and w != v):
                     continue
                 w = primitive(sub(scale(vals[u], v), scale(vals[v], u)))
-                fresh.setdefault(w, common | 1 << k)
+                fresh.setdefault(w, common | bit)
         rays = plus + zero + list(fresh)
-        tight = {r: tight[r] for r in plus} | {r: tight[r] | 1 << k for r in zero} | fresh
+        tight = {r: tight[r] for r in plus + zero} | fresh
 
-    return tuple(sorted(set(rays)))
+    return tight
 
 
 def dual_description(vectors: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -110,13 +115,13 @@ def dual_description(vectors: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...],
         return identity(dim), ()
     lin = orthogonal_complement(vs, dim)
     if not lin:
-        return (), _dd_rays(vs, dim)
+        return (), tuple(sorted(double_description(vs, dim)))
     span_basis = orthogonal_complement(lin, dim)  # saturated basis of span(vs)
     r = len(span_basis)
     if r == 0:
         return lin, ()
     projected = [vec(dot(v, w) for w in span_basis) for v in vs]
-    rays_y = _dd_rays(sorted(set(projected)), r)
+    rays_y = double_description(sorted(set(projected)), r)
     back = mat(span_basis)  # columns = basis vectors of the span
     rays = tuple(sorted(primitive(mat_apply(back, y)) for y in rays_y))
     return lin, rays
@@ -130,13 +135,16 @@ class Cone(object):
     (facet normals plus span equations for lower-dimensional cones) is
     computed eagerly by one double description, so membership tests are
     plain integer dot products.  The extreme rays are read from the facet
-    incidence (_extreme_rays).  Cone.from_rays_and_facets builds a cone
-    whose extreme rays and facets are already known.
+    columns, each facet's tight set over the generators, by ray_incidence.
+    Cone.from_rays_and_facets builds a cone whose extreme rays and facets
+    are already known.
 
     `inner`, when given, is a pointed, full-dimensional Cone of the same
     dimension whose extreme rays are among the primitive generators (a
     blowup chart and its source, say).  The double description then starts
-    from its facets instead of from a simplex; the result is the same.
+    from its facets instead of from a simplex; the result is the same, and
+    its tight sets are the columns.  Unseeded, the columns take one dot
+    product per facet and generator.
     """
 
     __slots__ = (
@@ -162,6 +170,7 @@ class Cone(object):
         self.dim = ambient_dim
         prim = tuple(sorted({primitive(g) for g in gens if not is_zero(g)}))
 
+        columns = None  # facet tight sets over prim, when the double description gave them
         if inner is None:
             lin_dual, normals = dual_description(prim, ambient_dim)
         else:
@@ -169,14 +178,21 @@ class Cone(object):
                 raise ValueError("inner must be pointed and full-dimensional in this dimension")
             if not set(inner.generators) <= set(prim):
                 raise ValueError("the extreme rays of inner must be among the generators")
-            lin_dual, normals = (), _dd_rays(prim, ambient_dim, inner)
+            tight = double_description(prim, ambient_dim, inner)
+            lin_dual, normals = (), tuple(sorted(tight))
+            columns = [tight[n] for n in normals]
         self.facet_normals = normals
         self.span_equations = lin_dual  # x in span(cone) iff all these vanish on x
 
         # the cone is cut out by the (primitive) normals and +-lin_dual
         constraints = sorted((*normals, *lin_dual, *map(neg, lin_dual)))
         self.lineality_basis = orthogonal_complement(constraints, ambient_dim)
-        self.generators = prim if self.lineality_basis else _extreme_rays(prim, normals)
+        if self.lineality_basis:
+            self.generators = prim
+        else:
+            if columns is None:
+                columns = _tight_columns(normals, prim)
+            self.generators = _extreme_rays(prim, columns)
 
     @classmethod
     def from_rays_and_facets(
@@ -260,14 +276,50 @@ class Cone(object):
         return f"Cone(dim={self.dim}, generators={list(self.generators)})"
 
 
-def _extreme_rays(prim: Sequence[Vec], normals: Sequence[Vec]) -> tuple[Vec, ...]:
-    """The generators g of a pointed cone with no other generator on every facet through g."""
-    masks = [sum(1 << i for i, n in enumerate(normals) if not dot(n, g)) for g in prim]
-    return tuple(
-        g
-        for g, m in zip(prim, masks)
-        if not any(h != g and m & mh == m for h, mh in zip(prim, masks))
-    )
+def _tight_columns(normals: Sequence[Vec], gens: Sequence[Vec]) -> list[int]:
+    """Per normal n, the bitmask of the positions j with <n, gens[j]> == 0."""
+    return [sum(1 << j for j, g in enumerate(gens) if not sum(map(mul, n, g))) for n in normals]
+
+
+def face_meet(columns: Sequence[int], facets: int, everything: int) -> int:
+    """The generators on every facet i in the bitmask `facets`.
+
+    columns[i] is facet i's tight set, a bitmask over the generators, and
+    the result is the AND of those columns: the smallest face holding the
+    facets' common generators.  `everything`, the mask of all generators,
+    is the face cut out by no facet.
+    """
+    out = everything
+    while facets:
+        low = facets & -facets
+        out &= columns[low.bit_length() - 1]
+        facets ^= low
+    return out
+
+
+def ray_incidence(columns: Sequence[int], n: int) -> tuple[list[int], int]:
+    """(rows, extreme) for n generators of a pointed cone, from its facet columns.
+
+    rows[j] is the bitmask of the facets through generator j; extreme is
+    the bitmask of the generators that span extreme rays.  Generator j does
+    exactly when the face_meet of the facets through it is {j}: no other
+    generator lies on all of them.
+    """
+    rows = [0] * n
+    for i, c in enumerate(columns):
+        while c:
+            low = c & -c
+            rows[low.bit_length() - 1] |= 1 << i
+            c ^= low
+    everything = (1 << n) - 1
+    extreme = sum(1 << j for j, r in enumerate(rows) if face_meet(columns, r, everything) == 1 << j)
+    return rows, extreme
+
+
+def _extreme_rays(prim: Sequence[Vec], columns: Sequence[int]) -> tuple[Vec, ...]:
+    """The generators of a pointed cone that span extreme rays, read from its facet columns."""
+    _, extreme = ray_incidence(columns, len(prim))
+    return tuple(g for j, g in enumerate(prim) if extreme >> j & 1)
 
 
 def _triangulate_rays(c: Cone) -> list[tuple[Vec, ...]]:
@@ -282,7 +334,7 @@ def _triangulate_rays(c: Cone) -> list[tuple[Vec, ...]]:
     turn and each piece joined to that ray.
     """
     rays = c.generators
-    facets = [sum(1 << i for i, r in enumerate(rays) if not dot(n, r)) for n in c.facet_normals]
+    facets = _tight_columns(c.facet_normals, rays)
 
     def split(face: int, k: int) -> list[int]:
         if bin(face).count("1") == k:

@@ -14,7 +14,9 @@ conv{v_B : B live} + sigma, whose normal fan gives the normalized Nash blowup
 pointed exactly when v_A is a vertex.  Its cone's facets are then the facets
 of P through v_A, and its extreme rays are P's edge directions at v_A, so
 blowup_step builds each pointed chart's Cone with Cone.from_rays_and_facets
-and never needs the chart's generators.
+and never needs the chart's generators.  All of it comes from one double
+description of the homogenized cone over P: its tight sets give P's
+vertices, edges and facets by bitmask ANDs, with no Cone built for P.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactmath import InvalidCharacteristic, Vec, dot, is_prime, primitive, sub, vec
+from .exactmath import InvalidCharacteristic, Vec, is_prime, primitive, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
-from .cone import Cone, NotPointedError
+from .cone import Cone, NotPointedError, double_description, face_meet, ray_incidence
 
 
 class BlowupChart:
@@ -129,32 +131,44 @@ class _Step:
 def _tangent_cones(points: Sequence[Vec], sigma: Cone) -> dict[Vec, Cone]:
     """Vertex v of P = conv(points) + sigma -> the tangent cone of P at v.
 
-    The rays (1, v) of the homogenized cone K are the vertices, the rays
-    (0, r) those of sigma; a facet (c, n) of K is <n, x> >= -c, or t >= 0,
-    which no vertex lies on.  n is primitive when the facet holds a lattice
-    point v, since gcd(n) divides c = -<n, v>.  The tangent cone's facets are
-    the n of the facets through (1, v).  Its extreme rays are P's edge
+    The homogenized cone K over P is generated by the rays (0, r) of sigma
+    and the points (1, v); it is never built as a Cone.  One double
+    description over those generators gives K's facets, each with its
+    tight set, a bitmask over the generators: these are the columns of K's
+    incidence, and nothing after the double description takes a dot
+    product.  A facet (c, n) of K is <n, x> >= -c, or t >= 0, which no
+    point lies on; n is primitive when the facet holds a lattice point v,
+    since gcd(n) divides c = -<n, v>.  The extreme rays of K are the (0, r)
+    and the (1, v) with v a vertex of P.  The tangent cone's facets are the
+    n of the facets through (1, v).  Its extreme rays are P's edge
     directions at v, one per ray w of K adjacent to (1, v): v' - v made
-    primitive for w = (1, v'), r for w = (0, r).  Rays are adjacent when no
-    third ray is tight on every facet tight on both (Fukuda and Prodon 1996).
+    primitive for w = (1, v'), r for w = (0, r).  Rays of K are adjacent
+    when they share at least dim(sigma) - 1 facets and no third ray lies on
+    all of those (Fukuda and Prodon 1996); a point that is not a vertex may
+    lie on them, inside the edge.
     """
-    k = Cone([(1,) + v for v in points] + [(0,) + r for r in sigma.generators], sigma.dim + 1)
-    rays, normals = k.generators, k.facet_normals
-    tight = [sum(1 << i for i, n in enumerate(normals) if not dot(n, g)) for g in rays]
+    d = sigma.dim
+    gens = [(0,) + r for r in sigma.generators] + [(1,) + v for v in points]
+    tight = double_description(gens, d + 1)
+    normals, columns = list(tight), list(tight.values())
+    rows, extreme = ray_incidence(columns, len(gens))
+    everything = (1 << len(gens)) - 1
+    rays = [b for b in range(len(gens)) if extreme >> b & 1]
     cones = {}
-    for a, g in enumerate(rays):
-        if g[0] != 1:
+    for a in rays:
+        if not gens[a][0]:
             continue
-        v = g[1:]
-        edges = set()
-        for b, w in enumerate(rays):
-            common = tight[a] & tight[b]
-            if b != a and not any(
-                t & common == common for c, t in enumerate(tight) if c != a and c != b
+        v = gens[a][1:]
+        edges = []
+        for b in rays:
+            common = rows[a] & rows[b]
+            if b != a and common.bit_count() >= d - 1 and (
+                face_meet(columns, common, everything) & extreme == 1 << a | 1 << b
             ):
-                edges.add(primitive(sub(w[1:], v)) if w[0] else w[1:])
-        facets = [n[1:] for i, n in enumerate(normals) if tight[a] >> i & 1]
-        cones[v] = Cone.from_rays_and_facets(tuple(edges), sigma.dim, facets)
+                w = gens[b]
+                edges.append(primitive(sub(w[1:], v)) if w[0] else w[1:])
+        facets = [n[1:] for n, c in zip(normals, columns) if c >> a & 1]
+        cones[v] = Cone.from_rays_and_facets(edges, d, facets)
     return cones
 
 
@@ -207,9 +221,9 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
     normalization is not computed.  The subset family itself does not
     depend on the normalized flag; it is read from the semigroup's cached
     minor table, which a search has already filled by fingerprinting.
-    One Cone over the Newton polyhedron settles every chart and gives each
-    pointed chart its Cone; normalizing saturates that Cone directly, so no
-    chart's replacement sets are formed here.
+    One double description over the Newton polyhedron settles every chart
+    and gives each pointed chart its Cone; normalizing saturates that Cone
+    directly, so no chart's replacement sets are formed here.
     """
     step = _Step(s, p)
     subsets = sorted(

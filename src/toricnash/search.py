@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactmath import Mat, identity, vec
+from .exactmath import Mat, identity, is_prime, vec
 from .iso import (
     IsoCertificate,
     certificate_for_matrix,
@@ -24,8 +24,9 @@ from .iso import (
     signatures,
     verify_certificate,
 )
+from .cone import NotPointedError
 from .nash import blowup_step, chart
-from .semigroup import AffineSemigroup
+from .semigroup import AffineSemigroup, NotFullLatticeError, NotSaturatedError
 
 DEFAULT_MAX_DEPTH = 4
 DEFAULT_MAX_NODES = 10_000
@@ -149,7 +150,9 @@ def explore(
     With halt_on_cycle the walk stops early once some requested cycle
     length exists in the graph so far; otherwise it runs to exhaustion or
     to the depth/node limits.  Passing a loaded report as `state` resumes
-    its frontier; its characteristic and mode must match.
+    its frontier; its characteristic and mode must match.  A start that is
+    not pointed, not saturated or does not span Z^d raises NotPointedError,
+    NotSaturatedError or NotFullLatticeError, all ValueErrors.
     """
     wanted = sorted(set(int(k) for k in cycle_lengths))
     if any(k < 1 for k in wanted):
@@ -158,11 +161,11 @@ def explore(
     index = _ClassIndex()
     if state is None:
         if not start.is_pointed:
-            raise ValueError("search requires a pointed start semigroup")
+            raise NotPointedError("search requires a pointed start semigroup")
         if not start.is_saturated():
-            raise ValueError("search requires a saturated start semigroup")
+            raise NotSaturatedError("search requires a saturated start semigroup")
         if not start.generates_full_lattice():
-            raise ValueError("search requires a start semigroup spanning Z^d")
+            raise NotFullLatticeError("search requires a start semigroup spanning Z^d")
         start_key = index.insert(start)
         nodes = {start_key: GraphNode(start_key, start, 0, _node_is_smooth(start))}
         edges: list[GraphEdge] = []
@@ -292,29 +295,64 @@ def find_cycles(
     return found
 
 
+def _edge_checks_out(report: SearchReport, e: GraphEdge) -> bool:
+    """Re-derive the edge's chart from its source and check its certificate onto its target."""
+    src = report.nodes[e.src].semigroup
+    h = src.hilbert_basis()
+    try:
+        ch = chart(src, tuple(h[i] for i in e.subset), report.characteristic, report.normalized)
+    except ValueError:  # a vanishing minor, or a source that is no blowup source
+        return False
+    if not ch.pointed:
+        return False
+    target = ch.normalized_chart if report.normalized else ch.chart_semigroup
+    cert = certificate_for_matrix(target, e.certificate)
+    return verify_certificate(target, report.nodes[e.dst].semigroup, cert)
+
+
 def verify_report_cycles(report: SearchReport) -> bool:
     """Re-derive each cycle edge's chart and check its certificate."""
     for cyc in report.cycles:
         ring = list(cyc.node_keys) + [cyc.node_keys[0]]
         for a, b, cert_matrix in zip(ring, ring[1:], cyc.certificates):
-            edge = None
-            for e in report.edges:
-                if e.src == a and e.dst == b and e.certificate == cert_matrix:
-                    edge = e
-                    break
-            if edge is None:
-                return False
-            src = report.nodes[a].semigroup
-            h = src.hilbert_basis()
-            subset = tuple(h[i] for i in edge.subset)
-            ch = chart(src, subset, report.characteristic, normalize=report.normalized)
-            if not ch.pointed:
-                return False
-            target = ch.normalized_chart if report.normalized else ch.chart_semigroup
-            cert = certificate_for_matrix(target, cert_matrix)
-            if not verify_certificate(target, report.nodes[b].semigroup, cert):
+            edge = next(
+                (e for e in report.edges if (e.src, e.dst, e.certificate) == (a, b, cert_matrix)),
+                None,
+            )
+            if edge is None or not _edge_checks_out(report, edge):
                 return False
     return True
+
+
+def verify_report_nodes(report: SearchReport) -> Optional[str]:
+    """The key of the first node, in key order, that does not check out; None if all do.
+
+    In normalized mode a node is saturated, so its basis must be the
+    Hilbert basis of the saturation of its cone.  In both modes its smooth
+    flag must match a recomputation.  A saturated basis can still be the
+    wrong semigroup (drop an extreme ray and the rest is the saturation of
+    a smaller cone), so every node but the start must also be the target
+    of a checked edge from a node of lower depth.  By induction on depth,
+    every node is then a chart of a chart of ... the start.
+    """
+    parents: dict[str, list[GraphEdge]] = {}
+    for e in report.edges:
+        if report.nodes[e.src].depth < report.nodes[e.dst].depth:
+            parents.setdefault(e.dst, []).append(e)
+    for key in sorted(report.nodes):
+        node = report.nodes[key]
+        try:
+            if report.normalized and not node.semigroup.is_saturated():
+                return key
+        except ValueError:  # a cone with a line has no Hilbert basis
+            return key
+        if _node_is_smooth(node.semigroup) != node.smooth:
+            return key
+        if key != report.start_key and not any(
+            _edge_checks_out(report, e) for e in parents.get(key, ())
+        ):
+            return key
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +491,8 @@ def load_graph(path: str) -> SearchReport:
         if key not in nodes:
             raise GraphFormatError(f"frontier references a missing node {key}")
     p, normalized, termination, start_key, meta_line = meta
+    if p and not is_prime(p):
+        raise GraphFormatError(f"line {meta_line}: characteristic {p} is neither zero nor prime")
     if start_key not in nodes:
         raise GraphFormatError(f"line {meta_line}: start key {start_key} names no node")
     report = SearchReport(

@@ -58,11 +58,14 @@ def _parallelepiped_points_fullrank(rays: Sequence[Vec]) -> set[Vec]:
 
     One point per coset of the ray lattice in Z^d: enumerate a triangular
     transversal from the Hermite form, then shift each representative into
-    the half-open box by rounding its rational coordinates down.
+    the half-open box by rounding its rational coordinates down.  A
+    unimodular basis has one coset, so only the origin.
     """
     d = len(rays)
     r_mat = mat(rays)
     dval, adj = solve(r_mat, identity(d))
+    if abs(dval) == 1:
+        return {zero_vec(d)}
     # rows of adj, for the numerators of R^{-1} e; // floors for either sign of dval
     adj_rows = transpose(adj)
     h, _ = hermite_form(r_mat)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from pathlib import Path
 from typing import Sequence
 
 import sympy
@@ -168,3 +169,38 @@ def embedded_pointed_cones(draw, extra=2):
 def apply_matrix(cols: Sequence[Vec], v: Vec) -> Vec:
     dim = len(cols[0])
     return tuple(sum(cols[j][i] * v[j] for j in range(len(cols))) for i in range(dim))
+
+
+# --- forged graph files ---
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+def forge_node(path, key, forge):
+    """Rewrite node `key`'s record in the graph file at path by forge(record fields)."""
+    lines = path.read_text().splitlines()
+    hits = [i for i, line in enumerate(lines) if line.startswith(f"node {key} ")]
+    assert len(hits) == 1
+    parts = lines[hits[0]].split()
+    forge(parts)
+    lines[hits[0]] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def drop_last_hilbert_element(parts):
+    """node <key> <depth> <smooth> <dim> <ngens> <entries>: one generator fewer."""
+    dim = int(parts[4])
+    parts[5] = str(int(parts[5]) - 1)
+    del parts[-dim:]
+
+
+def flip_smooth_flag(parts):
+    parts[3] = "0" if parts[3] == "1" else "1"
+
+
+# (node key, forge) pairs for the corpus graph of B, each a well-formed lie
+FORGED_B_NODES = [
+    ("e57cbb5b5a6b-0", drop_last_hilbert_element),  # 12 -> 11 elements; an extreme ray goes
+    ("e57cbb5b5a6b-0", flip_smooth_flag),  # not smooth, claimed smooth
+    ("9067582a63d1-0", flip_smooth_flag),  # smooth, claimed not
+]

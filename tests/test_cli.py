@@ -1,8 +1,14 @@
+import importlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+
+from helpers import CORPUS, FORGED_B_NODES, forge_node
 
 
 def run(capsys, *argv):
@@ -177,6 +183,7 @@ def test_search_load_rejects_forged_cycle_certificate(tmp_path, capsys):
     [
         (b"meta 3 1 exhausted a\nnode a 0 0 1 1 1\nbogus\n", "line 3: unknown record kind 'bogus'"),
         (b"meta 3 1 exhausted ghost\nnode a 0 0 1 1 1\n", "line 1: start key ghost names no node"),
+        (b"meta 4 1 exhausted a\nnode a 0 0 1 1 1\n", "line 1: characteristic 4 is neither zero"),
         (b"", "the graph has no start node"),
         (b"meta 3 1 exhausted a\n\xc3\xa9\n", "not an ASCII graph file"),
     ],
@@ -188,6 +195,48 @@ def test_search_load_rejects_malformed_graph(tmp_path, capsys, data, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith(f"toricnash: {path}: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, forge", FORGED_B_NODES)
+def test_search_load_rejects_forged_node(tmp_path, capsys, key, forge):
+    path = tmp_path / "B.graph"
+    path.write_text((CORPUS / "B.graph").read_text())
+    code, _, _ = run(capsys, "search", "--load", str(path), "--max-depth", "1")
+    assert code == EXIT_OK  # the corpus graph itself loads
+    forge_node(path, key, forge)
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "1")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node {key} ")
+    assert err.count("\n") == 1
+
+
+def test_search_load_rejects_cycle_edge_with_vanishing_minor(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    code, _, _ = run(capsys, "search", "builtin:B", "--max-depth", "1", "--save", str(path))
+    assert code == EXIT_OK
+    # the loop edge's subset swapped for 0,1,2,5,8, whose minor vanishes mod 3
+    text = path.read_text()
+    loop = next(
+        line for line in text.splitlines()
+        if line.split()[0] == "edge" and line.split()[1] == line.split()[2]
+    )
+    path.write_text(text.replace(loop, loop.replace(" 0,1,3,4,8 ", " 0,1,2,5,8 ")))
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "1")
+    assert code == EXIT_MATH
+    assert "cycle certificate" in err
+    assert "found" not in out
+
+
+@pytest.mark.parametrize("command", ["search", "blowup"])
+def test_cone_not_spanning_the_lattice_exits_usage(tmp_path, capsys, command):
+    p = tmp_path / "c.cone"
+    p.write_text("dim 3\n1 0 0\n0 1 0\n")
+    code, out, err = run(capsys, command, str(p))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("toricnash: ") and "Z^d" in err
     assert err.count("\n") == 1
 
 
@@ -267,3 +316,23 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_python_m_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "toricnash", "verify-paper", "--machine"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, out, err = run(capsys, "verify-paper", "--machine")
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err) == (EXIT_OK, out, "")
+
+
+def test_importing_the_main_module_runs_nothing(capsys, monkeypatch):
+    # tools that import every module of the package must not start the CLI
+    monkeypatch.setattr(sys, "argv", ["not-toricnash", "no-such-command"])
+    monkeypatch.delitem(sys.modules, "toricnash.__main__", raising=False)
+    importlib.import_module("toricnash.__main__")
+    assert capsys.readouterr() == ("", "")

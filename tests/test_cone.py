@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricnash.cone import Cone, NotPointedError, _triangulate_rays, dual_description
+from toricnash.cone import (
+    Cone,
+    NotPointedError,
+    _triangulate_rays,
+    double_description,
+    dual_description,
+)
 from toricnash.exactmath import (
     DimensionMismatch,
     det,
@@ -398,3 +404,33 @@ def test_cone_equality_hash():
 def test_cone_rejects_mixed_dimensions():
     with pytest.raises(Exception):
         Cone(((1, 0), (1, 0, 0)), 2)
+
+
+def _tight_sets(constraints, rays):
+    """Ray -> bitmask of the positions i with <constraints[i], ray> == 0."""
+    return {r: sum(1 << i for i, c in enumerate(constraints) if dot(c, r) == 0) for r in rays}
+
+
+@settings(max_examples=200)
+@given(st.one_of(_generator_lists(), _cones_over_polytopes()))
+def test_double_description_matches_reference_and_incidence(drawn):
+    # any list spanning R^dim: zero vectors, multiples, repeats and lines included
+    dim, constraints = drawn
+    assume(rank_of_vectors(constraints) == dim)
+    got = double_description(constraints, dim)
+    assert tuple(sorted(got)) == _reference_dd_rays(constraints, dim)
+    assert got == _tight_sets(constraints, got)
+
+
+@settings(max_examples=100)
+@given(st.one_of(embedded_pointed_cones(extra=5), _cones_over_polytopes()), st.data())
+def test_seeded_double_description_matches_unseeded(drawn, data):
+    dim, gens = drawn
+    constraints = data.draw(st.permutations(sorted({primitive(g) for g in gens})))
+    assume(rank_of_vectors(constraints) == dim)
+    k = data.draw(st.integers(dim, len(constraints)))
+    assume(rank_of_vectors(constraints[:k]) == dim)
+    got = double_description(constraints, dim, seed=Cone(constraints[:k], dim))
+    assert got == double_description(constraints, dim)
+    assert tuple(sorted(got)) == _reference_dd_rays(constraints, dim)
+    assert got == _tight_sets(constraints, got)

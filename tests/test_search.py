@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricnash import fixtures, search
-from toricnash.cone import Cone
+from toricnash.cone import Cone, NotPointedError
 from toricnash.exactmath import identity
 from toricnash.iso import IsoCertificate, find_isomorphism, fingerprint, verify_certificate
 from toricnash.search import (
@@ -27,10 +27,22 @@ from toricnash.search import (
     load_graph,
     save_graph,
     verify_report_cycles,
+    verify_report_nodes,
 )
-from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis
+from toricnash.semigroup import (
+    AffineSemigroup,
+    NotFullLatticeError,
+    NotSaturatedError,
+    saturation_hilbert_basis,
+)
 
-from helpers import apply_matrix, unimodular_matrices
+from helpers import (
+    CORPUS,
+    FORGED_B_NODES,
+    apply_matrix,
+    forge_node,
+    unimodular_matrices,
+)
 
 
 def _saturated(columns, dim):
@@ -107,12 +119,16 @@ def test_no_false_merging():
 
 
 def test_explore_validates_start():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPointedError):
         explore(AffineSemigroup(((1,), (-1,)), 1), 0)
-    with pytest.raises(ValueError):
-        explore(AffineSemigroup(((1, 0), (1, 1), (1, 3)), 2), 0)  # not saturated
-    with pytest.raises(ValueError):
-        explore(AffineSemigroup(((2, 0), (0, 2)), 2), 0)  # not the full lattice
+    with pytest.raises(NotSaturatedError):
+        explore(AffineSemigroup(((1, 0), (1, 1), (1, 3)), 2), 0)
+    with pytest.raises(NotSaturatedError):  # (1, 0) lies in the cone, not in the semigroup
+        explore(AffineSemigroup(((2, 0), (0, 2)), 2), 0)
+    with pytest.raises(NotFullLatticeError):  # saturated, but of lower rank
+        explore(_saturated(((1, 0, 0), (0, 1, 0)), 3), 0)
+    for error in (NotPointedError, NotSaturatedError, NotFullLatticeError):
+        assert issubclass(error, ValueError)  # library callers catching ValueError still do
     with pytest.raises(ValueError):
         explore(AffineSemigroup(((1, 0), (0, 1)), 2), 0, cycle_lengths=(0,))
 
@@ -400,3 +416,35 @@ def test_saved_graphs_are_pinned(name, p, depth, digest):
     cf = fixtures.BUILTIN_CONES[name]
     lines = search._graph_lines(explore(_saturated(cf.generators, cf.dim), p, max_depth=depth))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12] == digest
+
+
+@pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
+def test_corpus_graph_nodes_check_out(name):
+    report = load_graph(str(CORPUS / f"{name}.graph"))
+    assert report.nodes
+    assert verify_report_nodes(report) is None
+
+
+@pytest.mark.parametrize("key, forge", FORGED_B_NODES)
+def test_verify_report_nodes_rejects_forged_nodes(tmp_path, key, forge):
+    path = tmp_path / "B.graph"
+    path.write_text((CORPUS / "B.graph").read_text())
+    forge_node(path, key, forge)
+    report = load_graph(str(path))  # the forgery is well-formed
+    assert verify_report_cycles(report)  # and no cycle edge exposes it
+    assert verify_report_nodes(report) == key
+
+
+def test_verify_report_nodes_rejects_a_basis_with_a_line():
+    s = AffineSemigroup.from_hilbert_basis(((1, 0), (-1, 0), (0, 1)), 2)
+    report = search.SearchReport(3, True, {"a": GraphNode("a", s, 0, False)}, [], [], [], "", "a")
+    assert verify_report_nodes(report) == "a"
+
+
+def test_verify_report_nodes_needs_a_parent_edge_below_each_node():
+    smooth = _saturated(((1, 0), (0, 1)), 2)
+    nodes = {"a": GraphNode("a", smooth, 0, True), "b": GraphNode("b", smooth, 1, True)}
+    report = search.SearchReport(0, True, nodes, [], [], [], "", "a")
+    assert verify_report_nodes(report) == "b"  # true, smooth, and reached by no edge
+    nodes["a"].depth = 2  # the start may sit anywhere; b still has no edge from below
+    assert verify_report_nodes(report) == "b"

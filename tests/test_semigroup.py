@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from toricnash.cone import Cone, NotPointedError, _triangulate_rays
 from toricnash.exactmath import add, dot, is_zero, scale, sub, vec, zero_vec
@@ -10,6 +12,7 @@ from toricnash.semigroup import (
     NotFullLatticeError,
     NotSaturatedError,
     _parallelepiped_points,
+    _parallelepiped_points_fullrank,
     coordinates_in_basis,
     saturation_hilbert_basis,
 )
@@ -362,3 +365,54 @@ def test_decomposition_matches_former_search(drawn):
                 total = add(total, scale(m, g))
             assert total == x
     assert s.hilbert_basis() == _reference_hilbert_basis(s)
+
+
+def _brute_force_parallelepiped(rays):
+    """Every lattice point x of the bounding box with 0 <= R^-1 x < 1, by sympy's adjugate."""
+    m = sympy.Matrix([list(r) for r in rays]).T
+    d = int(m.det())
+    adj = [[int(a) for a in m.adjugate().row(i)] for i in range(m.rows)]
+    box = [range(sum(min(x, 0) for x in row), sum(max(x, 0) for x in row) + 1) for row in zip(*rays)]
+    out = set()
+    for x in itertools.product(*box):
+        coords = [sum(a * b for a, b in zip(row, x)) for row in adj]  # d * R^-1 x
+        if all(0 <= t * (1 if d > 0 else -1) < abs(d) for t in coords):
+            out.add(x)
+    return out
+
+
+@st.composite
+def _lattice_bases(draw):
+    """(|det| wanted or None, rays): a basis of Q^dim, dim 1..4, small entries.
+
+    A third are unimodular and a third of index 2 (the first vector of a
+    unimodular basis doubled, then sheared by the others); the rest are drawn.
+    """
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from((1, 2, None)))
+    if kind is None:
+        rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=dim, max_size=dim))
+        assume(sympy.Matrix(rays).det() != 0)
+        return kind, rays
+    cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i != j:
+            sign = draw(st.sampled_from((1, -1)))
+            cols[i] = [a + sign * b for a, b in zip(cols[i], cols[j])]
+    if kind == 2:
+        cols[0] = [2 * a for a in cols[0]]
+        for j in range(1, dim):
+            if draw(st.booleans()):
+                cols[0] = [a + b for a, b in zip(cols[0], cols[j])]
+    return kind, [tuple(c) for c in draw(st.permutations(cols))]
+
+
+@settings(max_examples=120)
+@given(_lattice_bases())
+def test_parallelepiped_points_match_brute_force(drawn):
+    kind, rays = drawn
+    assert kind in (None, abs(sympy.Matrix(rays).det()))
+    want = _brute_force_parallelepiped(rays)
+    assert len(want) == abs(sympy.Matrix(rays).det())  # one point per coset
+    assert _parallelepiped_points_fullrank(rays) == want
