@@ -1,15 +1,17 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage or input error, 2 mathematical check
-failed, 3 resource limit hit.  Cone arguments are file paths or
-`builtin:<name>` for the embedded fixtures.  Vector output order is
-stable: the input generators in file order first (deduplicated), then
-any remaining Hilbert basis elements lexicographically.
+failed, 3 resource limit hit, 141 stdout closed by its reader.  Cone
+arguments are file paths or `builtin:<name>` for the embedded fixtures.
+Vector output order is stable: the input generators in file order first
+(deduplicated), then any remaining Hilbert basis elements
+lexicographically.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
 class CliError(Exception):
@@ -312,7 +315,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliError as exc:
         print(f"toricnash: {exc}", file=sys.stderr)
         return exc.code

@@ -14,7 +14,6 @@ semigroup and kept on it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Optional, Sequence
@@ -85,9 +84,6 @@ class Fingerprint:
             _encode_ints(self.det_multiset),
         ]
         return b"".join(out)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()[:16]
 
 
 def _element_profile(v: Vec, cone) -> tuple[int, int]:

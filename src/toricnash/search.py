@@ -11,6 +11,7 @@ chart at depth k from some node isomorphic to that node.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -147,12 +148,17 @@ def explore(
 ) -> SearchReport:
     """Breadth-first class graph from a saturated pointed start semigroup.
 
-    With halt_on_cycle the walk stops early once some requested cycle
-    length exists in the graph so far; otherwise it runs to exhaustion or
-    to the depth/node limits.  Passing a loaded report as `state` resumes
-    its frontier; its characteristic and mode must match.  A start that is
-    not pointed, not saturated or does not span Z^d raises NotPointedError,
-    NotSaturatedError or NotFullLatticeError, all ValueErrors.
+    Nodes are expanded in (depth, key) order from one heap; a node leaves
+    the frontier once all of its charts are recorded.  With halt_on_cycle
+    the walk stops after the first whole node that completes some requested
+    cycle length; otherwise it runs to exhaustion or to the depth/node
+    limits.  A node that the node limit cuts short stays on the frontier
+    with the out-edges it has so far.  Passing a loaded report as `state`
+    resumes its frontier; its characteristic and mode must match, and a
+    frontier node that already has out-edges has them dropped and redone
+    when it is expanded.  A start that is not pointed, not saturated or
+    does not span Z^d raises NotPointedError, NotSaturatedError or
+    NotFullLatticeError, all ValueErrors.
     """
     wanted = sorted(set(int(k) for k in cycle_lengths))
     if any(k < 1 for k in wanted):
@@ -179,64 +185,44 @@ def explore(
         start_key = state.start_key
         for key, node in nodes.items():
             index.insert(node.semigroup, key)
+    # a frontier node with out-edges was cut short by the node limit
+    cut_short = {e.src for e in edges}.intersection(frontier)
+    heap = [(nodes[k].depth, k) for k in frontier]
+    heapq.heapify(heap)
 
     termination = TERMINATION_EXHAUSTED
-    truncated_by_depth = False
-
-    while frontier:
-        frontier.sort()
-        layer = [k for k in frontier if nodes[k].depth < max_depth]
-        if not layer:
-            truncated_by_depth = True
-            break
-        depth_now = min(nodes[k].depth for k in layer)
-        batch = [k for k in layer if nodes[k].depth == depth_now]
-        rest = [k for k in frontier if k not in batch]
-
-        stop = False
-        new_frontier: list[str] = []
-        for key in batch:
-            depth = nodes[key].depth
-            for subset, target in _chart_targets(nodes[key].semigroup, p, normalized):
-                found, cert = index.locate(target, nodes)
-                if found is None:
-                    if len(nodes) >= max_nodes:
-                        termination = TERMINATION_NODES
-                        stop = True
-                        break
-                    found = index.insert(target)
-                    node = GraphNode(found, target, depth + 1, _node_is_smooth(target))
-                    nodes[found] = node
-                    cert = certificate_for_matrix(target, identity(target.dim))
-                    if not node.smooth:
-                        new_frontier.append(found)
-                edges.append(GraphEdge(key, found, subset, cert.matrix))
-            if stop:
-                break
-            if halt_on_cycle and wanted:
-                if find_cycles(nodes, edges, wanted):
-                    termination = TERMINATION_CYCLE
-                    stop = True
+    while heap and heap[0][0] < max_depth:
+        depth, key = heap[0]  # new nodes are one level deeper, so this stays the head
+        if key in cut_short:
+            edges = [e for e in edges if e.src != key]
+        for subset, target in _chart_targets(nodes[key].semigroup, p, normalized):
+            found, cert = index.locate(target, nodes)
+            if found is None:
+                if len(nodes) >= max_nodes:
+                    termination = TERMINATION_NODES
                     break
-        done = set(batch if not stop else batch[: batch.index(key) + 1])
-        frontier = [k for k in rest if k not in done] + [
-            k for k in new_frontier if k not in done
-        ]
-        if stop:
+                found = index.insert(target)
+                nodes[found] = GraphNode(found, target, depth + 1, _node_is_smooth(target))
+                cert = certificate_for_matrix(target, identity(target.dim))
+                if not nodes[found].smooth:
+                    heapq.heappush(heap, (depth + 1, found))
+            edges.append(GraphEdge(key, found, subset, cert.matrix))
+        if termination == TERMINATION_NODES:
             break
-
-    if termination == TERMINATION_EXHAUSTED and (truncated_by_depth or
-            any(nodes[k].depth >= max_depth for k in frontier)):
+        heapq.heappop(heap)
+        if halt_on_cycle and wanted and find_cycles(nodes, edges, wanted):
+            termination = TERMINATION_CYCLE
+            break
+    if termination == TERMINATION_EXHAUSTED and heap:
         termination = TERMINATION_DEPTH
 
-    cycles = find_cycles(nodes, edges, wanted)
     return SearchReport(
         characteristic=p,
         normalized=normalized,
         nodes=nodes,
         edges=edges,
-        cycles=cycles,
-        frontier=sorted(frontier),
+        cycles=find_cycles(nodes, edges, wanted),
+        frontier=sorted(k for _, k in heap),
         termination=termination,
         start_key=start_key,
     )
@@ -429,7 +415,7 @@ def load_graph(path: str) -> SearchReport:
             raise GraphFormatError(f"not an ASCII graph file: {exc}") from None
     nodes: dict[str, GraphNode] = {}
     edges: list[GraphEdge] = []
-    frontier: list[str] = []
+    frontier: dict[str, int] = {}  # key -> line number of its frontier record
     edge_lines: list[int] = []  # line number of each edge record
     meta: Optional[tuple[int, bool, str, str, int]] = None  # last: the meta line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -474,7 +460,9 @@ def load_graph(path: str) -> SearchReport:
                 )
                 edges.append(GraphEdge(src, dst, subset, cols))
             elif kind == "frontier":
-                frontier.append(parts[1])
+                if parts[1] in frontier:
+                    raise GraphFormatError(f"line {lineno}: duplicate frontier record {parts[1]}")
+                frontier[parts[1]] = lineno
             else:
                 raise GraphFormatError(f"line {lineno}: unknown record kind {kind!r}")
         except GraphFormatError:
@@ -487,9 +475,9 @@ def load_graph(path: str) -> SearchReport:
         return SearchReport(0, True, {}, [], [], [], TERMINATION_EXHAUSTED, "")
     for lineno, e in zip(edge_lines, edges):
         _check_edge(lineno, e, nodes)
-    for key in frontier:
+    for key, lineno in frontier.items():
         if key not in nodes:
-            raise GraphFormatError(f"frontier references a missing node {key}")
+            raise GraphFormatError(f"line {lineno}: frontier references a missing node {key}")
     p, normalized, termination, start_key, meta_line = meta
     if p and not is_prime(p):
         raise GraphFormatError(f"line {meta_line}: characteristic {p} is neither zero nor prime")

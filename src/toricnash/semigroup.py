@@ -20,9 +20,7 @@ from .exactmath import (
     mat,
     mat_apply,
     minor_table,
-    neg,
     orthogonal_complement,
-    primitive,
     solve,
     solve_integral,
     sub,
@@ -222,18 +220,7 @@ class AffineSemigroup(object):
 
     @property
     def is_pointed(self) -> bool:
-        """Is the cone spanned by the generators free of lines?
-
-        Certificate first: if two generators u, v have opposite primitive
-        vectors, primitive(u) == -primitive(v), then |b| u + |a| v == 0 for
-        the nonzero entries a of u and b of v in any one coordinate, so the
-        cone contains the line through u and the answer is False without
-        building a Cone.  Otherwise the Cone decides.
-        """
-        if self._cone is None:
-            prims = {primitive(g) for g in self.generators}
-            if any(neg(v) in prims for v in prims):
-                return False
+        """Is the cone spanned by the generators free of lines?"""
         return self.cone.is_pointed
 
     def generates_full_lattice(self) -> bool:

@@ -4,9 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:  # not on every platform
+    fcntl = None
+
 import pytest
 
-from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_USAGE, main
 
 from helpers import CORPUS, FORGED_B_NODES, forge_node
 
@@ -147,6 +152,22 @@ def test_search_save_and_load(tmp_path, capsys):
     assert "cycle length 1: found" in out2
 
 
+def test_search_resumes_a_graph_saved_at_the_node_limit(tmp_path, capsys):
+    cut, whole = tmp_path / "cut.graph", tmp_path / "whole.graph"
+    code, _, _ = run(
+        capsys, "search", "builtin:B", "--max-depth", "2", "--max-nodes", "10", "--save", str(cut)
+    )
+    assert code == EXIT_RESOURCE
+    code, resumed, _ = run(
+        capsys, "search", "--load", str(cut), "--max-depth", "2", "--save", str(cut)
+    )
+    assert code == EXIT_OK
+    code, unbroken, _ = run(capsys, "search", "builtin:B", "--max-depth", "2", "--save", str(whole))
+    assert code == EXIT_OK
+    assert resumed == unbroken
+    assert cut.read_bytes() == whole.read_bytes()
+
+
 def _swap_loop_certificate_rows(path):
     """Swap rows 0 and 1 of the one-step loop edge's certificate, in place."""
     with open(path) as fh:
@@ -186,6 +207,10 @@ def test_search_load_rejects_forged_cycle_certificate(tmp_path, capsys):
         (b"meta 4 1 exhausted a\nnode a 0 0 1 1 1\n", "line 1: characteristic 4 is neither zero"),
         (b"", "the graph has no start node"),
         (b"meta 3 1 exhausted a\n\xc3\xa9\n", "not an ASCII graph file"),
+        (
+            b"meta 3 1 depth-limit a\nnode a 0 0 1 1 1\nfrontier a\nfrontier a\n",
+            "line 4: duplicate frontier record a",
+        ),
     ],
 )
 def test_search_load_rejects_malformed_graph(tmp_path, capsys, data, message):
@@ -318,13 +343,17 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
-def test_python_m_runs_the_cli(capsys):
+def _module_env():
+    """The environment for `python -m toricnash` run from this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_python_m_runs_the_cli(capsys):
     done = subprocess.run(
         [sys.executable, "-m", "toricnash", "verify-paper", "--machine"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     code, out, err = run(capsys, "verify-paper", "--machine")
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err) == (EXIT_OK, out, "")
@@ -336,3 +365,22 @@ def test_importing_the_main_module_runs_nothing(capsys, monkeypatch):
     monkeypatch.delitem(sys.modules, "toricnash.__main__", raising=False)
     importlib.import_module("toricnash.__main__")
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(
+    not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a pipe that can be made smaller"
+)
+def test_closed_stdout_exits_quietly():
+    # a one-page pipe, closed after one line, while most of the 35 kB chart list is unwritten
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricnash", "blowup", "builtin:B", "--char", "3"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as out:
+        first = out.readline()
+    _, err = proc.communicate(timeout=120)
+    assert first == b"chart {1,2,3,4,5} det 1 pointed yes\n"
+    assert (proc.returncode, err) == (EXIT_PIPE, b"")

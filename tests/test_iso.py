@@ -56,7 +56,7 @@ def test_fingerprint_unimodular_invariance():
         s = _random_saturated(rng, dim, dim + 2)
         u = random_unimodular(rng, dim)
         assert fingerprint(s) == fingerprint(_twist(s, u))
-        assert fingerprint(s).digest() == fingerprint(_twist(s, u)).digest()
+        assert fingerprint(s).to_bytes() == fingerprint(_twist(s, u)).to_bytes()
 
 
 def test_fingerprint_separates_easy_cases():
@@ -75,7 +75,6 @@ def test_fingerprint_bytes_roundtrip_determinism():
     fp = fingerprint(s)
     assert fp.to_bytes() == fingerprint(s).to_bytes()
     assert isinstance(fp, Fingerprint)
-    assert len(fp.digest()) == 16
 
 
 def test_find_isomorphism_identity():

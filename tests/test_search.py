@@ -222,6 +222,46 @@ def test_class_index_numbers_keys_per_fingerprint(one_fingerprint):
     assert found == keys[2] and verify_certificate(moved, classes[2], cert)
 
 
+def _run_in_stages(tmp_path, stages):
+    """Search B (p = 3) once per (max_depth, max_nodes) stage, each stage resuming
+    the graph that the one before saved; the saved bytes of every stage."""
+    path = tmp_path / "staged.graph"
+    state, saved = None, []
+    for max_depth, max_nodes in stages:
+        report = explore(
+            fixtures.source_semigroup(), 3, max_depth=max_depth, max_nodes=max_nodes, state=state
+        )
+        save_graph(report, str(path))
+        saved.append(path.read_bytes())
+        state = load_graph(str(path))
+        assert verify_report_nodes(state) is None
+    return saved
+
+
+def _cut_short(saved):
+    """Frontier keys of a saved graph that already have out-edges."""
+    records = [line.split() for line in saved.decode().splitlines()]
+    return {r[1] for r in records if r[0] == "frontier"} & {r[1] for r in records if r[0] == "edge"}
+
+
+@pytest.mark.parametrize("depth, node_limits", [(2, (10,)), (3, (10, 60)), (3, (10, 30))])
+def test_resume_after_the_node_limit_matches_an_unbroken_run(tmp_path, depth, node_limits):
+    stages = [(depth, n) for n in node_limits] + [(depth, search.DEFAULT_MAX_NODES)]
+    saved = _run_in_stages(tmp_path, stages)
+    assert saved[0].startswith(b"meta 3 1 node-limit ")
+    assert _cut_short(saved[0])  # the node being expanded kept its edges so far
+    assert saved[-1] == _run_in_stages(tmp_path, stages[-1:])[0]
+
+
+def test_a_shallower_resume_keeps_the_cut_node_for_a_deeper_one(tmp_path):
+    saved = _run_in_stages(
+        tmp_path, [(2, 20), (1, search.DEFAULT_MAX_NODES), (2, search.DEFAULT_MAX_NODES)]
+    )
+    assert saved[0].startswith(b"meta 3 1 node-limit ")
+    assert _cut_short(saved[0]) == _cut_short(saved[1]) != set()  # depth 1 leaves it cut
+    assert saved[-1] == _run_in_stages(tmp_path, [(2, search.DEFAULT_MAX_NODES)])[0]
+
+
 def test_resume_continues_key_numbering(tmp_path, one_fingerprint):
     s = _saturated(fixtures.DIM4_CHAR3_COLUMNS, 4)
     fresh = explore(s, 3, max_depth=2, cycle_lengths=(1, 2))
@@ -262,6 +302,12 @@ def test_load_rejects_malformed_files(tmp_path):
         "headless": "node a 0 0 2 2 1 0 0 1\n",
         "ghost-start": "meta 3 1 exhausted ghost\nnode a 0 0 2 2 1 0 0 1\n",
         "not-ascii": "meta 3 1 exhausted a\n\u00e9\n",
+        "dup-frontier": (
+            "meta 3 1 depth-limit a\n"
+            "node a 0 0 2 2 1 0 0 1\n"
+            "frontier a\n"
+            "frontier a\n"
+        ),
     }
     for name, text in cases.items():
         p = tmp_path / f"{name}.txt"

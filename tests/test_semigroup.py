@@ -223,10 +223,9 @@ def test_is_pointed_agrees_with_cone(drawn, data):
 
 
 def test_planted_opposite_pair_with_unequal_multiples():
-    # 2w and -3w, w = (1, -2, 1): a line through the cone, found without a Cone
+    # 2w and -3w, w = (1, -2, 1): a line through the cone
     s = AffineSemigroup(((2, -4, 2), (-3, 6, -3), (1, 0, 0), (0, 0, 1)), 3)
     assert not s.is_pointed
-    assert s._cone is None
     assert not Cone(s.generators, 3).is_pointed
 
 

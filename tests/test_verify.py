@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+from toricnash import verify
 from toricnash.fixtures import H_VECTORS, LOOP_MATRIX
+from toricnash.nash import chart
 from toricnash.verify import CheckResult, run_all_checks, run_lineage_check
 
 EXPECTED_NAMES = [
@@ -85,6 +87,32 @@ def test_crash_becomes_failure_not_exception():
     bad = [c for c in ledger.checks if not c.passed]
     assert [c.name for c in bad] == ["loop-certificate"]
     assert bad[0].witness.startswith("raised ")
+
+
+def test_a_chart_that_raises_fails_each_chart_check(monkeypatch):
+    calls = []
+
+    def broken_chart(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("no chart")
+
+    monkeypatch.setattr(verify, "chart", broken_chart)
+    ledger = run_all_checks()
+    bad = [(c.name, c.witness) for c in ledger.checks if not c.passed]
+    assert bad == [(name, "raised ValueError: no chart") for name in EXPECTED_NAMES[3:8]]
+    assert len(calls) == 5  # a failed build is not kept
+
+
+def test_chart_checks_build_one_chart(monkeypatch):
+    calls = []
+
+    def counted_chart(*args, **kwargs):
+        calls.append(args)
+        return chart(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "chart", counted_chart)
+    assert run_all_checks().passed
+    assert len(calls) == 1
 
 
 def test_lineage_check_wiring():
