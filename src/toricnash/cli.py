@@ -184,7 +184,7 @@ def cmd_search(args) -> int:
         if bad is not None:
             raise CliError(
                 f"{args.load}: node {bad} does not check out: its basis, its smooth flag "
-                "or the chart that reaches it is wrong",
+                "or the chart that reaches it is wrong, or it is smooth and on the frontier",
                 EXIT_MATH,
             )
         p = state.characteristic

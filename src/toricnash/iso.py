@@ -15,8 +15,9 @@ semigroup and kept on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cone import NotFullDimensionalError, NotPointedError
 from .exactmath import (
@@ -48,7 +49,9 @@ def _encode_int(n: int) -> bytes:
 
 
 def _encode_ints(ns: Sequence[int]) -> bytes:
-    return _encode_int(len(ns)) + b"".join(_encode_int(n) for n in ns)
+    # a run of equal entries (a sorted det multiset is mostly runs) is encoded once
+    body = b"".join(_encode_int(n) * len(list(run)) for n, run in groupby(ns))
+    return _encode_int(len(ns)) + body
 
 
 @dataclass(frozen=True)
@@ -254,12 +257,32 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
         return None
     d = a.dim
     base = [ha[i] for i in independent_indices(ha, d)]
-    candidates = [sig_b.by[sig_a.of[v]] for v in base]
     base_det, base_adj = solve(mat(base), identity(d))
     hb_set = set(hb)
 
-    def assemble(images: Sequence[Vec]) -> Optional[IsoCertificate]:
-        # solve m . base == images:  m = images . adj(base) / det(base)
+    def onto(m: Mat) -> bool:
+        # images in H(b) and m unimodular, so m maps H(a) onto H(b) (equal sizes)
+        return all(mat_apply(m, h) in hb_set for h in ha) and is_unimodular(m)
+
+    m = first_base_map([sig_b.by[sig_a.of[v]] for v in base], base_det, base_adj, onto)
+    return None if m is None else certificate_for_matrix(a, m)
+
+
+def first_base_map(
+    candidates: Sequence[Sequence[Vec]], base_det: int, base_adj: Mat,
+    accept: Callable[[Mat], bool],
+) -> Optional[Mat]:
+    """The first accepted integral map of a base onto distinct candidate images.
+
+    candidates[i] lists the allowed images of base element i.  Images are
+    picked depth-first, in the listed order and all distinct; each full
+    pick fixes m = images . adj(base) / det(base), with (base_det, base_adj)
+    from solve(mat(base), identity(d)).  The first m that is integral and
+    passes accept(m) is returned, None when there is none.
+    """
+    d = len(candidates)
+
+    def assemble(images: Sequence[Vec]) -> Optional[Mat]:
         numer = mat_mul(mat(images), base_adj)
         cols = []
         for col in numer:
@@ -270,14 +293,9 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
                 new.append(e // base_det)
             cols.append(tuple(new))
         m = tuple(cols)
-        # images in H(b) and m unimodular, so m maps H(a) onto H(b) (equal sizes)
-        if not all(mat_apply(m, h) in hb_set for h in ha):
-            return None
-        if not is_unimodular(m):
-            return None
-        return certificate_for_matrix(a, m)
+        return m if accept(m) else None
 
-    def backtrack(i: int, picked: list[Vec], used: set[Vec]) -> Optional[IsoCertificate]:
+    def backtrack(i: int, picked: list[Vec], used: set[Vec]) -> Optional[Mat]:
         if i == d:
             return assemble(picked)
         for w in candidates[i]:

@@ -9,19 +9,27 @@ Its cone sigma + cone{g - h} depends on A only through v_A = sum of A: live
 subsets are the bases of the matroid of H over F_p, whose base polytope has
 tangent cones spanned by single exchanges (Gelfand, Goresky, MacPherson and
 Serganova 1987).  So it is the tangent cone at v_A of the Newton polyhedron
-conv{v_B : B live} + sigma, whose normal fan gives the normalized Nash blowup
-(Atanasov, Lopez, Perry, Proudfoot and Thaddeus, Exp. Math. 2011).  A chart is
-pointed exactly when v_A is a vertex.  Its cone's facets are then the facets
-of P through v_A, and its extreme rays are P's edge directions at v_A, so
-blowup_step builds each pointed chart's Cone with Cone.from_rays_and_facets
-and never needs the chart's generators.  All of it comes from one double
-description of the homogenized cone over P: its tight sets give P's
-vertices, edges and facets by bitmask ANDs, with no Cone built for P.
+P = conv{v_B : B live} + sigma, whose normal fan gives the normalized Nash
+blowup (Atanasov, Lopez, Perry, Proudfoot and Thaddeus, Exp. Math. 2011).  A
+chart is pointed exactly when v_A is a vertex.  Its cone's facets are then
+the facets of P through v_A, and its extreme rays are P's edge directions at
+v_A, so the chart's Cone is built with Cone.from_rays_and_facets and never
+needs the chart's generators.  All of it comes from one double description
+of the homogenized cone over P: its tight sets give P's vertices, edges and
+facets by bitmask ANDs, with no Cone built for P.
+
+vertex_charts is the one path through P.  It sums each live subset from two
+tables of partial sums of H, one per half of the subset's bitmask, keeps
+the distinct sums, and returns (subset, cone) for the subsets at vertices
+only.  A normalized chart is cone intersect Z^d, so its class is its cone's
+class: a search needs nothing else from a step.  blowup_step wraps the same
+cones, with every other live subset, in BlowupCharts.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add
 from typing import Optional, Sequence
 
 from .exactmath import InvalidCharacteristic, Vec, is_prime, primitive, sub, vec
@@ -65,14 +73,12 @@ class BlowupChart:
     @cached_property
     def g_sets(self) -> dict[Vec, tuple[Vec, ...]]:
         """h -> sorted replacement differences g - h."""
-        h = self.source.hilbert_basis()
-        reps = self._step.replacements(self._members)
-        return {h[i]: _differences(h, i, js) for i, js in zip(self._members, reps)}
+        return self._step.g_sets(self._members)
 
     @cached_property
     def generators(self) -> tuple[Vec, ...]:
         """The Hilbert basis together with all replacement sets, sorted."""
-        return tuple(sorted(set(self.source.hilbert_basis()).union(*self.g_sets.values())))
+        return _union(self.source.hilbert_basis(), self.g_sets)
 
     @cached_property
     def chart_semigroup(self) -> AffineSemigroup:
@@ -85,6 +91,10 @@ class BlowupChart:
 
 def _differences(h: Sequence[Vec], i: int, js: Sequence[int]) -> tuple[Vec, ...]:
     return tuple(sorted(sub(h[j], h[i]) for j in js))
+
+
+def _union(h: Sequence[Vec], g_sets: dict[Vec, tuple[Vec, ...]]) -> tuple[Vec, ...]:
+    return tuple(sorted(set(h).union(*g_sets.values())))
 
 
 def _det_p(minor: int, p: int) -> int:
@@ -116,6 +126,11 @@ class _Step:
             raise ValueError("chart subset has vanishing determinant in this characteristic")
         return m
 
+    def live(self) -> list[int]:
+        """Bitmasks of the live subsets: the nonzero minors that stay nonzero mod p."""
+        p = self.p
+        return [mask for mask, minor in self.minors.items() if _det_p(minor, p)]
+
     def replacements(self, members: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Per member i, the outside positions j whose swap for i keeps a live minor."""
         self.det(members)  # the subset itself must be live
@@ -126,6 +141,11 @@ class _Step:
             tuple(j for j in outside if _det_p(minors.get(mask ^ 1 << i | 1 << j, 0), p))
             for i in members
         )
+
+    def g_sets(self, members: tuple[int, ...]) -> dict[Vec, tuple[Vec, ...]]:
+        """h -> sorted replacement differences g - h, per member h."""
+        h = self.h
+        return {h[i]: _differences(h, i, js) for i, js in zip(members, self.replacements(members))}
 
 
 def _tangent_cones(points: Sequence[Vec], sigma: Cone) -> dict[Vec, Cone]:
@@ -198,6 +218,11 @@ def g_set(
     return _differences(basis, i, reps[members.index(i)])
 
 
+def chart_generators(s: AffineSemigroup, members: tuple[int, ...], p: int) -> tuple[Vec, ...]:
+    """Generators of the chart at the given Hilbert basis positions, as BlowupChart.generators."""
+    return _union(s.hilbert_basis(), _Step(s, p).g_sets(members))
+
+
 def chart(
     s: AffineSemigroup,
     subset: Sequence[Sequence[int]],
@@ -214,6 +239,52 @@ def chart(
     return ch
 
 
+def _positions(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _live_sums(h: Sequence[Vec], masks: Sequence[int]) -> dict[Vec, int]:
+    """v_B -> a mask B with that sum, for every distinct sum of the given masks.
+
+    v_B is the sum of the part of H under the low half of B's bits and the
+    part under the high half.  Each half is summed once, on first use, into
+    a table indexed by its bits, so a table never holds more entries than
+    there are masks.
+    """
+    half = len(h) // 2
+    low_bits = (1 << half) - 1
+    zero = (0,) * len(h[0])
+    low: dict[int, Vec] = {}
+    high: dict[int, Vec] = {}
+    sums: dict[Vec, int] = {}
+    for mask in masks:
+        a, b = mask & low_bits, mask >> half
+        va = low.get(a)
+        if va is None:
+            va = low[a] = tuple(map(sum, zip(zero, *(h[i] for i in _positions(a)))))
+        vb = high.get(b)
+        if vb is None:
+            vb = high[b] = tuple(map(sum, zip(zero, *(h[half + i] for i in _positions(b)))))
+        sums[tuple(map(add, va, vb))] = mask
+    return sums
+
+
+def vertex_charts(s: AffineSemigroup, p: int) -> list[tuple[tuple[int, ...], Cone]]:
+    """(subset positions, chart cone) for every pointed chart, in lexicographic subset order.
+
+    The pointed charts are the live subsets whose sum is a vertex of the
+    Newton polyhedron; one double description settles them all, and no
+    BlowupChart, generator or saturation is formed.  A vertex v is the sum
+    of exactly one live subset: if B != B' both summed to v, the symmetric
+    exchange axiom would give b in B - B' and b' in B' - B with B - b + b'
+    and B' - b' + b live, whose sums v + b' - b and v + b - b' average to v.
+    """
+    step = _Step(s, p)
+    sums = _live_sums(step.h, step.live())
+    cones = _tangent_cones(sorted(sums), s.cone)
+    return sorted(((_positions(sums[v]), cone) for v, cone in cones.items()), key=lambda c: c[0])
+
+
 def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[BlowupChart, ...]:
     """All charts of one blowup step, in lexicographic subset order.
 
@@ -221,19 +292,14 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
     normalization is not computed.  The subset family itself does not
     depend on the normalized flag; it is read from the semigroup's cached
     minor table, which a search has already filled by fingerprinting.
-    One double description over the Newton polyhedron settles every chart
-    and gives each pointed chart its Cone; normalizing saturates that Cone
-    directly, so no chart's replacement sets are formed here.
+    The pointed charts and their Cones come from vertex_charts; normalizing
+    saturates that Cone directly, so no chart's replacement sets are formed
+    here.
     """
     step = _Step(s, p)
-    subsets = sorted(
-        tuple(i for i in range(len(step.h)) if mask >> i & 1)
-        for mask, minor in step.minors.items()
-        if _det_p(minor, p)
-    )
-    sums = [tuple(map(sum, zip(*(step.h[i] for i in members)))) for members in subsets]
-    cones = _tangent_cones(sorted(set(sums)), s.cone)
-    charts = tuple(BlowupChart(step, m, step.det(m), cones.get(v)) for m, v in zip(subsets, sums))
+    cones = dict(vertex_charts(s, p))
+    subsets = sorted(_positions(mask) for mask in step.live())
+    charts = tuple(BlowupChart(step, m, step.det(m), cones.get(m)) for m in subsets)
     for ch in charts:
         if ch.pointed and normalized:
             ch.normalized_chart = AffineSemigroup.from_cone(ch._cone)

@@ -14,19 +14,31 @@ import hashlib
 import heapq
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .exactmath import Mat, identity, is_prime, vec
+from .exactmath import (
+    Mat,
+    Vec,
+    identity,
+    independent_indices,
+    is_prime,
+    is_unimodular,
+    mat,
+    mat_apply,
+    solve,
+    vec,
+)
 from .iso import (
     IsoCertificate,
     certificate_for_matrix,
     find_isomorphism,
     fingerprint,
-    signatures,
+    first_base_map,
     verify_certificate,
 )
-from .cone import NotPointedError
-from .nash import blowup_step, chart
+from .cone import Cone, NotFullDimensionalError, NotPointedError
+from .nash import chart, chart_generators, vertex_charts
 from .semigroup import AffineSemigroup, NotFullLatticeError, NotSaturatedError
 
 DEFAULT_MAX_DEPTH = 4
@@ -91,49 +103,115 @@ def _node_is_smooth(s: AffineSemigroup) -> bool:
         return False
 
 
-class _ClassIndex:
-    """Node keys bucketed by signature key, and the per-fingerprint key counters.
+RaySignature = tuple[int, ...]
 
-    A lookup scans the bucket of the target's signature key, so it needs no
-    fingerprint; equivalent semigroups share a key, so the bucket holds the
-    target's class if the graph has it.  A node key is the first 12 hex
-    digits of sha256(fingerprint bytes) and the node's index among the nodes
-    with that fingerprint, so only new nodes are fingerprinted.
+
+class _ConeEntry(NamedTuple):
+    """What a lookup by cone needs of a node, computed once when it is filed."""
+
+    rays: tuple[Vec, ...]  # the node's primitive extreme rays, sorted
+    base: tuple[RaySignature, ...]  # signatures of its first independent d rays
+    det: int  # det of those rays as columns
+    adj: Mat  # their adjugate: rays . adj == det . I
+
+
+def _ray_signatures(c: Cone) -> dict[Vec, RaySignature]:
+    """Each primitive extreme ray r of a pointed cone -> its sorted facet values <n_f, r>."""
+    return {r: tuple(sorted(sum(map(mul, n, r)) for n in c.facet_normals)) for r in c.generators}
+
+
+def _cone_key(c: Cone, sig: dict[Vec, RaySignature]) -> tuple:
+    return c.dim, tuple(sorted(sig.values()))
+
+
+class _ClassIndex:
+    """Node keys bucketed by cone key, and the per-fingerprint key counters.
+
+    A node's cone key is the dimension with the sorted multiset of its ray
+    signatures, a ray's signature being its sorted facet values.  Primitive
+    facet normals move by U^{-T} under x -> U x and rays by U, so a
+    unimodular map between two cones keeps every ray's signature and
+    equivalent cones share a key, as iso.signatures argues for Hilbert
+    elements.  The key is computed once, when a node is filed; so are the
+    node's first independent d rays with their adjugate and determinant.
+
+    locate_cone finds the node of a saturated chart from its cone alone.  A
+    normalized chart is cone intersect Z^d, so it is equivalent to a
+    (saturated) node exactly when some V in GL_d(Z) maps the node's cone
+    onto the chart's.  Such a V permutes primitive extreme rays and keeps
+    their signatures, so it is found by sending the node's base rays to
+    chart rays of equal signature, V = images . adj / det, and keeping V
+    when it is integral, maps every node ray to a chart ray and has
+    |det V| = 1.  V then maps H(node) onto H(chart), so no saturation is
+    needed: the chart is V . H(node), and find_isomorphism(chart, node)
+    gives the same certificate as before.  locate compares semigroups, for
+    non-normalized search; equivalent semigroups have equivalent cones, so
+    it scans the same bucket.  Either way the first equivalent node in
+    filing order is found.  A node key is the first 12 hex digits of
+    sha256(fingerprint bytes) and the node's index among the nodes with
+    that fingerprint, so only new nodes are fingerprinted.
     """
 
     def __init__(self) -> None:
         self.buckets: dict[tuple, list[str]] = {}
+        self.cones: dict[str, _ConeEntry] = {}
         self.counts: dict[bytes, int] = {}
 
     def locate(
         self, s: AffineSemigroup, nodes: dict[str, GraphNode]
     ) -> tuple[Optional[str], Optional[IsoCertificate]]:
-        for key in self.buckets.get(signatures(s).key, []):
+        c = s.cone
+        for key in self.buckets.get(_cone_key(c, _ray_signatures(c)), []):
             cert = find_isomorphism(s, nodes[key].semigroup)
+            if cert is not None:
+                return key, cert
+        return None, None
+
+    def locate_cone(
+        self, c: Cone, nodes: dict[str, GraphNode]
+    ) -> tuple[Optional[str], Optional[IsoCertificate]]:
+        """The node equivalent to the saturation of c, with a certificate onto it.
+
+        Every node must be saturated; c must be pointed and full-dimensional.
+        """
+        sig = _ray_signatures(c)
+        by: dict[RaySignature, list[Vec]] = {}
+        for r in c.generators:
+            by.setdefault(sig[r], []).append(r)
+        rays = set(c.generators)
+
+        def onto(m: Mat) -> bool:  # entry is the node being tried
+            return all(mat_apply(m, r) in rays for r in entry.rays) and is_unimodular(m)
+
+        for key in self.buckets.get(_cone_key(c, sig), []):
+            entry = self.cones[key]
+            m = first_base_map([by[b] for b in entry.base], entry.det, entry.adj, onto)
+            if m is None:
+                continue
+            node = nodes[key].semigroup
+            h = sorted(mat_apply(m, v) for v in node.hilbert_basis())
+            chart = AffineSemigroup.from_hilbert_basis(h, c.dim, saturated=True, cone=c)
+            cert = find_isomorphism(chart, node)
             if cert is not None:
                 return key, cert
         return None, None
 
     def insert(self, s: AffineSemigroup, key: Optional[str] = None) -> str:
         """File s as a node, under the given key or a fresh one; return the key."""
-        fp = fingerprint(s).to_bytes()
+        fp = fingerprint(s).to_bytes()  # raises NotPointedError for a cone with a line
+        c = s.cone
+        if not c.is_full_dimensional:
+            raise NotFullDimensionalError("a search node must be full-dimensional")
         n = self.counts.get(fp, 0)
         self.counts[fp] = n + 1
         if key is None:
             key = f"{hashlib.sha256(fp).hexdigest()[:12]}-{n}"
-        self.buckets.setdefault(signatures(s).key, []).append(key)
+        sig = _ray_signatures(c)
+        base = [c.generators[i] for i in independent_indices(c.generators, s.dim)]
+        det, adj = solve(mat(base), identity(s.dim))
+        self.cones[key] = _ConeEntry(c.generators, tuple(sig[r] for r in base), det, adj)
+        self.buckets.setdefault(_cone_key(c, sig), []).append(key)
         return key
-
-
-def _chart_targets(
-    s: AffineSemigroup, p: int, normalized: bool
-) -> list[tuple[tuple[int, ...], AffineSemigroup]]:
-    """(subset indices, chart target semigroup) for every pointed chart."""
-    return [
-        (ch.subset_indices(), ch.normalized_chart if normalized else ch.chart_semigroup)
-        for ch in blowup_step(s, p, normalized=normalized)
-        if ch.pointed
-    ]
 
 
 def explore(
@@ -158,7 +236,9 @@ def explore(
     frontier node that already has out-edges has them dropped and redone
     when it is expanded.  A start that is not pointed, not saturated or
     does not span Z^d raises NotPointedError, NotSaturatedError or
-    NotFullLatticeError, all ValueErrors.
+    NotFullLatticeError, all ValueErrors.  So does a resume state with an
+    unsaturated node in normalized mode, or with a frontier node flagged
+    smooth (NotSaturatedError, ValueError).
     """
     wanted = sorted(set(int(k) for k in cycle_lengths))
     if any(k < 1 for k in wanted):
@@ -184,7 +264,13 @@ def explore(
         frontier = list(state.frontier)
         start_key = state.start_key
         for key, node in nodes.items():
+            # locate_cone trusts every node to be saturated (the check is cached)
+            if normalized and not node.semigroup.is_saturated():
+                raise NotSaturatedError(f"node {key} of the resume state is not saturated")
             index.insert(node.semigroup, key)
+        for key in frontier:
+            if nodes[key].smooth:
+                raise ValueError(f"frontier node {key} of the resume state is flagged smooth")
     # a frontier node with out-edges was cut short by the node limit
     cut_short = {e.src for e in edges}.intersection(frontier)
     heap = [(nodes[k].depth, k) for k in frontier]
@@ -195,12 +281,20 @@ def explore(
         depth, key = heap[0]  # new nodes are one level deeper, so this stays the head
         if key in cut_short:
             edges = [e for e in edges if e.src != key]
-        for subset, target in _chart_targets(nodes[key].semigroup, p, normalized):
-            found, cert = index.locate(target, nodes)
+        source = nodes[key].semigroup
+        for subset, cone in vertex_charts(source, p):
+            if normalized:
+                target = None  # saturated only if it starts a new node
+                found, cert = index.locate_cone(cone, nodes)
+            else:
+                target = AffineSemigroup(chart_generators(source, subset, p), source.dim, cone=cone)
+                found, cert = index.locate(target, nodes)
             if found is None:
                 if len(nodes) >= max_nodes:
                     termination = TERMINATION_NODES
                     break
+                if target is None:
+                    target = AffineSemigroup.from_cone(cone)
                 found = index.insert(target)
                 nodes[found] = GraphNode(found, target, depth + 1, _node_is_smooth(target))
                 cert = certificate_for_matrix(target, identity(target.dim))
@@ -319,8 +413,10 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
     wrong semigroup (drop an extreme ray and the rest is the saturation of
     a smaller cone), so every node but the start must also be the target
     of a checked edge from a node of lower depth.  By induction on depth,
-    every node is then a chart of a chart of ... the start.
+    every node is then a chart of a chart of ... the start.  A smooth node
+    is a leaf, so one on the frontier does not check out either.
     """
+    frontier = set(report.frontier)
     parents: dict[str, list[GraphEdge]] = {}
     for e in report.edges:
         if report.nodes[e.src].depth < report.nodes[e.dst].depth:
@@ -332,7 +428,7 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
                 return key
         except ValueError:  # a cone with a line has no Hilbert basis
             return key
-        if _node_is_smooth(node.semigroup) != node.smooth:
+        if _node_is_smooth(node.semigroup) != node.smooth or (node.smooth and key in frontier):
             return key
         if key != report.start_key and not any(
             _edge_checks_out(report, e) for e in parents.get(key, ())

@@ -200,14 +200,16 @@ class AffineSemigroup(object):
 
     @classmethod
     def from_hilbert_basis(
-        cls, basis: Sequence[Sequence[int]], dim: int, saturated: Optional[bool] = None
+        cls, basis: Sequence[Sequence[int]], dim: int, saturated: Optional[bool] = None,
+        cone: Optional[Cone] = None,
     ) -> "AffineSemigroup":
         """The semigroup generated by a known Hilbert basis, trusted unchecked.
 
         `saturated` pins is_saturated() when the caller knows it; None
-        leaves it to be computed on demand.
+        leaves it to be computed on demand.  `cone`, as in the constructor,
+        is a prebuilt Cone of the basis.
         """
-        out = cls(basis, dim)
+        out = cls(basis, dim, cone=cone)
         out._hilbert = out.generators
         out._saturated = saturated
         return out
@@ -281,9 +283,7 @@ class AffineSemigroup(object):
     @classmethod
     def from_cone(cls, c: Cone) -> "AffineSemigroup":
         """The saturated semigroup cone(c) intersect Z^d, sharing c as its cone."""
-        out = cls(saturation_hilbert_basis(c), c.dim, cone=c)
-        out._hilbert, out._saturated = out.generators, True
-        return out
+        return cls.from_hilbert_basis(saturation_hilbert_basis(c), c.dim, saturated=True, cone=c)
 
     def saturate(self) -> "AffineSemigroup":
         return AffineSemigroup.from_cone(self.cone)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import subprocess
@@ -335,6 +336,36 @@ def test_deterministic_stdout(capsys):
     _, s1, _ = run(capsys, "search", "builtin:B", "--max-depth", "1")
     _, s2, _ = run(capsys, "search", "builtin:B", "--max-depth", "1")
     assert s1 == s2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("blowup", "builtin:B", "--char", "3"), "08440f3f7e8c"),
+        (("blowup", "builtin:B", "--char", "3", "--no-normalized"), "71d047c2a095"),
+        (("blowup", "builtin:reeves", "--char", "0"), "5aa9fb4b38d0"),
+        (("blowup", "builtin:dim4char3", "--char", "3"), "ddbdf3b9c132"),
+    ],
+)
+def test_blowup_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
+
+
+def test_search_load_rejects_a_smooth_frontier_node(tmp_path, capsys):
+    path = tmp_path / "B.graph"
+    code, _, _ = run(
+        capsys, "search", "builtin:B", "--char", "3", "--max-depth", "1", "--save", str(path)
+    )
+    assert code == EXIT_OK
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("frontier 9067582a63d1-0\n")
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "2")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node 9067582a63d1-0 ")
+    assert "smooth and on the frontier" in err
 
 
 def test_usage_error_exit_code(capsys):

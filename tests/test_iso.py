@@ -33,11 +33,17 @@ from toricnash.iso import (
     signatures,
     verify_certificate,
 )
-from toricnash.nash import blowup_step, chart
-from toricnash.search import _chart_targets, explore
+from toricnash.nash import blowup_step, chart, vertex_charts
+from toricnash.search import _ClassIndex, explore, load_graph
 from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis
 
-from helpers import apply_matrix, random_pointed_gens, random_unimodular, unimodular_matrices
+from helpers import (
+    CORPUS,
+    apply_matrix,
+    random_pointed_gens,
+    random_unimodular,
+    unimodular_matrices,
+)
 
 
 def _twist(s, u):
@@ -207,6 +213,35 @@ def _reference_fingerprint_bytes(s):
         fingerprint(s), det_source=source, det_multiset=tuple(sorted(map(abs, dets)))
     )
     return fp.to_bytes()
+
+
+def _per_entry_bytes(fp):
+    """Fingerprint.to_bytes as first written: every integer encoded on its own."""
+
+    def one(n):
+        body = abs(n).to_bytes((abs(n).bit_length() + 7) // 8 or 1, "big")
+        return (b"-" if n < 0 else b"+") + len(body).to_bytes(4, "big") + body
+
+    def many(ns):
+        return one(len(ns)) + b"".join(one(n) for n in ns)
+
+    return b"".join([
+        one(fp.dim), one(fp.hilbert_count), one(fp.ray_count), one(fp.facet_count),
+        many([e for pair in fp.element_profiles for e in pair]),
+        many([e for pair in fp.facet_profiles for e in pair]),
+        one(fp.det_source), many(fp.det_multiset),
+    ])
+
+
+@pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
+def test_fingerprint_bytes_match_the_per_entry_encoding(name):
+    report = load_graph(str(CORPUS / f"{name}.graph"))
+    runs = 0
+    for node in report.nodes.values():
+        fp = fingerprint(node.semigroup)
+        assert fp.to_bytes() == _per_entry_bytes(fp)
+        runs += len(set(fp.det_multiset)) < len(fp.det_multiset)
+    assert runs  # some multiset repeats entries, so runs are encoded
 
 
 def _wide_semigroup():
@@ -391,12 +426,50 @@ def test_differential_chart_targets(name, depth):
     for key in sorted(report.nodes):
         if key in report.frontier or report.nodes[key].smooth:
             continue
-        for subset, target in _chart_targets(report.nodes[key].semigroup, p, True):
+        for subset, cone in vertex_charts(report.nodes[key].semigroup, p):
+            target = AffineSemigroup.from_cone(cone)
             dst, matrix = cert_of[(key, subset)]
             cert = _assert_same_answer(target, report.nodes[dst].semigroup)
             assert cert.matrix == matrix
             checked += 1
     assert checked == len(report.edges)
+
+
+@pytest.mark.parametrize("name, depth", _GATE_SEARCHES)
+def test_cone_lookup_matches_semigroup_lookup(name, depth):
+    """Every pointed chart of every unsmooth node, found by its cone alone.
+
+    The reference saturates the chart and scans every node in filing order
+    with find_isomorphism; the cone lookup must name the same node with the
+    same certificate matrix, which is the edge's for an expanded node, and
+    must miss exactly when the reference does (charts of frontier nodes).
+    """
+    report, p = _search(name, depth)
+    index, nodes = _ClassIndex(), report.nodes
+    for key, node in nodes.items():
+        index.insert(node.semigroup, key)
+    cert_of = {(e.src, e.subset): (e.dst, e.certificate) for e in report.edges}
+    hits = misses = 0
+    for key in sorted(nodes):
+        if nodes[key].smooth:
+            continue
+        for subset, cone in vertex_charts(nodes[key].semigroup, p):
+            target = AffineSemigroup.from_cone(cone)
+            want = next(
+                ((k, c) for k in nodes if (c := find_isomorphism(target, nodes[k].semigroup))),
+                (None, None),
+            )
+            got = index.locate_cone(cone, nodes)
+            assert got[0] == want[0] == index.locate(target, nodes)[0]
+            if want[0] is None:
+                assert key in report.frontier
+                misses += 1
+                continue
+            assert got[1].matrix == want[1].matrix
+            if key not in report.frontier:
+                assert cert_of[(key, subset)] == (got[0], got[1].matrix)
+            hits += 1
+    assert hits >= len(report.edges) and misses
 
 
 _full_dimensional_sources = st.integers(2, 5).flatmap(

@@ -6,7 +6,7 @@ import typing
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricnash import fixtures, search
 from toricnash.cone import Cone, NotPointedError
@@ -406,8 +406,79 @@ def test_save_graph_failure_keeps_previous_file(tmp_path, monkeypatch):
 def test_class_index_annotations_resolve():
     hints = typing.get_type_hints(_ClassIndex.locate)
     assert hints["return"] == tuple[Optional[str], Optional[IsoCertificate]]
+    hints = typing.get_type_hints(_ClassIndex.locate_cone)
+    assert hints["c"] is Cone
+    assert hints["return"] == tuple[Optional[str], Optional[IsoCertificate]]
     hints = typing.get_type_hints(_ClassIndex.insert)
     assert hints == {"s": AffineSemigroup, "key": Optional[str], "return": str}
+
+
+_full_dimensional_cones = st.integers(2, 4).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(*[st.integers(-1, 3)] * d).filter(any), min_size=d, max_size=d + 2),
+    )
+)
+
+
+@given(source=_full_dimensional_cones, data=st.data())
+def test_cone_lookup_finds_a_unimodular_image(source, data):
+    d, gens = source
+    c = Cone(gens, d)
+    assume(c.is_pointed and c.is_full_dimensional)
+    orthant, node = _saturated(identity(d), d), AffineSemigroup.from_cone(c)
+    index = _ClassIndex()
+    keys = [index.insert(s) for s in (orthant, node)]
+    nodes = {k: GraphNode(k, s, 0, False) for k, s in zip(keys, (orthant, node))}
+    want = keys[0] if find_isomorphism(node, orthant) else keys[1]  # the first filed wins
+    u = data.draw(unimodular_matrices(d))
+    moved = Cone([apply_matrix(u, r) for r in c.generators], d)
+    found, cert = index.locate_cone(moved, nodes)
+    assert found == want
+    assert verify_certificate(AffineSemigroup.from_cone(moved), nodes[found].semigroup, cert)
+
+
+def test_cone_lookup_misses_cones_with_equal_keys():
+    # the cyclic quotients 1/5(1,1) and 1/5(1,2): every ray has facet values {0, 5}
+    a, b = Cone(((0, 1), (5, -1)), 2), Cone(((0, 1), (5, -2)), 2)
+    assert search._cone_key(a, search._ray_signatures(a)) == search._cone_key(
+        b, search._ray_signatures(b)
+    )
+    index = _ClassIndex()
+    key = index.insert(AffineSemigroup.from_cone(a))
+    nodes = {key: GraphNode(key, AffineSemigroup.from_cone(a), 0, False)}
+    assert index.buckets[search._cone_key(b, search._ray_signatures(b))] == [key]
+    assert index.locate_cone(b, nodes) == (None, None)
+    assert index.locate(AffineSemigroup.from_cone(b), nodes) == (None, None)
+    assert index.locate_cone(a, nodes)[0] == key
+
+
+def test_a_smooth_node_on_the_frontier_does_not_check_out(tmp_path):
+    cf = fixtures.BUILTIN_CONES["B"]
+    path = tmp_path / "B.graph"
+    save_graph(explore(_saturated(cf.generators, cf.dim), 3, max_depth=1), str(path))
+    report = load_graph(str(path))
+    assert verify_report_nodes(report) is None
+    assert report.nodes["9067582a63d1-0"].smooth
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("frontier 9067582a63d1-0\n")
+    report = load_graph(str(path))
+    assert verify_report_nodes(report) == "9067582a63d1-0"
+    with pytest.raises(ValueError, match="9067582a63d1-0"):
+        explore(report.nodes[report.start_key].semigroup, 3, max_depth=2, state=report)
+
+
+def test_resume_checks_that_every_node_is_saturated():
+    s = AffineSemigroup.from_hilbert_basis(((1, 0), (1, 1), (1, 3)), 2)  # (1, 2) is missing
+
+    def state(normalized):
+        return search.SearchReport(
+            3, normalized, {"a": GraphNode("a", s, 0, False)}, [], [], ["a"], "", "a"
+        )
+
+    with pytest.raises(NotSaturatedError):
+        explore(s, 3, max_depth=1, normalized=True, state=state(True))
+    assert explore(s, 3, max_depth=1, normalized=False, state=state(False)).edges
 
 
 def _explore_summary(s, p, depth):
