@@ -40,6 +40,7 @@ from .semigroup import (
     AffineSemigroup,
     NotFullLatticeError,
     NotSaturatedError,
+    ResourceLimitError,
     saturation_hilbert_basis,
 )
 from .verify import CheckResult, VerificationLedger, run_all_checks
@@ -65,6 +66,7 @@ __all__ = [
     "NotFullLatticeError",
     "NotPointedError",
     "NotSaturatedError",
+    "ResourceLimitError",
     "SearchReport",
     "VerificationLedger",
     "adjugate",

@@ -28,13 +28,13 @@ from .search import (
     explore,
     load_graph,
     save_graph,
-    verify_report_cycles,
     verify_report_nodes,
 )
 from .semigroup import (
     AffineSemigroup,
     NotFullLatticeError,
     NotSaturatedError,
+    ResourceLimitError,
     saturation_hilbert_basis,
 )
 from .verify import run_all_checks, run_lineage_check
@@ -184,7 +184,8 @@ def cmd_search(args) -> int:
         if bad is not None:
             raise CliError(
                 f"{args.load}: node {bad} does not check out: its basis, its smooth flag "
-                "or the chart that reaches it is wrong, or it is smooth and on the frontier",
+                "or the chart or certificate of an edge into it is wrong, or it is smooth "
+                "and on the frontier",
                 EXIT_MATH,
             )
         p = state.characteristic
@@ -211,9 +212,6 @@ def cmd_search(args) -> int:
         )
     except InvalidCharacteristic as exc:
         raise CliError(str(exc))
-    # a loaded file is untrusted: re-derive every reported cycle before claiming it
-    if args.load and not verify_report_cycles(report):
-        raise CliError(f"{args.load}: a cycle certificate does not check out", EXIT_MATH)
     if args.save:
         save_graph(report, args.save)
     _render_report(report, wanted)
@@ -331,6 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotPointedError, NotFullDimensionalError) as exc:
         print(f"toricnash: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except ResourceLimitError as exc:
+        print(f"toricnash: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

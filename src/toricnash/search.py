@@ -30,7 +30,6 @@ from .exactmath import (
     vec,
 )
 from .iso import (
-    IsoCertificate,
     certificate_for_matrix,
     find_isomorphism,
     fingerprint,
@@ -142,14 +141,15 @@ class _ClassIndex:
     their signatures, so it is found by sending the node's base rays to
     chart rays of equal signature, V = images . adj / det, and keeping V
     when it is integral, maps every node ray to a chart ray and has
-    |det V| = 1.  V then maps H(node) onto H(chart), so no saturation is
-    needed: the chart is V . H(node), and find_isomorphism(chart, node)
-    gives the same certificate as before.  locate compares semigroups, for
-    non-normalized search; equivalent semigroups have equivalent cones, so
-    it scans the same bucket.  Either way the first equivalent node in
-    filing order is found.  A node key is the first 12 hex digits of
-    sha256(fingerprint bytes) and the node's index among the nodes with
-    that fingerprint, so only new nodes are fingerprinted.
+    |det V| = 1.  The two cones have one key, so equally many rays, and V
+    maps H(node) onto H(chart): V^{-1}, for the first V in base-ray order,
+    is the certificate, with nothing saturated or searched.  locate compares
+    semigroups with find_isomorphism, for non-normalized search; equivalent
+    semigroups have equivalent cones, so it scans the same bucket.  Either
+    way the first equivalent node in filing order is found.  A node key is
+    the first 12 hex digits of sha256(fingerprint bytes) and the node's
+    index among the nodes with that fingerprint, so only new nodes are
+    fingerprinted.
     """
 
     def __init__(self) -> None:
@@ -159,17 +159,15 @@ class _ClassIndex:
 
     def locate(
         self, s: AffineSemigroup, nodes: dict[str, GraphNode]
-    ) -> tuple[Optional[str], Optional[IsoCertificate]]:
+    ) -> tuple[Optional[str], Optional[Mat]]:
         c = s.cone
         for key in self.buckets.get(_cone_key(c, _ray_signatures(c)), []):
             cert = find_isomorphism(s, nodes[key].semigroup)
             if cert is not None:
-                return key, cert
+                return key, cert.matrix
         return None, None
 
-    def locate_cone(
-        self, c: Cone, nodes: dict[str, GraphNode]
-    ) -> tuple[Optional[str], Optional[IsoCertificate]]:
+    def locate_cone(self, c: Cone) -> tuple[Optional[str], Optional[Mat]]:
         """The node equivalent to the saturation of c, with a certificate onto it.
 
         Every node must be saturated; c must be pointed and full-dimensional.
@@ -185,15 +183,10 @@ class _ClassIndex:
 
         for key in self.buckets.get(_cone_key(c, sig), []):
             entry = self.cones[key]
-            m = first_base_map([by[b] for b in entry.base], entry.det, entry.adj, onto)
-            if m is None:
-                continue
-            node = nodes[key].semigroup
-            h = sorted(mat_apply(m, v) for v in node.hilbert_basis())
-            chart = AffineSemigroup.from_hilbert_basis(h, c.dim, saturated=True, cone=c)
-            cert = find_isomorphism(chart, node)
-            if cert is not None:
-                return key, cert
+            v = first_base_map([by[b] for b in entry.base], entry.det, entry.adj, onto)
+            if v is not None:
+                det, adj = solve(v, identity(c.dim))  # det is +-1, so V^{-1} = det . adj
+                return key, tuple(tuple(det * e for e in col) for col in adj)
         return None, None
 
     def insert(self, s: AffineSemigroup, key: Optional[str] = None) -> str:
@@ -231,14 +224,15 @@ def explore(
     the walk stops after the first whole node that completes some requested
     cycle length; otherwise it runs to exhaustion or to the depth/node
     limits.  A node that the node limit cuts short stays on the frontier
-    with the out-edges it has so far.  Passing a loaded report as `state`
-    resumes its frontier; its characteristic and mode must match, and a
-    frontier node that already has out-edges has them dropped and redone
-    when it is expanded.  A start that is not pointed, not saturated or
-    does not span Z^d raises NotPointedError, NotSaturatedError or
-    NotFullLatticeError, all ValueErrors.  So does a resume state with an
-    unsaturated node in normalized mode, or with a frontier node flagged
-    smooth (NotSaturatedError, ValueError).
+    with the out-edges it has so far.  An edge stores the identity into a
+    new node, else the certificate its _ClassIndex lookup returns.  Passing
+    a loaded report as `state` resumes its frontier; its characteristic and
+    mode must match, and a frontier node that already has out-edges has
+    them dropped and redone when it is expanded.  A start that is not
+    pointed, not saturated or does not span Z^d raises NotPointedError,
+    NotSaturatedError or NotFullLatticeError, all ValueErrors.  So does a
+    resume state with an unsaturated node in normalized mode, or with a
+    frontier node flagged smooth (NotSaturatedError, ValueError).
     """
     wanted = sorted(set(int(k) for k in cycle_lengths))
     if any(k < 1 for k in wanted):
@@ -285,7 +279,7 @@ def explore(
         for subset, cone in vertex_charts(source, p):
             if normalized:
                 target = None  # saturated only if it starts a new node
-                found, cert = index.locate_cone(cone, nodes)
+                found, cert = index.locate_cone(cone)
             else:
                 target = AffineSemigroup(chart_generators(source, subset, p), source.dim, cone=cone)
                 found, cert = index.locate(target, nodes)
@@ -297,10 +291,10 @@ def explore(
                     target = AffineSemigroup.from_cone(cone)
                 found = index.insert(target)
                 nodes[found] = GraphNode(found, target, depth + 1, _node_is_smooth(target))
-                cert = certificate_for_matrix(target, identity(target.dim))
+                cert = identity(target.dim)
                 if not nodes[found].smooth:
                     heapq.heappush(heap, (depth + 1, found))
-            edges.append(GraphEdge(key, found, subset, cert.matrix))
+            edges.append(GraphEdge(key, found, subset, cert))
         if termination == TERMINATION_NODES:
             break
         heapq.heappop(heap)
@@ -405,7 +399,8 @@ def verify_report_cycles(report: SearchReport) -> bool:
 
 
 def verify_report_nodes(report: SearchReport) -> Optional[str]:
-    """The key of the first node, in key order, that does not check out; None if all do.
+    """The first node, in key order, that does not check out, else the target of
+    the first edge, in report order, that does not; None if all check out.
 
     In normalized mode a node is saturated, so its basis must be the
     Hilbert basis of the saturation of its cone.  In both modes its smooth
@@ -414,7 +409,8 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
     a smaller cone), so every node but the start must also be the target
     of a checked edge from a node of lower depth.  By induction on depth,
     every node is then a chart of a chart of ... the start.  A smooth node
-    is a leaf, so one on the frontier does not check out either.
+    is a leaf, so one on the frontier does not check out either.  Then
+    every edge is re-derived from its source and its certificate checked.
     """
     frontier = set(report.frontier)
     parents: dict[str, list[GraphEdge]] = {}
@@ -434,6 +430,9 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
             _edge_checks_out(report, e) for e in parents.get(key, ())
         ):
             return key
+    for e in report.edges:
+        if not _edge_checks_out(report, e):
+            return e.dst
     return None
 
 

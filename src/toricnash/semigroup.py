@@ -38,6 +38,16 @@ class NotSaturatedError(ValueError):
     """Operation requires a saturated semigroup."""
 
 
+class ResourceLimitError(Exception):
+    """A computation would exceed a fixed size limit.  Not a ValueError, which
+    the search reads as a chart or node that is not what it claims."""
+
+
+# the most lattice points one fundamental parallelepiped may hold; the largest
+# index any fixture or corpus cone reaches is 245
+MAX_PARALLELEPIPED_POINTS = 100_000
+
+
 def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Vec:
     """Integer coordinates of v in a saturated lattice basis (exact)."""
     rows = [tuple(b[i] for b in basis) for i in range(len(v))]
@@ -57,13 +67,20 @@ def _parallelepiped_points_fullrank(rays: Sequence[Vec]) -> set[Vec]:
     One point per coset of the ray lattice in Z^d: enumerate a triangular
     transversal from the Hermite form, then shift each representative into
     the half-open box by rounding its rational coordinates down.  A
-    unimodular basis has one coset, so only the origin.
+    unimodular basis has one coset, so only the origin.  There are |det|
+    points; past MAX_PARALLELEPIPED_POINTS this raises ResourceLimitError
+    before any is listed.
     """
     d = len(rays)
     r_mat = mat(rays)
     dval, adj = solve(r_mat, identity(d))
     if abs(dval) == 1:
         return {zero_vec(d)}
+    if abs(dval) > MAX_PARALLELEPIPED_POINTS:
+        raise ResourceLimitError(
+            f"a simplicial piece of index {abs(dval)} has more than "
+            f"{MAX_PARALLELEPIPED_POINTS} parallelepiped points to list"
+        )
     # rows of adj, for the numerators of R^{-1} e; // floors for either sign of dval
     adj_rows = transpose(adj)
     h, _ = hermite_form(r_mat)

@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 try:
@@ -13,6 +14,9 @@ except ImportError:  # not on every platform
 import pytest
 
 from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_USAGE, main
+from toricnash.iso import certificate_for_matrix, find_isomorphism, verify_certificate
+from toricnash.nash import chart
+from toricnash.search import load_graph
 
 from helpers import CORPUS, FORGED_B_NODES, forge_node
 
@@ -30,6 +34,21 @@ def test_hilbert_builtin_b(capsys):
     assert len(lines) == 9
     assert lines[-1] == "1 1 0 1 -1"
     assert lines[0] == "1 0 0 0 0"
+
+
+def test_hilbert_stops_at_the_parallelepiped_budget(tmp_path, capsys):
+    # cone((1, 0), (-1, N)) has index N but a 3-element Hilbert basis
+    small, large = tmp_path / "small.cone", tmp_path / "large.cone"
+    small.write_text("dim 2\n1 0\n-1 20000\n")
+    large.write_text("dim 2\n1 0\n-1 200000\n")
+    code, out, _ = run(capsys, "hilbert", str(small))
+    assert (code, out) == (EXIT_OK, "1 0\n-1 20000\n0 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hilbert", str(large))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.startswith("toricnash: ") and "200000" in err
+    assert err.count("\n") == 1
 
 
 def test_hilbert_identity_cone(capsys):
@@ -169,13 +188,14 @@ def test_search_resumes_a_graph_saved_at_the_node_limit(tmp_path, capsys):
     assert cut.read_bytes() == whole.read_bytes()
 
 
-def _swap_loop_certificate_rows(path):
-    """Swap rows 0 and 1 of the one-step loop edge's certificate, in place."""
+def _swap_certificate_rows(path, pick):
+    """Swap rows 0 and 1 of the certificate of the one edge record that
+    pick(fields) selects, in place."""
     with open(path) as fh:
         records = [line.split() for line in fh.read().splitlines()]
-    loops = [r for r in records if r[0] == "edge" and r[1] == r[2]]
-    assert len(loops) == 1
-    parts = loops[0]
+    picked = [r for r in records if r[0] == "edge" and pick(r)]
+    assert len(picked) == 1
+    parts = picked[0]
     d = int(parts[4])
     rows = [parts[5 + r * d : 5 + (r + 1) * d] for r in range(d)]
     assert rows[0] != rows[1]
@@ -193,11 +213,25 @@ def test_search_load_rejects_forged_cycle_certificate(tmp_path, capsys):
     code, out, _ = run(capsys, "search", "--load", path, "--max-depth", "1")
     assert code == EXIT_OK
     assert out == saved  # an honest file reloads to the same report
-    _swap_loop_certificate_rows(path)
+    _swap_certificate_rows(path, lambda r: r[1] == r[2])  # the one-step loop
     code, out, err = run(capsys, "search", "--load", path, "--max-depth", "1")
     assert code == EXIT_MATH
-    assert "cycle certificate" in err
+    assert "node 89f996bf9b7b-0 does not check out" in err
     assert "found" not in out
+
+
+def test_search_load_rejects_a_forged_edge_off_every_cycle(tmp_path, capsys):
+    # neither a cycle edge nor the only edge that reaches its smooth target
+    path = tmp_path / "B.graph"
+    path.write_text((CORPUS / "B.graph").read_text())
+    _swap_certificate_rows(
+        path, lambda r: r[1:4] == ["89f996bf9b7b-0", "9067582a63d1-0", "2,4,5,7,8"]
+    )
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "2")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node 9067582a63d1-0 does not check out")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -251,7 +285,7 @@ def test_search_load_rejects_cycle_edge_with_vanishing_minor(tmp_path, capsys):
     path.write_text(text.replace(loop, loop.replace(" 0,1,3,4,8 ", " 0,1,2,5,8 ")))
     code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "1")
     assert code == EXIT_MATH
-    assert "cycle certificate" in err
+    assert "node 89f996bf9b7b-0 does not check out" in err
     assert "found" not in out
 
 
@@ -351,6 +385,32 @@ def test_blowup_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
+
+
+def test_a_symmetric_target_keeps_the_cone_map_certificate(tmp_path, capsys):
+    """B at p = 2, depth 3: the target b64fbb8a6e50-0 has cone automorphisms, so
+    the inverse cone map stored on this edge is not find_isomorphism's matrix.
+    Both certify the saturated chart, and stdout is as it was."""
+    path = tmp_path / "B2.graph"
+    code, out, _ = run(
+        capsys, "search", "builtin:B", "--char", "2", "--max-depth", "3", "--save", str(path)
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "fcc3835e49cb"
+    text = path.read_text().rstrip("\n")
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == "d2f85c01e3bd"
+    report = load_graph(str(path))
+    edge = next(
+        e for e in report.edges
+        if (e.src, e.dst, e.subset) == ("2e384b317b6d-0", "b64fbb8a6e50-0", (2, 4, 5, 6, 10))
+    )
+    src, dst = report.nodes[edge.src].semigroup, report.nodes[edge.dst].semigroup
+    h = src.hilbert_basis()
+    target = chart(src, tuple(h[i] for i in edge.subset), 2, True).normalized_chart
+    searched = find_isomorphism(target, dst).matrix
+    assert searched != edge.certificate
+    for m in (edge.certificate, searched):
+        assert verify_certificate(target, dst, certificate_for_matrix(target, m))
 
 
 def test_search_load_rejects_a_smooth_frontier_node(tmp_path, capsys):

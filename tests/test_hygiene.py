@@ -10,7 +10,8 @@ tests/ that is neither in the standard library nor the package or the
 suite's own helpers must be named in the `test` extra of pyproject.toml.
 A private module-level function, class or constant in src/toricnash must
 be read somewhere in src/ outside its own definition.  The benchmark's tracer (bench/tracer.py) wraps package functions by name,
-so every name in its TRACED table must still resolve.
+so every name in its TRACED table must still resolve.  Every EXIT_* code of
+the CLI has a row in the README's exit-code table, and the table has no other.
 """
 
 from __future__ import annotations
@@ -198,3 +199,28 @@ def test_traced_names_resolve(monkeypatch):
     assert "nash.blowup_step" in traced  # the table was read, not an empty stand-in
     assert set(tracer.OBSERVED) <= traced
     assert {num.rsplit(".", 1)[0] for num, _ in tracer.RATIOS.values()} <= traced
+
+
+def exit_codes(source: str) -> dict[str, int]:
+    """The module-level EXIT_* integer constants of source."""
+    out = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant):
+            for t in stmt.targets:
+                if isinstance(t, ast.Name) and t.id.startswith("EXIT_"):
+                    out[t.id] = stmt.value.value
+    return out
+
+
+def documented_exit_codes(readme: str) -> list[int]:
+    """The codes in the first column of the table under the README's "Exit codes" heading."""
+    section = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    return [int(m) for m in re.findall(r"^\|\s*(\d+)\s*\|", section, flags=re.M)]
+
+
+def test_every_exit_code_is_documented():
+    codes = exit_codes(ROOT.joinpath("src", "toricnash", "cli.py").read_text())
+    assert {"EXIT_OK", "EXIT_RESOURCE"} <= set(codes)  # the constants were read
+    documented = documented_exit_codes(ROOT.joinpath("README.md").read_text())
+    assert len(documented) == len(set(documented))
+    assert sorted(documented) == sorted(set(codes.values()))

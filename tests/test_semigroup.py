@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 from toricnash.cone import Cone, NotPointedError, _triangulate_rays
 from toricnash.exactmath import add, dot, is_zero, scale, sub, vec, zero_vec
 from toricnash.semigroup import (
+    MAX_PARALLELEPIPED_POINTS,
     AffineSemigroup,
     NotFullLatticeError,
     NotSaturatedError,
+    ResourceLimitError,
     _parallelepiped_points,
     _parallelepiped_points_fullrank,
     coordinates_in_basis,
@@ -415,3 +417,12 @@ def test_parallelepiped_points_match_brute_force(drawn):
     want = _brute_force_parallelepiped(rays)
     assert len(want) == abs(sympy.Matrix(rays).det())  # one point per coset
     assert _parallelepiped_points_fullrank(rays) == want
+
+
+def test_a_parallelepiped_past_the_budget_is_refused_before_it_is_listed():
+    # the search's ValueError guards (_node_is_smooth, _edge_checks_out) must let it through
+    assert not issubclass(ResourceLimitError, ValueError)
+    n = MAX_PARALLELEPIPED_POINTS
+    assert len(_parallelepiped_points_fullrank(((1, 0), (-1, n)))) == n
+    with pytest.raises(ResourceLimitError, match=str(n + 1)):
+        saturation_hilbert_basis(Cone(((1, 0), (-1, n + 1)), 2))
