@@ -34,24 +34,18 @@ class NotFullDimensionalError(ValueError):
     """Operation requires a cone that spans its ambient space."""
 
 
-def double_description(
-    constraints: Sequence[Vec], dim: int, seed: Optional[Cone] = None
-) -> dict[Vec, int]:
+def double_description(constraints: Sequence[Vec], dim: int) -> dict[Vec, int]:
     """Extreme rays of {x : <c, x> >= 0 for all c}, each with its tight set.
 
     The result maps each primitive extreme ray r to a bitmask over the
     constraints: bit i is set when <constraints[i], r> == 0, i indexing the
     caller's list.  Pre: the constraints span R^dim, so the cone is pointed.
-    There are two start states.  Unseeded, start from the simplicial cone
-    cut out by dim independent constraints (its rays are the sign-fixed
-    adjugate columns, ray j tight on every base constraint but the j-th).
-    Seeded with a pointed, full-dimensional Cone whose extreme rays are
-    among the constraints, start from the dual of that cone: its rays are
-    the seed's facet normals, each tight on the seed rays it vanishes on.
-    Both are exact start states, since the invariant below holds there; then
-    insert the remaining halfspaces one at a time.  Adjacency of rays u, v
-    is the standard combinatorial test: no third ray is tight on every
-    constraint that is tight on both u and v.  Adjacent rays span a 2-face,
+    Start from the simplicial cone cut out by dim independent constraints:
+    its rays are the sign-fixed adjugate columns, ray j tight on every base
+    constraint but the j-th.  The invariant below holds there; then insert
+    the remaining halfspaces one at a time.  Adjacency of rays u, v is the
+    standard combinatorial test: no third ray is tight on every constraint
+    that is tight on both u and v.  Adjacent rays span a 2-face,
     so they share at least dim - 2 tight constraints; pairs sharing fewer
     are skipped before that scan (Fukuda and Prodon 1996).  Each ray carries
     its tight set over the constraints inserted so far.  A fresh ray
@@ -59,19 +53,13 @@ def double_description(
     constraint, exactly: on an earlier constraint both terms are >= 0, so
     their sum vanishes only where both do.
     """
-    if seed is None:
-        base = independent_indices(constraints, dim)
-        rows_as_cols = mat(tuple(zip(*(constraints[i] for i in base))))
-        d0, adj = solve(rows_as_cols, identity(dim))
-        s = 1 if d0 > 0 else -1
-        rays = [primitive(scale(s, col)) for col in adj]
-        everything = sum(1 << i for i in base)
-        tight = {r: everything ^ 1 << i for r, i in zip(rays, base)}
-    else:
-        pos = {c: i for i, c in enumerate(constraints)}
-        base = [pos[g] for g in seed.generators]
-        rays = list(seed.facet_normals)
-        tight = {n: sum(1 << i for i in base if not sum(map(mul, n, constraints[i]))) for n in rays}
+    base = independent_indices(constraints, dim)
+    rows_as_cols = mat(tuple(zip(*(constraints[i] for i in base))))
+    d0, adj = solve(rows_as_cols, identity(dim))
+    s = 1 if d0 > 0 else -1
+    rays = [primitive(scale(s, col)) for col in adj]
+    everything = sum(1 << i for i in base)
+    tight = {r: everything ^ 1 << i for r, i in zip(rays, base)}
     inserted = set(base)
 
     for k in range(len(constraints)):
@@ -128,7 +116,7 @@ def dual_description(vectors: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...],
 
 
 class Cone(object):
-    """Cone(generators, ambient_dim=None, inner=None) -> rational polyhedral cone.
+    """Cone(generators, ambient_dim=None) -> rational polyhedral cone.
 
     Generators are primitivised and deduplicated; when the cone is pointed
     they are further reduced to the extreme rays.  The facet description
@@ -138,13 +126,6 @@ class Cone(object):
     columns, each facet's tight set over the generators, by ray_incidence.
     Cone.from_rays_and_facets builds a cone whose extreme rays and facets
     are already known.
-
-    `inner`, when given, is a pointed, full-dimensional Cone of the same
-    dimension whose extreme rays are among the primitive generators (a
-    blowup chart and its source, say).  The double description then starts
-    from its facets instead of from a simplex; the result is the same, and
-    its tight sets are the columns.  Unseeded, the columns take one dot
-    product per facet and generator.
     """
 
     __slots__ = (
@@ -155,10 +136,7 @@ class Cone(object):
         "lineality_basis",
     )
 
-    def __init__(
-        self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None,
-        inner: Optional[Cone] = None,
-    ):
+    def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None):
         gens = [vec(g) for g in generators]
         if ambient_dim is None:
             if not gens:
@@ -170,17 +148,7 @@ class Cone(object):
         self.dim = ambient_dim
         prim = tuple(sorted({primitive(g) for g in gens if not is_zero(g)}))
 
-        columns = None  # facet tight sets over prim, when the double description gave them
-        if inner is None:
-            lin_dual, normals = dual_description(prim, ambient_dim)
-        else:
-            if not (inner.dim == ambient_dim and inner.is_pointed and inner.is_full_dimensional):
-                raise ValueError("inner must be pointed and full-dimensional in this dimension")
-            if not set(inner.generators) <= set(prim):
-                raise ValueError("the extreme rays of inner must be among the generators")
-            tight = double_description(prim, ambient_dim, inner)
-            lin_dual, normals = (), tuple(sorted(tight))
-            columns = [tight[n] for n in normals]
+        lin_dual, normals = dual_description(prim, ambient_dim)
         self.facet_normals = normals
         self.span_equations = lin_dual  # x in span(cone) iff all these vanish on x
 
@@ -190,9 +158,7 @@ class Cone(object):
         if self.lineality_basis:
             self.generators = prim
         else:
-            if columns is None:
-                columns = _tight_columns(normals, prim)
-            self.generators = _extreme_rays(prim, columns)
+            self.generators = _extreme_rays(prim, _tight_columns(normals, prim))
 
     @classmethod
     def from_rays_and_facets(

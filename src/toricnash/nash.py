@@ -21,9 +21,10 @@ facets by bitmask ANDs, with no Cone built for P.
 vertex_charts is the one path through P.  It sums each live subset from two
 tables of partial sums of H, one per half of the subset's bitmask, keeps
 the distinct sums, and returns (subset, cone) for the subsets at vertices
-only.  A normalized chart is cone intersect Z^d, so its class is its cone's
-class: a search needs nothing else from a step.  blowup_step wraps the same
-cones, with every other live subset, in BlowupCharts.
+only, kept on the semigroup.  A normalized chart is cone intersect Z^d, so
+its class is its cone's class: a search needs nothing else from a step.
+blowup_step wraps the same cones, with every other live subset, in
+BlowupCharts, and the lone chart() reads its one chart from them.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ class BlowupChart:
     """One chart, held as positions in the source's sorted Hilbert basis.
 
     g_sets, generators and chart_semigroup are computed on first use.  A
-    chart cone given by the step, the tangent cone of the Newton polyhedron
-    at v_A, marks the chart pointed and is shared by chart_semigroup;
-    without it chart_semigroup's Cone is a double description of the
-    generators seeded with the source cone.
+    pointed chart's cone, the tangent cone of the Newton polyhedron at v_A,
+    is shared by chart_semigroup; a non-pointed chart has cone None.
     """
 
     def __init__(
@@ -56,7 +55,7 @@ class BlowupChart:
         self.characteristic = step.p
         self._members = members  # subset positions, increasing
         self.det_value = det_value  # det_p of the subset matrix
-        self._cone = cone
+        self.cone = cone
         self.pointed = cone is not None
         self.normalized_chart: Optional[AffineSemigroup] = None
 
@@ -82,11 +81,7 @@ class BlowupChart:
 
     @cached_property
     def chart_semigroup(self) -> AffineSemigroup:
-        dim, gens = self.source.dim, self.generators
-        cone = self._cone
-        if cone is None:
-            cone = Cone(gens, dim, inner=self.source.cone)
-        return AffineSemigroup(gens, dim, cone=cone)
+        return AffineSemigroup(self.generators, self.source.dim, cone=self.cone)
 
 
 def _differences(h: Sequence[Vec], i: int, js: Sequence[int]) -> tuple[Vec, ...]:
@@ -229,13 +224,18 @@ def chart(
     p: int,
     normalize: bool = True,
 ) -> BlowupChart:
-    """The blowup chart of s at the given Hilbert subset."""
+    """The blowup chart of s at the given Hilbert subset; ValueError if its minor vanishes.
+
+    The chart is pointed exactly when the subset sums to a vertex of the
+    Newton polyhedron.  Its verdict and cone are read from vertex_charts, so
+    all charts of one source share one double description; normalizing
+    saturates that cone.
+    """
     members = _members(s, subset)
     step = _Step(s, p)
-    ch = BlowupChart(step, members, step.det(members))
-    ch.pointed = ch.chart_semigroup.cone.is_pointed
+    ch = BlowupChart(step, members, step.det(members), dict(vertex_charts(s, p)).get(members))
     if ch.pointed and normalize:
-        ch.normalized_chart = ch.chart_semigroup.saturate()
+        ch.normalized_chart = AffineSemigroup.from_cone(ch.cone)
     return ch
 
 
@@ -269,20 +269,25 @@ def _live_sums(h: Sequence[Vec], masks: Sequence[int]) -> dict[Vec, int]:
     return sums
 
 
-def vertex_charts(s: AffineSemigroup, p: int) -> list[tuple[tuple[int, ...], Cone]]:
+def vertex_charts(s: AffineSemigroup, p: int) -> tuple[tuple[tuple[int, ...], Cone], ...]:
     """(subset positions, chart cone) for every pointed chart, in lexicographic subset order.
 
     The pointed charts are the live subsets whose sum is a vertex of the
     Newton polyhedron; one double description settles them all, and no
-    BlowupChart, generator or saturation is formed.  A vertex v is the sum
-    of exactly one live subset: if B != B' both summed to v, the symmetric
-    exchange axiom would give b in B - B' and b' in B' - B with B - b + b'
-    and B' - b' + b live, whose sums v + b' - b and v + b - b' average to v.
+    BlowupChart, generator or saturation is formed.  The result is kept on
+    s, keyed by p.  A vertex v is the sum of exactly one live subset: if
+    B != B' both summed to v, the symmetric exchange axiom would give b in
+    B - B' and b' in B' - B with B - b + b' and B' - b' + b live, whose sums
+    v + b' - b and v + b - b' average to v.
     """
-    step = _Step(s, p)
-    sums = _live_sums(step.h, step.live())
-    cones = _tangent_cones(sorted(sums), s.cone)
-    return sorted(((_positions(sums[v]), cone) for v, cone in cones.items()), key=lambda c: c[0])
+    kept = s._vertex_charts = s._vertex_charts or {}
+    if p not in kept:
+        step = _Step(s, p)
+        sums = _live_sums(step.h, step.live())
+        cones = _tangent_cones(sorted(sums), s.cone)
+        pairs = ((_positions(sums[v]), cone) for v, cone in cones.items())
+        kept[p] = tuple(sorted(pairs, key=lambda c: c[0]))
+    return kept[p]
 
 
 def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[BlowupChart, ...]:
@@ -302,5 +307,5 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
     charts = tuple(BlowupChart(step, m, step.det(m), cones.get(m)) for m in subsets)
     for ch in charts:
         if ch.pointed and normalized:
-            ch.normalized_chart = AffineSemigroup.from_cone(ch._cone)
+            ch.normalized_chart = AffineSemigroup.from_cone(ch.cone)
     return charts

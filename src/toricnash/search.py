@@ -10,6 +10,7 @@ chart at depth k from some node isomorphic to that node.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import os
@@ -99,6 +100,13 @@ def _node_is_smooth(s: AffineSemigroup) -> bool:
     try:
         return s.is_smooth()
     except ValueError:
+        return False
+
+
+def _node_is_saturated(s: AffineSemigroup) -> bool:
+    try:
+        return s.is_saturated()
+    except ValueError:  # a cone with a line has no Hilbert basis
         return False
 
 
@@ -370,18 +378,34 @@ def find_cycles(
 
 
 def _edge_checks_out(report: SearchReport, e: GraphEdge) -> bool:
-    """Re-derive the edge's chart from its source and check its certificate onto its target."""
-    src = report.nodes[e.src].semigroup
+    """Re-derive the edge's chart from its source and check its certificate onto its target.
+
+    In normalized mode nothing is saturated.  A normalized chart is its cone
+    intersect Z^d, and so is a saturated target, so M maps the one onto the
+    other (verify_certificate's verdict) exactly when M is square and
+    unimodular, the target is saturated (a cached check) and M maps the
+    chart's primitive extreme rays onto the target's, as in locate_cone.
+    """
+    src, dst = report.nodes[e.src].semigroup, report.nodes[e.dst].semigroup
     h = src.hilbert_basis()
     try:
-        ch = chart(src, tuple(h[i] for i in e.subset), report.characteristic, report.normalized)
+        ch = chart(src, tuple(h[i] for i in e.subset), report.characteristic, normalize=False)
     except ValueError:  # a vanishing minor, or a source that is no blowup source
         return False
     if not ch.pointed:
         return False
-    target = ch.normalized_chart if report.normalized else ch.chart_semigroup
-    cert = certificate_for_matrix(target, e.certificate)
-    return verify_certificate(target, report.nodes[e.dst].semigroup, cert)
+    m = e.certificate
+    if not report.normalized:
+        target = ch.chart_semigroup
+        return verify_certificate(target, dst, certificate_for_matrix(target, m))
+    d = src.dim
+    return (
+        len(m) == d
+        and all(len(col) == d for col in m)
+        and is_unimodular(m)
+        and _node_is_saturated(dst)
+        and sorted(mat_apply(m, r) for r in ch.cone.generators) == list(dst.cone.generators)
+    )
 
 
 def verify_report_cycles(report: SearchReport) -> bool:
@@ -413,25 +437,22 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
     every edge is re-derived from its source and its certificate checked.
     """
     frontier = set(report.frontier)
-    parents: dict[str, list[GraphEdge]] = {}
-    for e in report.edges:
+    # one verdict per edge: the edge pass does not check a parent edge again
+    checks_out = functools.cache(lambda i: _edge_checks_out(report, report.edges[i]))
+    parents: dict[str, list[int]] = {}
+    for i, e in enumerate(report.edges):
         if report.nodes[e.src].depth < report.nodes[e.dst].depth:
-            parents.setdefault(e.dst, []).append(e)
+            parents.setdefault(e.dst, []).append(i)
     for key in sorted(report.nodes):
         node = report.nodes[key]
-        try:
-            if report.normalized and not node.semigroup.is_saturated():
-                return key
-        except ValueError:  # a cone with a line has no Hilbert basis
+        if report.normalized and not _node_is_saturated(node.semigroup):
             return key
         if _node_is_smooth(node.semigroup) != node.smooth or (node.smooth and key in frontier):
             return key
-        if key != report.start_key and not any(
-            _edge_checks_out(report, e) for e in parents.get(key, ())
-        ):
+        if key != report.start_key and not any(map(checks_out, parents.get(key, ()))):
             return key
-    for e in report.edges:
-        if not _edge_checks_out(report, e):
+    for i, e in enumerate(report.edges):
+        if not checks_out(i):
             return e.dst
     return None
 

@@ -189,7 +189,7 @@ class AffineSemigroup(object):
 
     __slots__ = (
         "dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_minors",
-        "_fingerprint", "_signatures",
+        "_fingerprint", "_signatures", "_vertex_charts",
     )
 
     def __init__(
@@ -211,9 +211,11 @@ class AffineSemigroup(object):
         self._saturated: Optional[bool] = None
         self._full: Optional[bool] = None
         self._minors: Optional[dict[int, int]] = None
-        # filled on first use by iso.fingerprint and iso.signatures
+        # filled on first use by iso.fingerprint, iso.signatures and
+        # nash.vertex_charts (a dict keyed by characteristic)
         self._fingerprint = None
         self._signatures = None
+        self._vertex_charts = None
 
     @classmethod
     def from_hilbert_basis(

@@ -188,22 +188,31 @@ def test_search_resumes_a_graph_saved_at_the_node_limit(tmp_path, capsys):
     assert cut.read_bytes() == whole.read_bytes()
 
 
-def _swap_certificate_rows(path, pick):
-    """Swap rows 0 and 1 of the certificate of the one edge record that
-    pick(fields) selects, in place."""
+def _forge_certificate(path, pick, forge):
+    """Rewrite the certificate of the one edge record that pick(fields)
+    selects, in place, by forge(list of rows of int entries)."""
     with open(path) as fh:
         records = [line.split() for line in fh.read().splitlines()]
     picked = [r for r in records if r[0] == "edge" and pick(r)]
     assert len(picked) == 1
     parts = picked[0]
     d = int(parts[4])
-    rows = [parts[5 + r * d : 5 + (r + 1) * d] for r in range(d)]
-    assert rows[0] != rows[1]
-    rows[0], rows[1] = rows[1], rows[0]
-    parts[5:] = [x for row in rows for x in row]
+    rows = [[int(x) for x in parts[5 + r * d : 5 + (r + 1) * d]] for r in range(d)]
+    forge(rows)
+    parts[5:] = [str(x) for row in rows for x in row]
     lines = [" ".join(r) for r in records]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _swap_rows(rows):
+    assert rows[0] != rows[1]
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+def _double_first_column(rows):
+    for row in rows:
+        row[0] *= 2
 
 
 def test_search_load_rejects_forged_cycle_certificate(tmp_path, capsys):
@@ -213,7 +222,7 @@ def test_search_load_rejects_forged_cycle_certificate(tmp_path, capsys):
     code, out, _ = run(capsys, "search", "--load", path, "--max-depth", "1")
     assert code == EXIT_OK
     assert out == saved  # an honest file reloads to the same report
-    _swap_certificate_rows(path, lambda r: r[1] == r[2])  # the one-step loop
+    _forge_certificate(path, lambda r: r[1] == r[2], _swap_rows)  # the one-step loop
     code, out, err = run(capsys, "search", "--load", path, "--max-depth", "1")
     assert code == EXIT_MATH
     assert "node 89f996bf9b7b-0 does not check out" in err
@@ -224,14 +233,42 @@ def test_search_load_rejects_a_forged_edge_off_every_cycle(tmp_path, capsys):
     # neither a cycle edge nor the only edge that reaches its smooth target
     path = tmp_path / "B.graph"
     path.write_text((CORPUS / "B.graph").read_text())
-    _swap_certificate_rows(
-        path, lambda r: r[1:4] == ["89f996bf9b7b-0", "9067582a63d1-0", "2,4,5,7,8"]
+    _forge_certificate(
+        path, lambda r: r[1:4] == ["89f996bf9b7b-0", "9067582a63d1-0", "2,4,5,7,8"], _swap_rows
     )
     code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "2")
     assert code == EXIT_MATH
     assert out == ""
     assert err.startswith(f"toricnash: {path}: node 9067582a63d1-0 does not check out")
     assert err.count("\n") == 1
+
+
+def test_search_load_rejects_a_certificate_with_a_doubled_column(tmp_path, capsys):
+    # the doubled column makes the certificate's determinant 2
+    path = tmp_path / "B.graph"
+    path.write_text((CORPUS / "B.graph").read_text())
+    _forge_certificate(
+        path,
+        lambda r: r[1:4] == ["89f996bf9b7b-0", "9067582a63d1-0", "2,4,5,7,8"],
+        _double_first_column,
+    )
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "2")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node 9067582a63d1-0 does not check out")
+
+
+def test_search_load_rejects_a_loop_whose_certificate_is_not_unimodular(tmp_path, capsys):
+    # The A1 singularity cone((1, 0), (1, 2)) has Hilbert basis (1, 0), (1, 1),
+    # (1, 2).  Its chart at the first two is the smooth cone((0, 1), (1, 0)),
+    # and M = [[1, 1], [0, 2]] maps that chart's rays onto the node's rays:
+    # only |det M| = 2 tells this claimed one-step loop from a true one.
+    path = tmp_path / "g.txt"
+    path.write_text("meta 0 1 exhausted a\nnode a 0 0 2 3 1 0 1 1 1 2\nedge a a 0,1 2 1 1 0 2\n")
+    code, out, err = run(capsys, "search", "--load", str(path))
+    assert code == EXIT_MATH
+    assert "found" not in out
+    assert err.startswith(f"toricnash: {path}: node a does not check out")
 
 
 @pytest.mark.parametrize(

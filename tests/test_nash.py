@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from toricnash import fixtures
 from toricnash.cone import NotPointedError
 from toricnash.exactmath import InvalidCharacteristic, det_p, mat, sub, vec
-from toricnash.nash import blowup_step, chart, g_set
+from toricnash.nash import blowup_step, chart, chart_generators, g_set
 from toricnash.search import explore
 from toricnash.semigroup import AffineSemigroup, NotFullLatticeError, saturation_hilbert_basis
 from toricnash.cone import Cone
@@ -301,13 +301,12 @@ def test_blowup_step_commutes_with_unimodular_maps(s, p, data):
 
 
 def _assert_seeded_cones_match(s, p):
-    """Every chart's Cone, seeded by the source cone, equals the unseeded one."""
+    """Every chart semigroup's Cone, read off the Newton polyhedron for a
+    pointed chart, equals a plain Cone of the chart's generators."""
     charts = blowup_step(s, p)
     assert any(not ch.pointed for ch in charts)
     for ch in charts:
-        plain = Cone(ch.generators, s.dim)
-        for seeded in (Cone(ch.generators, s.dim, inner=s.cone), ch.chart_semigroup.cone):
-            _assert_same_cone(seeded, plain)
+        _assert_same_cone(ch.chart_semigroup.cone, Cone(ch.generators, s.dim))
 
 
 @pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
@@ -376,6 +375,39 @@ def _pointed_sources(draw):
 def test_newton_verdicts_match_reference_on_drawn_sources(source, p):
     s, saturated = source
     _assert_newton_verdicts(s, p, normalized=saturated)
+
+
+# Differential gate for the lone chart(), which reads its verdict and a
+# pointed chart's cone from the source's cached vertex_charts: at every live
+# subset, not only at vertices, against a plain Cone of the chart's generators.
+def _assert_lone_charts_match_plain_cones(s, p):
+    h = s.hilbert_basis()
+    for members in itertools.combinations(range(len(h)), s.dim):
+        subset = [h[i] for i in members]
+        if not det_p(mat(subset), p):
+            continue
+        ch = chart(s, subset, p)
+        ref = Cone(chart_generators(s, members, p), s.dim)
+        assert ch.pointed == ref.is_pointed
+        if ch.pointed:
+            _assert_same_cone(ch.cone, ref)
+            assert ch.normalized_chart.hilbert_basis() == saturation_hilbert_basis(ref)
+        else:
+            assert ch.cone is None and ch.normalized_chart is None
+
+
+@pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
+def test_lone_charts_match_plain_cones_on_fixtures(name):
+    cf = fixtures.BUILTIN_CONES[name]
+    s = AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
+    for p in (0, 2, 3, 5, 7):  # one semigroup for all p: what it keeps is kept per p
+        _assert_lone_charts_match_plain_cones(s, p)
+
+
+@settings(max_examples=60)
+@given(_pointed_sources(), st.sampled_from((0, 2, 3, 5)))
+def test_lone_charts_match_plain_cones_on_drawn_sources(source, p):
+    _assert_lone_charts_match_plain_cones(source[0], p)
 
 
 def _saturated(gens, dim):

@@ -8,7 +8,8 @@ from typing import Optional
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricnash import fixtures, search
+import toricnash.cone as cone_module
+from toricnash import fixtures, nash, search, semigroup
 from toricnash.cone import Cone, NotPointedError
 from toricnash.exactmath import Mat, identity
 from toricnash.iso import certificate_for_matrix, find_isomorphism, fingerprint, verify_certificate
@@ -580,3 +581,97 @@ def test_verify_report_nodes_needs_a_parent_edge_below_each_node():
     assert verify_report_nodes(report) == "b"  # true, smooth, and reached by no edge
     nodes["a"].depth = 2  # the start may sit anywhere; b still has no edge from below
     assert verify_report_nodes(report) == "b"
+
+
+def _counting(calls, name, f):
+    def counted(*args):
+        calls[name] += 1
+        return f(*args)
+
+    return counted
+
+
+def test_rederiving_every_edge_takes_one_double_description_per_source(monkeypatch):
+    report = load_graph(str(CORPUS / "dim4char3.graph"))
+    assert report.normalized
+    for node in report.nodes.values():
+        assert node.semigroup.is_saturated()  # builds every node's cone, as the node checks do
+    calls = {"dd": 0, "saturation": 0}
+    for module in (cone_module, nash):  # Cone() reaches it through dual_description
+        monkeypatch.setattr(
+            module, "double_description", _counting(calls, "dd", module.double_description)
+        )
+    monkeypatch.setattr(
+        semigroup,
+        "saturation_hilbert_basis",
+        _counting(calls, "saturation", semigroup.saturation_hilbert_basis),
+    )
+    assert all(search._edge_checks_out(report, e) for e in report.edges)
+    assert calls == {"dd": len({e.src for e in report.edges}), "saturation": 0}
+
+
+def test_verify_report_nodes_checks_each_edge_once(monkeypatch):
+    report = load_graph(str(CORPUS / "B.graph"))
+    calls = {"edge": 0}
+    monkeypatch.setattr(
+        search, "_edge_checks_out", _counting(calls, "edge", search._edge_checks_out)
+    )
+    assert verify_report_nodes(report) is None
+    assert calls["edge"] == len(report.edges)
+
+
+def _forged_certificates(m):
+    """The certificate, two columns swapped, one entry moved, one column doubled."""
+    cols = [list(c) for c in m]
+    swapped = [cols[1], cols[0]] + cols[2:]
+    moved = [[x + (i == j == 0) for i, x in enumerate(c)] for j, c in enumerate(cols)]
+    doubled = [[2 * x for x in cols[0]]] + cols[1:]
+    return [m] + [tuple(map(tuple, f)) for f in (swapped, moved, doubled)]
+
+
+@pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
+def test_edge_check_matches_the_hilbert_basis_check(name):
+    # the ray match on the target's cone against verify_certificate on the
+    # saturation of a plain Cone of the chart's generators
+    report = load_graph(str(CORPUS / f"{name}.graph"))
+    p = report.characteristic
+    verdicts = []
+    for e in report.edges:
+        src, dst = report.nodes[e.src].semigroup, report.nodes[e.dst].semigroup
+        target = AffineSemigroup.from_cone(Cone(nash.chart_generators(src, e.subset, p), src.dim))
+        for m in _forged_certificates(e.certificate):
+            want = verify_certificate(target, dst, certificate_for_matrix(target, m))
+            assert search._edge_checks_out(report, GraphEdge(e.src, e.dst, e.subset, m)) == want
+            verdicts.append(want)
+    assert verdicts.count(True) >= len(report.edges)  # the stored certificates, at least
+
+
+def test_a_cycle_target_short_of_an_inner_hilbert_element_does_not_check_out():
+    # dim4char3's two-cycle runs 9390d412551c-0 -> f9064a538e52-0 -> back.  The
+    # dropped element lies on no extreme ray, so the target's cone, and with it the
+    # ray match of every edge into it, is unchanged: only its saturation check fails.
+    report = load_graph(str(CORPUS / "dim4char3.graph"))
+    assert [c.node_keys for c in report.cycles] == [("9390d412551c-0", "f9064a538e52-0")]
+    assert verify_report_cycles(report)
+    node = report.nodes["f9064a538e52-0"]
+    s, dropped = node.semigroup, (1, 2, 2, 0)
+    assert dropped in s.hilbert_basis() and dropped not in s.cone.generators
+    thin = AffineSemigroup.from_hilbert_basis([g for g in s.hilbert_basis() if g != dropped], 4)
+    assert thin.cone == s.cone
+    report.nodes[node.key] = GraphNode(node.key, thin, node.depth, node.smooth)
+    assert not verify_report_cycles(report)
+
+
+def test_a_loop_whose_certificate_is_not_unimodular_does_not_check_out():
+    # the chart of the A1 singularity at (1, 0), (1, 1) is smooth, and
+    # M = [[1, 1], [0, 2]] maps its rays (0, 1), (1, 0) onto the node's rays
+    a1 = _saturated(((1, 0), (1, 2)), 2)
+    m = ((1, 0), (1, 2))  # columns
+    nodes = {"a": GraphNode("a", a1, 0, False)}
+    edges = [GraphEdge("a", "a", (0, 1), m)]
+    cycles = find_cycles(nodes, edges, (1,))
+    report = search.SearchReport(0, True, nodes, edges, cycles, [], "", "a")
+    assert [c.length for c in report.cycles] == [1]
+    assert nash.chart(a1, a1.hilbert_basis()[:2], 0).cone.generators == ((0, 1), (1, 0))
+    assert not verify_report_cycles(report)
+    assert verify_report_nodes(report) == "a"
