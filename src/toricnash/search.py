@@ -388,6 +388,8 @@ def _edge_checks_out(report: SearchReport, e: GraphEdge) -> bool:
     """
     src, dst = report.nodes[e.src].semigroup, report.nodes[e.dst].semigroup
     h = src.hilbert_basis()
+    if not all(0 <= i < len(h) for i in e.subset):  # a report built in memory, unchecked
+        return False
     try:
         ch = chart(src, tuple(h[i] for i in e.subset), report.characteristic, normalize=False)
     except ValueError:  # a vanishing minor, or a source that is no blowup source

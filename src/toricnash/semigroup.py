@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from operator import le
+from operator import mul
 from typing import Optional, Sequence
 
 from .cone import Cone, NotPointedError, _triangulate_rays
@@ -12,7 +11,6 @@ from .exactmath import (
     DimensionMismatch,
     det,
     dot,
-    hermite_form,
     identity,
     independent_indices,
     is_zero,
@@ -23,8 +21,6 @@ from .exactmath import (
     orthogonal_complement,
     solve,
     solve_integral,
-    sub,
-    transpose,
     vec,
     zero_vec,
 )
@@ -64,32 +60,32 @@ def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Vec:
 def _parallelepiped_points_fullrank(rays: Sequence[Vec]) -> set[Vec]:
     """Lattice points of {sum t_i r_i : 0 <= t_i < 1}, rays a basis of Q^d.
 
-    One point per coset of the ray lattice in Z^d: enumerate a triangular
-    transversal from the Hermite form, then shift each representative into
-    the half-open box by rounding its rational coordinates down.  A
-    unimodular basis has one coset, so only the origin.  There are |det|
-    points; past MAX_PARALLELEPIPED_POINTS this raises ResourceLimitError
-    before any is listed.
+    One point R k / n per coset of R Z^d in Z^d, n = |det R|, where
+    k = n frac(R^-1 x) names the coset of x.  The k form the group that the
+    adjugate's columns generate mod n (det's sign is immaterial): from {0},
+    add each column's multiples until one falls back into the group so far.
+    No Hermite form.  Past MAX_PARALLELEPIPED_POINTS this raises
+    ResourceLimitError before any point is listed.
     """
     d = len(rays)
-    r_mat = mat(rays)
-    dval, adj = solve(r_mat, identity(d))
-    if abs(dval) == 1:
+    dval, adj = solve(mat(rays), identity(d))
+    n = abs(dval)
+    if n == 1:
         return {zero_vec(d)}
-    if abs(dval) > MAX_PARALLELEPIPED_POINTS:
+    if n > MAX_PARALLELEPIPED_POINTS:
         raise ResourceLimitError(
-            f"a simplicial piece of index {abs(dval)} has more than "
+            f"a simplicial piece of index {n} has more than "
             f"{MAX_PARALLELEPIPED_POINTS} parallelepiped points to list"
         )
-    # rows of adj, for the numerators of R^{-1} e; // floors for either sign of dval
-    adj_rows = transpose(adj)
-    h, _ = hermite_form(r_mat)
-    diag = [h[j][j] for j in range(d)]
-    points: set[Vec] = set()
-    for rep in itertools.product(*(range(e) for e in diag)):
-        floors = vec(dot(row, rep) // dval for row in adj_rows)
-        points.add(sub(vec(rep), mat_apply(r_mat, floors)))
-    return points
+    group = {zero_vec(d)}
+    for col in adj:
+        base = tuple(group)
+        shift = step = tuple([a % n for a in col])
+        while shift not in group:
+            group.update(tuple([(a + b) % n for a, b in zip(k, shift)]) for k in base)
+            shift = tuple([(a + b) % n for a, b in zip(shift, step)])
+    rows = tuple(zip(*rays))
+    return {tuple([sum(map(mul, row, k)) // n for row in rows]) for k in group}
 
 
 def _parallelepiped_points(rays: Sequence[Vec], dim: int) -> set[Vec]:
@@ -120,6 +116,12 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     element h != x, and such an h has lower degree: the grading sums the
     facet normals, and equal facet values force h == x.  So testing each
     candidate, by degree, against the elements kept so far is exact.
+
+    Facet values are packed into one int, sum_i x_i P_i with P_i packing
+    column i of the normals, in fields of `width` bits.  No candidate's
+    value reaches a field's top (guard) bit: it is at most one facet's sum
+    over the extreme rays.  With x's guards set, subtracting h borrows
+    across no field, so h <= x on every facet iff every guard survives.
     """
     if not c.is_pointed:
         raise NotPointedError("Hilbert basis of a non-pointed cone")
@@ -131,13 +133,19 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
         cands |= _parallelepiped_points(piece, c.dim)
     cands.discard(zero_vec(c.dim))
     grading = c.positive_grading()
+    width = max(sum(dot(n, r) for r in rays) for n in c.facet_normals).bit_length() + 1
+    guards = sum(1 << (width * f + width - 1) for f in range(len(c.facet_normals)))
+    packs = [sum(n[i] << (width * f) for f, n in enumerate(c.facet_normals)) for i in range(c.dim)]
     kept: list[Vec] = []
-    kept_values: list[list[int]] = []
-    for x in sorted(cands, key=lambda v: (dot(grading, v), v)):
-        values = [dot(n, x) for n in c.facet_normals]
-        if not any(all(map(le, hv, values)) for hv in kept_values):
+    kept_packed: list[int] = []
+    for x in sorted(cands, key=lambda v: (sum(map(mul, grading, v)), v)):
+        px = sum(map(mul, x, packs)) | guards
+        for ph in kept_packed:
+            if (px - ph) & guards == guards:
+                break
+        else:
             kept.append(x)
-            kept_values.append(values)
+            kept_packed.append(px ^ guards)
     return tuple(sorted(kept))
 
 

@@ -309,6 +309,20 @@ def test_search_load_rejects_forged_node(tmp_path, capsys, key, forge):
     assert err.count("\n") == 1
 
 
+def test_search_load_rejects_an_extra_edge_whose_subset_is_no_vertex(tmp_path, capsys):
+    # the subset 0,1,2,3,8 of the start's Hilbert basis is live, but its chart is not pointed
+    path = tmp_path / "B.graph"
+    path.write_text(
+        (CORPUS / "B.graph").read_text()
+        + "edge 89f996bf9b7b-0 3e7d67a0eb7a-0 0,1,2,3,8 5 1 0 0 0 0 0 1 0 0 0 0 0 1 0 0 0 0 0 1 0 0 0 0 0 1\n"
+    )
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "1")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node 3e7d67a0eb7a-0 does not check out")
+    assert err.count("\n") == 1
+
+
 def test_search_load_rejects_cycle_edge_with_vanishing_minor(tmp_path, capsys):
     path = tmp_path / "g.txt"
     code, _, _ = run(capsys, "search", "builtin:B", "--max-depth", "1", "--save", str(path))

@@ -662,6 +662,21 @@ def test_a_cycle_target_short_of_an_inner_hilbert_element_does_not_check_out():
     assert not verify_report_cycles(report)
 
 
+def test_an_edge_subset_past_the_source_basis_does_not_check_out():
+    # B's start 89f996bf9b7b-0 is its own one-cycle, and its edges take subsets of
+    # its 9 Hilbert elements up to index 8.  Dropping an inner element in memory
+    # leaves 8, so index 8 points past the basis: that edge must read as failed.
+    report = load_graph(str(CORPUS / "B.graph"))
+    node = report.nodes["89f996bf9b7b-0"]
+    s, dropped = node.semigroup, (1, 1, 0, 1, -1)
+    assert dropped in s.hilbert_basis() and dropped not in s.cone.generators
+    thin = AffineSemigroup.from_hilbert_basis([g for g in s.hilbert_basis() if g != dropped], 5)
+    report.nodes[node.key] = GraphNode(node.key, thin, node.depth, node.smooth)
+    assert any(8 in e.subset for e in report.edges if e.src == node.key)
+    assert not verify_report_cycles(report)
+    assert verify_report_nodes(report) is not None
+
+
 def test_a_loop_whose_certificate_is_not_unimodular_does_not_check_out():
     # the chart of the A1 singularity at (1, 0), (1, 1) is smooth, and
     # M = [[1, 1], [0, 2]] maps its rays (0, 1), (1, 0) onto the node's rays

@@ -426,3 +426,40 @@ def test_a_parallelepiped_past_the_budget_is_refused_before_it_is_listed():
     assert len(_parallelepiped_points_fullrank(((1, 0), (-1, n)))) == n
     with pytest.raises(ResourceLimitError, match=str(n + 1)):
         saturation_hilbert_basis(Cone(((1, 0), (-1, n + 1)), 2))
+
+
+def _coset_order(rays, x):
+    """The least m >= 1 with m x in the lattice the rays span."""
+    inv = sympy.Matrix([list(r) for r in rays]).T.inv()
+    coords = inv * sympy.Matrix(list(x))
+    return int(sympy.ilcm(*(sympy.Rational(c).q for c in coords)))
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        ((2, 0, 0), (0, 2, 0), (0, 0, 1)),  # Z/2 x Z/2
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)),  # (Z/2)^3
+        ((2, 2, 0), (0, 2, 2), (2, 0, 2)),  # Z/2 x Z/2 x Z/4
+        ((2, 2, 0, 1), (0, 2, 2, 0), (2, 0, 2, -1), (1, -1, 0, 3)),  # Z/2 x Z/28
+    ],
+)
+def test_a_coset_group_with_several_generators_gives_every_point(rays):
+    n = abs(int(sympy.Matrix([list(r) for r in rays]).det()))
+    got = _parallelepiped_points_fullrank(rays)
+    assert len(got) == n
+    assert got == _brute_force_parallelepiped(rays)
+    # no coset has order n, so no single adjugate column generates the group
+    assert max(_coset_order(rays, x) for x in got) < n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [2**k + e for k in (4, 10, 16) for e in (-1, 0, 1)] + [MAX_PARALLELEPIPED_POINTS],
+)
+def test_facet_values_at_the_edge_of_a_packed_field(n):
+    # each facet's values on the two rays are 0 and n, so a packed field holds
+    # n.bit_length() bits and a guard: all ones at 2^k - 1, one bit at 2^k
+    cone = Cone(((1, 0), (-1, n)), 2)
+    assert [sum(dot(f, r) for r in cone.generators) for f in cone.facet_normals] == [n, n]
+    assert saturation_hilbert_basis(cone) == ((-1, n), (0, 1), (1, 0))
