@@ -20,7 +20,6 @@ from .exactmath import (
     primitive,
     scale,
     solve,
-    sub,
     vec,
     zero_vec,
 )
@@ -52,6 +51,12 @@ def double_description(constraints: Sequence[Vec], dim: int) -> dict[Vec, int]:
     vals[u] * v - vals[v] * u inherits tight[u] & tight[v] plus the new
     constraint, exactly: on an earlier constraint both terms are >= 0, so
     their sum vanishes only where both do.
+
+    The loop works on positions: rays, their tight sets and their values on
+    the constraint being inserted are parallel lists, the plus, zero and
+    minus rays are lists of positions, and the adjacency scan compares
+    positions, never vectors.  Rays are distinct, so comparing positions
+    is comparing rays.
     """
     base = independent_indices(constraints, dim)
     rows_as_cols = mat(tuple(zip(*(constraints[i] for i in base))))
@@ -59,36 +64,47 @@ def double_description(constraints: Sequence[Vec], dim: int) -> dict[Vec, int]:
     s = 1 if d0 > 0 else -1
     rays = [primitive(scale(s, col)) for col in adj]
     everything = sum(1 << i for i in base)
-    tight = {r: everything ^ 1 << i for r, i in zip(rays, base)}
+    tights = [everything ^ 1 << i for i in base]
     inserted = set(base)
 
     for k in range(len(constraints)):
         if k in inserted:
             continue
         c, bit = constraints[k], 1 << k
-        vals = {r: sum(map(mul, c, r)) for r in rays}
-        plus = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        minus = [r for r in rays if vals[r] < 0]
-        for r in zero:
-            tight[r] |= bit
+        vals = [sum(map(mul, c, r)) for r in rays]
+        plus: list[int] = []
+        zero: list[int] = []
+        minus: list[int] = []
+        for j, t in enumerate(vals):
+            if t > 0:
+                plus.append(j)
+            elif t:
+                minus.append(j)
+            else:
+                zero.append(j)
+                tights[j] |= bit
         if not minus:
             continue
-        fresh: dict[Vec, int] = {}  # new ray -> its tight set
+        fresh: dict[Vec, int] = {}  # new ray -> its tight set, deduplicated
+        minus_tights = [(v, tights[v]) for v in minus]
         for u in plus:
-            tu = tight[u]
-            for v in minus:
-                common = tu & tight[v]
+            tu, vu, ru = tights[u], vals[u], rays[u]
+            for v, tv in minus_tights:
+                common = tu & tv
                 if common.bit_count() < dim - 2:
                     continue
-                if any(tight[w] & common == common for w in rays if w != u and w != v):
-                    continue
-                w = primitive(sub(scale(vals[u], v), scale(vals[v], u)))
-                fresh.setdefault(w, common | bit)
-        rays = plus + zero + list(fresh)
-        tight = {r: tight[r] for r in plus + zero} | fresh
+                for j, t in enumerate(tights):
+                    if t & common == common and j != u and j != v:
+                        break
+                else:
+                    vv = vals[v]
+                    w = primitive(tuple([vu * b - vv * a for a, b in zip(ru, rays[v])]))
+                    fresh.setdefault(w, common | bit)
+        kept = plus + zero
+        rays = [rays[j] for j in kept] + list(fresh)
+        tights = [tights[j] for j in kept] + list(fresh.values())
 
-    return tight
+    return dict(zip(rays, tights))
 
 
 def dual_description(vectors: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:

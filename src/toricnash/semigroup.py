@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from operator import mul
+from operator import lshift, mul
 from typing import Optional, Sequence
 
 from .cone import Cone, NotPointedError, _triangulate_rays
@@ -57,21 +57,43 @@ def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Vec:
     return out
 
 
-def _parallelepiped_points_fullrank(rays: Sequence[Vec]) -> set[Vec]:
-    """Lattice points of {sum t_i r_i : 0 <= t_i < 1}, rays a basis of Q^d.
+def _packing(rows: Sequence[Sequence[int]], fields: int, bound: int) -> tuple[int, int, list[int]]:
+    """(width, guards, packed rows): rows of facet values, each packed into one int.
 
-    One point R k / n per coset of R Z^d in Z^d, n = |det R|, where
-    k = n frac(R^-1 x) names the coset of x.  The k form the group that the
-    adjugate's columns generate mod n (det's sign is immaterial): from {0},
-    add each column's multiples until one falls back into the group so far.
-    No Hermite form.  Past MAX_PARALLELEPIPED_POINTS this raises
-    ResourceLimitError before any point is listed.
+    Entry f of a row fills bits [width f, width f + width) and the row's sum,
+    its degree, sits above all `fields` fields.  A field is one bit wider
+    than `bound` needs, so no value up to `bound` reaches the field's top
+    bit, its guard; `guards` has every guard bit set.  Packing is linear, so
+    the packed value of a sum is the sum of the packed values, and packed
+    ints sort by (degree, facet values).  For x and h within `bound`,
+    ((x | guards) - h) & guards == guards iff h <= x on every facet: while
+    every field of x is at least h's, no field borrows and each guard
+    survives; the lowest field where h exceeds x borrows its own guard.
+    """
+    width = bound.bit_length() + 1
+    top = width * fields
+    guards = sum(1 << (width * f + width - 1) for f in range(fields))
+    shifts = range(0, top, width)
+    packed = [sum(map(lshift, row, shifts)) + (sum(row) << top) for row in rows]
+    return width, guards, packed
+
+
+def _parallelepiped_cosets(rays: Sequence[Vec]) -> tuple[int, set[Vec]]:
+    """(n, K): the lattice points of {sum t_i r_i : 0 <= t_i < 1} are R k / n for k in K.
+
+    rays are a basis of Q^d and n = |det R|.  There is one point per coset
+    of R Z^d in Z^d, and k = n frac(R^-1 x) names the coset of x.  The k
+    form the group that the adjugate's columns generate mod n (det's sign
+    is immaterial): from {0}, add each column's multiples until one falls
+    back into the group so far.  No Hermite form.  Past
+    MAX_PARALLELEPIPED_POINTS this raises ResourceLimitError before any
+    coset is listed.
     """
     d = len(rays)
     dval, adj = solve(mat(rays), identity(d))
     n = abs(dval)
     if n == 1:
-        return {zero_vec(d)}
+        return 1, {zero_vec(d)}
     if n > MAX_PARALLELEPIPED_POINTS:
         raise ResourceLimitError(
             f"a simplicial piece of index {n} has more than "
@@ -84,21 +106,7 @@ def _parallelepiped_points_fullrank(rays: Sequence[Vec]) -> set[Vec]:
         while shift not in group:
             group.update(tuple([(a + b) % n for a, b in zip(k, shift)]) for k in base)
             shift = tuple([(a + b) % n for a, b in zip(shift, step)])
-    rows = tuple(zip(*rays))
-    return {tuple([sum(map(mul, row, k)) // n for row in rows]) for k in group}
-
-
-def _parallelepiped_points(rays: Sequence[Vec], dim: int) -> set[Vec]:
-    k = len(rays)
-    if k == 0:
-        return {zero_vec(dim)}
-    if k == dim:
-        return _parallelepiped_points_fullrank(rays)
-    comp = orthogonal_complement(rays, dim)
-    span_basis = orthogonal_complement(comp, dim)
-    coords = tuple(coordinates_in_basis(span_basis, r) for r in rays)
-    back = mat(span_basis)
-    return {mat_apply(back, p) for p in _parallelepiped_points_fullrank(coords)}
+    return n, group
 
 
 def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
@@ -110,75 +118,108 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     double description.  An irreducible element lies in some piece with all
     ray coefficients below one, so the candidates generate.
 
-    Reduction in degree order, as in Normaliz.  The candidates lie in the
-    cone's span, so x - h is in the cone iff no facet value of h exceeds
-    that of x.  x is reducible iff that holds for some Hilbert basis
-    element h != x, and such an h has lower degree: the grading sums the
-    facet normals, and equal facet values force h == x.  So testing each
-    candidate, by degree, against the elements kept so far is exact.
+    A candidate is held as its packed facet values (_packing), and only the
+    elements kept are built as vectors.  The point R k / n with coset
+    coordinates k packs to sum_i k_i P(r_i) / n, exactly: packing is
+    linear, and n times the point is the integral sum_i k_i r_i.  A piece
+    of a lower-dimensional cone has its cosets listed in coordinates of a
+    lattice basis of the span, and the same formula holds, as k does not
+    depend on that basis.  No candidate's facet value reaches a guard: it
+    is at most one facet's sum over the extreme rays.  Facet values fix a
+    point of the span, so equal packed ints are equal points.
 
-    Facet values are packed into one int, sum_i x_i P_i with P_i packing
-    column i of the normals, in fields of `width` bits.  No candidate's
-    value reaches a field's top (guard) bit: it is at most one facet's sum
-    over the extreme rays.  With x's guards set, subtracting h borrows
-    across no field, so h <= x on every facet iff every guard survives.
+    Reduction in the order of the packed ints, which is by degree first,
+    as in Normaliz.  x - h is in the cone iff no facet value of h exceeds
+    that of x, the guard test of _packing.  x is reducible iff that holds
+    for some Hilbert basis element h != x, and such an h has lower degree:
+    the degree sums the facet values, and equal facet values force h == x.
+    So testing each candidate, by degree, against the elements kept so far
+    is exact.
     """
     if not c.is_pointed:
         raise NotPointedError("Hilbert basis of a non-pointed cone")
     rays = c.generators
     if not rays:
         return ()
-    cands: set[Vec] = set(rays)
+    normals = c.facet_normals
+    rows = [[sum(map(mul, n, r)) for n in normals] for r in rays]
+    _, guards, packs = _packing(rows, len(normals), max(map(sum, zip(*rows))))
+    packed = dict(zip(rays, packs))
+    coords = {r: r for r in rays}
+    if c.span_equations:
+        span_basis = orthogonal_complement(c.span_equations, c.dim)
+        coords = {r: coordinates_in_basis(span_basis, r) for r in rays}
+    # packed candidate -> (rays R, n, k), the candidate being R k / n, or
+    # None for an extreme ray: a primitive one is the sum of no two nonzero
+    # points of the cone, so it is kept untested
+    cands: dict[int, Optional[tuple[Sequence[Vec], int, Vec]]] = dict.fromkeys(packs)
     for piece in _triangulate_rays(c):
-        cands |= _parallelepiped_points(piece, c.dim)
-    cands.discard(zero_vec(c.dim))
-    grading = c.positive_grading()
-    width = max(sum(dot(n, r) for r in rays) for n in c.facet_normals).bit_length() + 1
-    guards = sum(1 << (width * f + width - 1) for f in range(len(c.facet_normals)))
-    packs = [sum(n[i] << (width * f) for f, n in enumerate(c.facet_normals)) for i in range(c.dim)]
-    kept: list[Vec] = []
+        n, group = _parallelepiped_cosets([coords[r] for r in piece])
+        piece_packs = [packed[r] for r in piece]
+        for k in group:
+            cands.setdefault(sum(map(mul, k, piece_packs)) // n, (piece, n, k))
+    cands.pop(0, None)
+    kept = list(rays)
     kept_packed: list[int] = []
-    for x in sorted(cands, key=lambda v: (sum(map(mul, grading, v)), v)):
-        px = sum(map(mul, x, packs)) | guards
+    for px in sorted(cands):
+        point = cands[px]
+        if point is None:
+            kept_packed.append(px)
+            continue
+        guarded = px | guards
         for ph in kept_packed:
-            if (px - ph) & guards == guards:
+            if (guarded - ph) & guards == guards:
                 break
         else:
-            kept.append(x)
-            kept_packed.append(px ^ guards)
+            piece, n, k = point
+            kept.append(tuple([sum(map(mul, row, k)) // n for row in zip(*piece)]))
+            kept_packed.append(px)
     return tuple(sorted(kept))
 
 
 def _facet_rows(c: Cone, gens: Sequence[Vec]) -> tuple[list[Vec], list[tuple[int, ...]]]:
     """gens sorted by (-degree, g), with their facet-value rows; a row sums to the degree."""
-    rows = {g: tuple(dot(n, g) for n in c.facet_normals) for g in gens}
+    normals = c.facet_normals
+    rows = {g: tuple([sum(map(mul, n, g)) for n in normals]) for g in gens}
     order = sorted(gens, key=lambda g: (-sum(rows[g]), g))
     return order, [rows[g] for g in order]
 
 
+def _terms(rows: Sequence[tuple[int, ...]], width: int) -> list[list[tuple[int, int]]]:
+    """Per row, (bit offset, value) of each nonzero facet value, fields `width` bits wide."""
+    return [[(width * f, b) for f, b in enumerate(row) if b] for row in rows]
+
+
 def _decompose(
-    gs: Sequence[Vec], rows: Sequence[tuple[int, ...]], x: tuple[int, ...], skip: int = -1
+    gs: Sequence[Vec], terms: Sequence[Sequence[tuple[int, int]]], packs: Sequence[int],
+    width: int, x: int, start: int = 0,
 ) -> Optional[dict[Vec, int]]:
-    """Nonnegative integer combination of gs, gs[skip] left out, with facet values x.
+    """Nonnegative integer combination of gs[start:] with packed facet values x.
 
-    Depth-first over multiplicities in the order of _facet_rows.  In a
-    pointed cone a point of the span is fixed by its facet values, so the
-    residue is carried as those.  The largest multiplicity of gs[i] that
-    keeps the residue r in the cone is the minimum of r_f // g_f over the
-    facets f with g_f > 0, and every smaller one keeps it there too.
+    Depth-first over multiplicities in the order of _facet_rows.  packs are
+    the facet-value rows packed by _packing in fields of `width` bits,
+    which must hold every value of x, and terms are the rows' _terms.  In
+    a pointed cone a point of the span is fixed by its facet values, so
+    the residue is carried as their packed int, and failures are memoized
+    by (position, residue).  The largest multiplicity m of gs[i] that keeps
+    the residue r in the cone is the minimum of r_f // g_f over the facets
+    f with g_f > 0, read from r's fields, and every smaller one keeps it
+    there too.  The multiplicities are tried lazily from m down to 0, each
+    residue r - mult g formed by one multiplication when its turn comes:
+    no chain of subtractions is built, so a large m costs no more than a
+    small one.
     """
-    failed: set[tuple[int, tuple[int, ...]]] = set()
+    mask = (1 << width) - 1
+    failed: set[tuple[int, int]] = set()
 
-    def rec(i: int, r: tuple[int, ...]) -> Optional[dict[Vec, int]]:
-        if not any(r):
+    def rec(i: int, r: int) -> Optional[dict[Vec, int]]:
+        if not r:
             return {}
-        if i == skip:
-            i += 1
         if i >= len(gs) or (i, r) in failed:
             return None
-        row = rows[i]
-        for mult in range(min(a // b for a, b in zip(r, row) if b), -1, -1):
-            res = rec(i + 1, tuple([a - mult * b for a, b in zip(r, row)]) if mult else r)
+        g = packs[i]
+        for mult in range(min((r >> s & mask) // b for s, b in terms[i]), -1, -1):
+            res = rec(i + 1, r - mult * g)
             if res is not None:
                 if mult:
                     res[gs[i]] = mult
@@ -186,7 +227,7 @@ def _decompose(
         failed.add((i, r))
         return None
 
-    return rec(0, x)
+    return rec(start, x)
 
 
 class AffineSemigroup(object):
@@ -261,7 +302,8 @@ class AffineSemigroup(object):
         """A witness {generator: multiplicity} with sum == x, or None.
 
         The first witness of a depth-first search over multiplicities,
-        generators taken by decreasing degree, residues kept as facet values.
+        generators taken by decreasing degree, residues kept as packed
+        facet values in fields wide enough for x and every generator.
         """
         v = vec(x)
         if len(v) != self.dim:
@@ -273,8 +315,11 @@ class AffineSemigroup(object):
         c = self.cone
         if not c.contains(v):
             return None
+        gs, rows = _facet_rows(c, self.generators)
         row = tuple(dot(n, v) for n in c.facet_normals)
-        return _decompose(*_facet_rows(c, self.generators), row)
+        everything = [*rows, row]
+        width, _, packs = _packing(everything, len(row), max(map(max, everything)))
+        return _decompose(gs, _terms(rows, width), packs, width, packs.pop())
 
     def membership(self, x: Sequence[int]) -> bool:
         return self.decompose(x) is not None
@@ -286,15 +331,31 @@ class AffineSemigroup(object):
         """The unique minimal generating set (pointed semigroups only).
 
         A generator is kept when the others do not decompose it; the sorted
-        generators and their facet values are computed once for all tests.
+        generators and their packed facet values are computed once for all
+        tests.  A generator h that x - h leaves in the cone has lower degree
+        than x, as equal facet values would force h == x, so x is decomposed
+        over the generators after it in the order of _facet_rows only.  And
+        x is kept at once when none of those lies below it on every facet
+        (the guard test of _packing).  That prefilter is exact: any
+        decomposition of x uses some generator h, and then the rest of the
+        sum, x - h, lies in the cone.  Only the other generators run
+        _decompose.
         """
         if self._hilbert is None:
             if not self.is_pointed:
                 raise NotPointedError("Hilbert basis of a non-pointed semigroup")
             gs, rows = _facet_rows(self.cone, self.generators)
-            self._hilbert = tuple(
-                sorted(g for i, g in enumerate(gs) if _decompose(gs, rows, rows[i], i) is None)
-            )
+            bound = max((max(r) for r in rows), default=0)
+            width, guards, packs = _packing(rows, len(self.cone.facet_normals), bound)
+            terms = _terms(rows, width)
+            kept = []
+            for i, px in enumerate(packs):
+                guarded = px | guards
+                if not any(
+                    (guarded - ph) & guards == guards for ph in packs[i + 1:]
+                ) or _decompose(gs, terms, packs, width, px, i + 1) is None:
+                    kept.append(gs[i])
+            self._hilbert = tuple(sorted(kept))
         return self._hilbert
 
     def hilbert_minors(self) -> dict[int, int]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from toricnash.exactmath import (
     solve,
     vec,
 )
+from toricnash.fixtures import BUILTIN_CONES
+from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis
 
 from helpers import (
     apply_matrix,
@@ -404,4 +407,35 @@ def test_double_description_matches_reference_and_incidence(drawn):
     assume(rank_of_vectors(constraints) == dim)
     got = double_description(constraints, dim)
     assert tuple(sorted(got)) == _reference_dd_rays(constraints, dim)
+    assert got == _tight_sets(constraints, got)
+
+
+def _newton_cone_constraints(s, p):
+    """K's generators as nash builds them: sigma's rays (0, r), then the sorted
+    distinct sums (1, v) of the d-subsets of the Hilbert basis whose minor is
+    live in characteristic p."""
+    h = s.hilbert_basis()
+    sums = set()
+    for combo in itertools.combinations(h, s.dim):
+        minor = det(mat(combo))
+        if minor % p if p else minor:
+            sums.add(tuple(map(sum, zip(*combo))))
+    return [(0,) + r for r in s.cone.generators] + [(1,) + v for v in sorted(sums)]
+
+
+def _saturated_builtin(name):
+    cf = BUILTIN_CONES[name]
+    return AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [("B", 0), ("B", 2), ("B", 3), ("dim4char3", 3), ("reeves", 3)],
+)
+def test_double_description_on_newton_cones(name, p):
+    # rays are made and dropped at most insertions here, unlike small random sets
+    s = _saturated_builtin(name)
+    constraints = _newton_cone_constraints(s, p)
+    got = double_description(constraints, s.dim + 1)
+    assert tuple(sorted(got)) == _reference_dd_rays(constraints, s.dim + 1)
     assert got == _tight_sets(constraints, got)

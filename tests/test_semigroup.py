@@ -1,20 +1,33 @@
 import itertools
 import random
+import time
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from toricnash.cone import Cone, NotPointedError, _triangulate_rays
-from toricnash.exactmath import add, dot, is_zero, scale, sub, vec, zero_vec
+from toricnash.exactmath import (
+    add,
+    dot,
+    is_zero,
+    mat,
+    mat_apply,
+    orthogonal_complement,
+    scale,
+    sub,
+    vec,
+    zero_vec,
+)
+from toricnash.fixtures import BUILTIN_CONES, LOOP_CHARACTERISTIC
+from toricnash.nash import chart_generators, vertex_charts
 from toricnash.semigroup import (
     MAX_PARALLELEPIPED_POINTS,
     AffineSemigroup,
     NotFullLatticeError,
     NotSaturatedError,
     ResourceLimitError,
-    _parallelepiped_points,
-    _parallelepiped_points_fullrank,
+    _parallelepiped_cosets,
     coordinates_in_basis,
     saturation_hilbert_basis,
 )
@@ -246,6 +259,26 @@ def test_nonpointed_without_opposite_pair(gens):
     assert not AffineSemigroup(gens, dim).is_pointed
 
 
+def _coset_points(rays):
+    """The points R k / n of _parallelepiped_cosets, each checked to be integral."""
+    n, group = _parallelepiped_cosets(rays)
+    points = set()
+    for k in group:
+        nx = tuple(dot(row, k) for row in zip(*rays))
+        assert all(a % n == 0 for a in nx)
+        points.add(tuple(a // n for a in nx))
+    return points
+
+
+def _parallelepiped_points(rays, dim):
+    """Parallelepiped points of any independent rays, through coordinates of their own span."""
+    if not rays:
+        return {zero_vec(dim)}
+    span_basis = orthogonal_complement(orthogonal_complement(rays, dim), dim)
+    coords = [coordinates_in_basis(span_basis, r) for r in rays]
+    return {mat_apply(mat(span_basis), p) for p in _coset_points(coords)}
+
+
 def _all_pairs_hilbert_basis(c):
     """The former reduction: drop a candidate x when x - h is in the cone for any other h."""
     cands = set(c.generators)
@@ -416,14 +449,14 @@ def test_parallelepiped_points_match_brute_force(drawn):
     assert kind in (None, abs(sympy.Matrix(rays).det()))
     want = _brute_force_parallelepiped(rays)
     assert len(want) == abs(sympy.Matrix(rays).det())  # one point per coset
-    assert _parallelepiped_points_fullrank(rays) == want
+    assert _coset_points(rays) == want
 
 
 def test_a_parallelepiped_past_the_budget_is_refused_before_it_is_listed():
     # the search's ValueError guards (_node_is_smooth, _edge_checks_out) must let it through
     assert not issubclass(ResourceLimitError, ValueError)
     n = MAX_PARALLELEPIPED_POINTS
-    assert len(_parallelepiped_points_fullrank(((1, 0), (-1, n)))) == n
+    assert len(_coset_points(((1, 0), (-1, n)))) == n
     with pytest.raises(ResourceLimitError, match=str(n + 1)):
         saturation_hilbert_basis(Cone(((1, 0), (-1, n + 1)), 2))
 
@@ -446,7 +479,7 @@ def _coset_order(rays, x):
 )
 def test_a_coset_group_with_several_generators_gives_every_point(rays):
     n = abs(int(sympy.Matrix([list(r) for r in rays]).det()))
-    got = _parallelepiped_points_fullrank(rays)
+    got = _coset_points(rays)
     assert len(got) == n
     assert got == _brute_force_parallelepiped(rays)
     # no coset has order n, so no single adjugate column generates the group
@@ -463,3 +496,88 @@ def test_facet_values_at_the_edge_of_a_packed_field(n):
     cone = Cone(((1, 0), (-1, n)), 2)
     assert [sum(dot(f, r) for r in cone.generators) for f in cone.facet_normals] == [n, n]
     assert saturation_hilbert_basis(cone) == ((-1, n), (0, 1), (1, 0))
+
+
+def test_a_large_multiplicity_is_taken_at_once():
+    # the multiplicity is read from the residue's fields, not reached by
+    # subtracting the generator a million times
+    s = AffineSemigroup(((1, 0), (0, 1)), 2)
+    start = time.perf_counter()
+    assert s.decompose((10**6, 1)) == {(1, 0): 10**6, (0, 1): 1}
+    assert time.perf_counter() - start < 0.05
+
+
+def _facet_tuple_decompose(s, x):
+    """The decomposition before packing: the same search, residues kept as
+    tuples of facet values.  Unlike _reference_decompose it stays fast when
+    a multiplicity is large."""
+    v = vec(x)
+    if is_zero(v):
+        return {}
+    normals = s.cone.facet_normals
+    if not s.cone.contains(v):
+        return None
+    rows = {g: tuple(dot(n, g) for n in normals) for g in s.generators}
+    gs = sorted(s.generators, key=lambda g: (-sum(rows[g]), g))
+    failed = set()
+
+    def rec(i, r):
+        if not any(r):
+            return {}
+        if i >= len(gs) or (i, r) in failed:
+            return None
+        row = rows[gs[i]]
+        for mult in range(min(a // b for a, b in zip(r, row) if b), -1, -1):
+            res = rec(i + 1, tuple(a - mult * b for a, b in zip(r, row)))
+            if res is not None:
+                if mult:
+                    res[gs[i]] = mult
+                return res
+        failed.add((i, r))
+        return None
+
+    return rec(0, tuple(dot(n, v) for n in normals))
+
+
+@pytest.mark.parametrize("n", [2**k + e for k in (4, 10, 16) for e in (-1, 0, 1)])
+def test_decomposition_at_the_edge_of_a_packed_field(n):
+    # quadrant generators, so facet values are coordinates: a field holds
+    # n.bit_length() bits and a guard, all ones at 2^k - 1, one bit at 2^k
+    s = AffineSemigroup(((2, 0), (0, 2), (1, 1), (n, 1)), 2)
+    assert s.cone.facet_normals == ((0, 1), (1, 0))
+    for x in ((n, 1), (n + 2, 1), (n, n), (n - 1, n + 1), (1, n), (n, 0)):
+        got = s.decompose(x)
+        assert got == _facet_tuple_decompose(s, x)
+        if got is not None:
+            assert tuple(map(sum, zip(*(scale(m, g) for g, m in got.items())))) == x
+    assert s.hilbert_basis() == _reference_hilbert_basis(s)
+
+
+@pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
+def test_hilbert_basis_of_fixture_chart_generators(name):
+    # chart generator sets are not saturated and hold many reducible
+    # generators, so both the prefilter and the search run on them
+    cf = BUILTIN_CONES[name]
+    s = AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
+    p = LOOP_CHARACTERISTIC
+    for members, _ in vertex_charts(s, p):
+        chart = AffineSemigroup(chart_generators(s, members, p), s.dim)
+        assert chart.hilbert_basis() == _reference_hilbert_basis(chart)
+
+
+@st.composite
+def _generators_with_planted_sums(draw):
+    """Generators of embedded_pointed_cones plus sums g1 + g2 of drawn pairs."""
+    dim, gens = draw(embedded_pointed_cones(extra=3))
+    pairs = st.tuples(st.sampled_from(gens), st.sampled_from(gens))
+    planted = [add(a, b) for a, b in draw(st.lists(pairs, min_size=1, max_size=3))]
+    return dim, gens, planted
+
+
+@given(_generators_with_planted_sums())
+def test_hilbert_basis_drops_planted_sums(drawn):
+    dim, gens, planted = drawn
+    s = AffineSemigroup(gens + planted, dim)
+    got = s.hilbert_basis()
+    assert got == _reference_hilbert_basis(s)
+    assert not set(planted) & set(got)
