@@ -35,7 +35,6 @@ from .semigroup import (
     NotFullLatticeError,
     NotSaturatedError,
     ResourceLimitError,
-    saturation_hilbert_basis,
 )
 from .verify import run_all_checks, run_lineage_check
 
@@ -92,9 +91,8 @@ def _semigroup_from(cf: ConeFile) -> tuple[AffineSemigroup, list[Vec]]:
     cone = Cone(cf.generators, cf.dim)
     if not cone.is_pointed:
         raise CliError("cone is not pointed", EXIT_MATH)
-    hilbert = saturation_hilbert_basis(cone)
-    s = AffineSemigroup.from_hilbert_basis(hilbert, cf.dim, saturated=True)
-    return s, _display_order(cf.generators, hilbert)
+    s = AffineSemigroup.from_cone(cone)
+    return s, _display_order(cf.generators, s.hilbert_basis())
 
 
 def _resolve_char(args, cf: ConeFile) -> int:
@@ -122,10 +120,7 @@ def cmd_blowup(args) -> int:
     s, order = _semigroup_from(cf)
     p = _resolve_char(args, cf)
     index = {v: i + 1 for i, v in enumerate(order)}
-    try:
-        charts = blowup_step(s, p, normalized=args.normalized)
-    except InvalidCharacteristic as exc:
-        raise CliError(str(exc))
+    charts = blowup_step(s, p, normalized=args.normalized)
     for ch in charts:
         subset = "{" + ",".join(str(i) for i in sorted(index[v] for v in ch.subset)) + "}"
         print(f"chart {subset} det {ch.det_value} pointed {'yes' if ch.pointed else 'no'}")
@@ -199,19 +194,16 @@ def cmd_search(args) -> int:
         p = _resolve_char(args, cf)
         normalized = args.normalized
 
-    try:
-        report = explore(
-            start,
-            p,
-            max_depth=args.max_depth,
-            max_nodes=args.max_nodes,
-            cycle_lengths=wanted,
-            normalized=normalized,
-            halt_on_cycle=args.halt_on_cycle,
-            state=state,
-        )
-    except InvalidCharacteristic as exc:
-        raise CliError(str(exc))
+    report = explore(
+        start,
+        p,
+        max_depth=args.max_depth,
+        max_nodes=args.max_nodes,
+        cycle_lengths=wanted,
+        normalized=normalized,
+        halt_on_cycle=args.halt_on_cycle,
+        state=state,
+    )
     if args.save:
         save_graph(report, args.save)
     _render_report(report, wanted)
@@ -323,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"toricnash: {exc}", file=sys.stderr)
         return exc.code
-    except (ConeFileError, NotFullLatticeError, NotSaturatedError) as exc:
+    except (ConeFileError, InvalidCharacteristic, NotFullLatticeError, NotSaturatedError) as exc:
         print(f"toricnash: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotPointedError, NotFullDimensionalError) as exc:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactmath import (
     Vec,
     DimensionMismatch,
-    add,
     dot,
     identity,
     independent_indices,
@@ -21,7 +20,6 @@ from .exactmath import (
     scale,
     solve,
     vec,
-    zero_vec,
 )
 
 
@@ -201,48 +199,14 @@ class Cone(object):
     def is_full_dimensional(self) -> bool:
         return not self.span_equations
 
-    def _facet_values(self, x: Sequence[int]) -> Optional[Iterator[int]]:
-        """<n, x> for every facet normal n, or None when x is off the span."""
+    def contains(self, x: Sequence[int]) -> bool:
+        """Membership: x on the span and <n, x> >= 0 for every facet normal n."""
         v = vec(x)
         if len(v) != self.dim:
             raise DimensionMismatch("point of wrong length")
         if any(sum(map(mul, e, v)) for e in self.span_equations):
-            return None
-        return (sum(map(mul, n, v)) for n in self.facet_normals)
-
-    def contains(self, x: Sequence[int]) -> bool:
-        vals = self._facet_values(x)
-        return vals is not None and all(t >= 0 for t in vals)
-
-    def interior_contains(self, x: Sequence[int]) -> bool:
-        """Relative interior membership."""
-        vals = self._facet_values(x)
-        return vals is not None and all(t > 0 for t in vals)
-
-    def positive_grading(self) -> Vec:
-        """An integral L with <L, g> >= 1 for every (nonzero) generator."""
-        if not self.is_pointed:
-            raise NotPointedError("no positive grading: cone contains a line")
-        total = zero_vec(self.dim)
-        for n in self.facet_normals:
-            total = add(total, n)
-        return total
-
-    def triangulate(self) -> tuple["Cone", ...]:
-        """Split into simplicial subcones spanned by extreme rays.
-
-        Pulling construction: recursively triangulate every facet missing
-        the lexicographically least ray, then join each piece to that ray.
-        The facets of each face are read from the cone's facet incidence, so
-        no double description runs below the cone's own.  The pieces cover
-        the cone and have pairwise disjoint interiors.
-        """
-        if not self.is_pointed:
-            raise NotPointedError("triangulation requires a pointed cone")
-        if not self.is_full_dimensional:
-            raise ValueError("triangulation requires a full-dimensional cone")
-        pieces = _triangulate_rays(self)
-        return tuple(Cone(rs, self.dim) for rs in sorted(pieces))
+            return False
+        return all(sum(map(mul, n, v)) >= 0 for n in self.facet_normals)
 
     def __eq__(self, other: object) -> bool:
         return (

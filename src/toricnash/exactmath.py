@@ -9,7 +9,7 @@ freely.
 from __future__ import annotations
 
 import operator
-from itertools import combinations, repeat
+from itertools import repeat
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -88,12 +88,6 @@ def mat(columns: Iterable[Iterable[int]]) -> Mat:
 
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
-
-
-def transpose(m: Mat) -> Mat:
-    if not m:
-        return ()
-    return tuple(tuple(col[i] for col in m) for i in range(len(m[0])))
 
 
 def mat_apply(m: Mat, x: Vec) -> Vec:
@@ -181,13 +175,6 @@ def minor_table(vectors: Sequence[Vec], d: int) -> dict[int, int]:
     return level
 
 
-def maximal_minors(vectors: Sequence[Vec], d: int) -> tuple[int, ...]:
-    """det(mat(c)) for every c in itertools.combinations(vectors, d), in order."""
-    table = minor_table(vectors, d)
-    masks = map(sum, combinations([1 << i for i in range(len(vectors))], d))
-    return tuple(table.get(s, 0) for s in masks)
-
-
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -203,16 +190,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_characteristic(p: int) -> None:
+    """Raise InvalidCharacteristic unless p is zero or a prime."""
+    if p and not is_prime(p):
+        raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
+
+
 def det_p(m: Mat, p: int) -> int:
     """det(m) for p = 0, otherwise det(m) mod p in the canonical range [0, p).
 
     p must be zero or prime.
     """
-    if p == 0:
-        return det(m)
-    if not is_prime(p):
-        raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
-    return det(m) % p
+    check_characteristic(p)
+    return det(m) % p if p else det(m)
 
 
 def is_unimodular(m: Mat) -> bool:
@@ -357,18 +347,19 @@ def hermite_form(m: Mat) -> tuple[Mat, Mat]:
     return h, tt
 
 
-def independent_indices(vectors: Sequence[Vec], want: Optional[int] = None) -> list[int]:
-    """Positions of the earliest linearly independent subsequence, greedily.
+def independent_indices(vectors: Sequence[Vec], want: int) -> list[int]:
+    """Positions of the first `want` vectors of the earliest linearly
+    independent subsequence, greedily.
 
     A vector is kept when it is independent of those kept before it; the
     kept ones are held in fraction-free echelon form, so each candidate
-    costs one reduction.  With `want`, stop once that many are kept and
-    raise ValueError if the vectors have smaller rank.
+    costs one reduction.  Stop once `want` are kept; raise ValueError if
+    the vectors have smaller rank.
     """
     kept: list[int] = []
     echelon: list[tuple[int, Vec]] = []  # (pivot position, reduced vector)
     for idx, v in enumerate(vectors):
-        if want is not None and len(kept) == want:
+        if len(kept) == want:
             break
         w = v
         for piv, e in echelon:
@@ -379,13 +370,9 @@ def independent_indices(vectors: Sequence[Vec], want: Optional[int] = None) -> l
         w = primitive(w)
         echelon.append((next(i for i, x in enumerate(w) if x), w))
         kept.append(idx)
-    if want is not None and len(kept) < want:
+    if len(kept) < want:
         raise ValueError("vectors do not span the requested rank")
     return kept
-
-
-def rank_of_vectors(vectors: Sequence[Vec]) -> int:
-    return len(independent_indices(vectors))
 
 
 def kernel_basis(m: Mat) -> tuple[Vec, ...]:

@@ -10,7 +10,6 @@ is embedded here so the checks can replay every step with exact integers.
 from __future__ import annotations
 
 from .conefile import ConeFile
-from .cone import Cone
 from .exactmath import Vec, sub
 from .semigroup import AffineSemigroup
 
@@ -161,10 +160,6 @@ def term_vector(t: tuple[int, ...]) -> Vec:
     if len(t) == 1:
         return hv(t[0])
     return sub(hv(t[0]), hv(t[1]))
-
-
-def cone_B() -> Cone:
-    return Cone(B_COLUMNS, 5)
 
 
 def source_semigroup() -> AffineSemigroup:

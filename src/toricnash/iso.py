@@ -30,7 +30,7 @@ from .exactmath import (
     mat,
     mat_apply,
     mat_mul,
-    maximal_minors,
+    minor_table,
     primitive,
     solve,
 )
@@ -121,15 +121,13 @@ def _compute_fingerprint(s: AffineSemigroup) -> Fingerprint:
     )
     d = s.dim
     if comb(len(h), d) <= _DET_SUBSET_CAP:
-        source = 0
-        table = s.hilbert_minors()  # nonzero minors only
-        dets = [0] * (comb(len(h), d) - len(table)) + sorted(map(abs, table.values()))
+        source, subsets, table = 0, comb(len(h), d), s.hilbert_minors()
     elif comb(len(rays), d) <= _DET_SUBSET_CAP:
-        source = 1
-        dets = sorted(map(abs, maximal_minors(rays, d)))
+        source, subsets, table = 1, comb(len(rays), d), minor_table(rays, d)
     else:
-        source = 2
-        dets = []
+        source, subsets, table = 2, 0, {}
+    # the tables hold the nonzero minors only; the rest of the subsets give zeros
+    dets = [0] * (subsets - len(table)) + sorted(map(abs, table.values()))
     return Fingerprint(
         dim=d,
         hilbert_count=len(h),
@@ -195,9 +193,6 @@ class IsoCertificate:
     matrix: Mat  # columns; acts on column vectors
     mapping: tuple[tuple[Vec, Vec], ...]
 
-    def apply(self, v: Vec) -> Vec:
-        return mat_apply(self.matrix, v)
-
 
 def certificate_for_matrix(a: AffineSemigroup, m: Mat) -> IsoCertificate:
     mapping = tuple((h, mat_apply(m, h)) for h in a.hilbert_basis())
@@ -221,14 +216,6 @@ def verify_certificate(a: AffineSemigroup, b: AffineSemigroup, cert: IsoCertific
         return False
     pairs = set(zip(ha, images))
     return not cert.mapping or (len(cert.mapping) == len(pairs) and set(cert.mapping) == pairs)
-
-
-def invert_certificate(b: AffineSemigroup, cert: IsoCertificate) -> IsoCertificate:
-    """The inverse of a certificate onto b, mapping b back to its source."""
-    d, adj = solve(cert.matrix, identity(len(cert.matrix)))
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return certificate_for_matrix(b, tuple(tuple(d * e for e in col) for col in adj))
 
 
 def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCertificate]:

@@ -33,7 +33,7 @@ from functools import cached_property
 from operator import add
 from typing import Optional, Sequence
 
-from .exactmath import InvalidCharacteristic, Vec, is_prime, primitive, sub, vec
+from .exactmath import Vec, check_characteristic, primitive, sub, vec
 from .semigroup import AffineSemigroup, NotFullLatticeError
 from .cone import Cone, NotPointedError, double_description, face_meet, ray_incidence
 
@@ -64,10 +64,6 @@ class BlowupChart:
         """The chosen d Hilbert elements, sorted."""
         h = self.source.hilbert_basis()
         return tuple(h[i] for i in self._members)
-
-    def subset_indices(self) -> tuple[int, ...]:
-        """0-based positions of the subset inside the sorted Hilbert basis."""
-        return self._members
 
     @cached_property
     def g_sets(self) -> dict[Vec, tuple[Vec, ...]]:
@@ -104,8 +100,7 @@ class _Step:
     """
 
     def __init__(self, s: AffineSemigroup, p: int):
-        if p and not is_prime(p):
-            raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
+        check_characteristic(p)
         if not s.is_pointed:
             raise NotPointedError("blowup requires a pointed semigroup")
         if not s.generates_full_lattice():

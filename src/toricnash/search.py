@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .exactmath import (
     Mat,
     Vec,
+    check_characteristic,
     identity,
     independent_indices,
     is_prime,
@@ -240,8 +241,10 @@ def explore(
     pointed, not saturated or does not span Z^d raises NotPointedError,
     NotSaturatedError or NotFullLatticeError, all ValueErrors.  So does a
     resume state with an unsaturated node in normalized mode, or with a
-    frontier node flagged smooth (NotSaturatedError, ValueError).
+    frontier node flagged smooth (NotSaturatedError, ValueError), and a p
+    that is neither zero nor prime (InvalidCharacteristic).
     """
+    check_characteristic(p)
     wanted = sorted(set(int(k) for k in cycle_lengths))
     if any(k < 1 for k in wanted):
         raise ValueError("cycle lengths must be positive")
@@ -464,8 +467,11 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
 #
 #   meta <characteristic> <normalized 0|1> <termination> <start-key>
 #   node <key> <depth> <smooth 0|1> <dim> <ngens> <gen entries row-major>
-#   edge <src> <dst> <subset indices comma-joined> <dim> <matrix row-major>
+#   edge <src> <dst> <subset indices increasing, comma-joined> <dim> <matrix row-major>
 #   frontier <key>
+#
+# A flag is 0 or 1, the start node has depth 0, and no two edges share a
+# source and a subset.
 # ---------------------------------------------------------------------------
 
 
@@ -509,20 +515,27 @@ def save_graph(report: SearchReport, path: str) -> None:
 
 def _check_edge(lineno: int, e: GraphEdge, nodes: dict[str, GraphNode]) -> None:
     """An edge joins two nodes of the same dimension d at a subset of d
-    distinct positions in the source's Hilbert basis, by a d x d certificate."""
+    increasing positions in the source's Hilbert basis, by a d x d certificate."""
     if e.src not in nodes or e.dst not in nodes:
         raise GraphFormatError(f"line {lineno}: edge {e.src}->{e.dst} references a missing node")
     src, dst = nodes[e.src].semigroup, nodes[e.dst].semigroup
     d, n = src.dim, len(src.hilbert_basis())
-    if not (len(e.subset) == len(set(e.subset)) == d and all(0 <= i < n for i in e.subset)):
+    increasing = list(e.subset) == sorted(set(e.subset))
+    if not (len(e.subset) == d and increasing and all(0 <= i < n for i in e.subset)):
         raise GraphFormatError(
-            f"line {lineno}: edge subset {e.subset} is not {d} distinct indices in [0, {n})"
+            f"line {lineno}: edge subset {e.subset} is not {d} increasing indices in [0, {n})"
         )
     if len(e.certificate) != d or dst.dim != d:
         raise GraphFormatError(
             f"line {lineno}: certificate dimension {len(e.certificate)} does not match "
             f"node dimensions {d} and {dst.dim}"
         )
+
+
+def _flag(token: str) -> bool:
+    if token not in ("0", "1"):
+        raise ValueError(f"flag {token!r} is not 0 or 1")
+    return token == "1"
 
 
 def load_graph(path: str) -> SearchReport:
@@ -534,7 +547,7 @@ def load_graph(path: str) -> SearchReport:
     nodes: dict[str, GraphNode] = {}
     edges: list[GraphEdge] = []
     frontier: dict[str, int] = {}  # key -> line number of its frontier record
-    edge_lines: list[int] = []  # line number of each edge record
+    edge_lines: dict[tuple[str, tuple[int, ...]], int] = {}  # (src, subset) -> line number
     meta: Optional[tuple[int, bool, str, str, int]] = None  # last: the meta line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -546,12 +559,12 @@ def load_graph(path: str) -> SearchReport:
             if kind == "meta":
                 if meta is not None:
                     raise GraphFormatError(f"line {lineno}: duplicate meta record")
-                meta = (int(parts[1]), parts[2] == "1", parts[3], parts[4], lineno)
+                meta = (int(parts[1]), _flag(parts[2]), parts[3], parts[4], lineno)
             elif kind == "node":
                 key, depth, smooth, dim, ngens = (
                     parts[1],
                     int(parts[2]),
-                    parts[3] == "1",
+                    _flag(parts[3]),
                     int(parts[4]),
                     int(parts[5]),
                 )
@@ -566,9 +579,13 @@ def load_graph(path: str) -> SearchReport:
                 s = AffineSemigroup.from_hilbert_basis(gens, dim)
                 nodes[key] = GraphNode(key, s, depth, smooth)
             elif kind == "edge":
-                edge_lines.append(lineno)
                 src, dst = parts[1], parts[2]
                 subset = tuple(int(x) for x in parts[3].split(",")) if parts[3] else ()
+                if (src, subset) in edge_lines:
+                    raise GraphFormatError(
+                        f"line {lineno}: duplicate edge record from {src} at subset {parts[3]}"
+                    )
+                edge_lines[src, subset] = lineno
                 dim = int(parts[4])
                 entries = [int(x) for x in parts[5:]]
                 if len(entries) != dim * dim:
@@ -591,7 +608,7 @@ def load_graph(path: str) -> SearchReport:
         if nodes or edges or frontier:
             raise GraphFormatError("line 1: missing meta record")
         return SearchReport(0, True, {}, [], [], [], TERMINATION_EXHAUSTED, "")
-    for lineno, e in zip(edge_lines, edges):
+    for lineno, e in zip(edge_lines.values(), edges):
         _check_edge(lineno, e, nodes)
     for key, lineno in frontier.items():
         if key not in nodes:
@@ -601,6 +618,10 @@ def load_graph(path: str) -> SearchReport:
         raise GraphFormatError(f"line {meta_line}: characteristic {p} is neither zero nor prime")
     if start_key not in nodes:
         raise GraphFormatError(f"line {meta_line}: start key {start_key} names no node")
+    if nodes[start_key].depth:  # every other depth is checked against a parent edge
+        raise GraphFormatError(
+            f"line {meta_line}: start node {start_key} has depth {nodes[start_key].depth}, not 0"
+        )
     report = SearchReport(
         characteristic=p,
         normalized=normalized,

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import fixtures
-from .exactmath import Mat, Vec, add, det, det_p, dot, is_unimodular, mat_apply, sub, vec
+from .cone import Cone
+from .exactmath import (
+    Mat, Vec, add, check_characteristic, det, det_p, dot, is_unimodular, mat_apply, sub, vec,
+)
 from .iso import certificate_for_matrix, find_isomorphism, verify_certificate
 from .nash import chart, g_set
 from .search import explore, verify_report_cycles
@@ -41,12 +44,6 @@ class VerificationLedger:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def first_failure(self) -> Optional[CheckResult]:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
 
     def render(self, machine: bool = False) -> str:
         if machine:
@@ -80,7 +77,11 @@ def run_all_checks(
     expected_hilbert: Optional[Sequence[Vec]] = None,
     certificate_matrix: Optional[Mat] = None,
 ) -> VerificationLedger:
-    """Recompute every fixture claim; overrides are for negative controls."""
+    """Recompute every fixture claim; overrides are for negative controls.
+
+    p must be zero or a prime (InvalidCharacteristic otherwise).
+    """
+    check_characteristic(p)
     expected_h = tuple(
         vec(v) for v in (expected_hilbert if expected_hilbert is not None else fixtures.H_VECTORS)
     )
@@ -292,12 +293,8 @@ def run_lineage_check(max_depth: int = 5, max_nodes: int = 200_000) -> CheckResu
     """
 
     def body() -> tuple[bool, str]:
-        start = AffineSemigroup(
-            saturation_hilbert_basis(_cone_from(fixtures.REEVES_COLUMNS, 4)), 4
-        )
-        target = AffineSemigroup(
-            saturation_hilbert_basis(_cone_from(fixtures.DIM4_CHAR3_COLUMNS, 4)), 4
-        )
+        start = AffineSemigroup.from_cone(Cone(fixtures.REEVES_COLUMNS, 4))
+        target = AffineSemigroup.from_cone(Cone(fixtures.DIM4_CHAR3_COLUMNS, 4))
         report = explore(
             start,
             fixtures.LOOP_CHARACTERISTIC,
@@ -312,9 +309,3 @@ def run_lineage_check(max_depth: int = 5, max_nodes: int = 200_000) -> CheckResu
         return False, f"no equivalent node among {report.nodes_explored} ({report.termination})"
 
     return _check("lineage-from-simplex-cone", body)
-
-
-def _cone_from(columns: Sequence[Vec], dim: int):
-    from .cone import Cone
-
-    return Cone(columns, dim)

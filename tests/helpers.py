@@ -27,6 +27,11 @@ def sympy_det(cols: Sequence[Vec]) -> int:
     return int(m.det())
 
 
+def sympy_rank(vectors: Sequence[Vec]) -> int:
+    """Rank of the vectors; 0 for an empty list."""
+    return sympy.Matrix([list(v) for v in vectors]).rank() if vectors else 0
+
+
 def sympy_adjugate(cols: Sequence[Vec]) -> tuple[Vec, ...]:
     m = sympy.Matrix([list(c) for c in cols]).T
     adj = m.adjugate()

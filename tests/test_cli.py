@@ -283,6 +283,19 @@ def test_search_load_rejects_a_loop_whose_certificate_is_not_unimodular(tmp_path
             b"meta 3 1 depth-limit a\nnode a 0 0 1 1 1\nfrontier a\nfrontier a\n",
             "line 4: duplicate frontier record a",
         ),
+        (
+            b"meta 0 1 exhausted a\nnode a 0 0 2 3 1 0 1 1 1 2\n"
+            b"edge a a 0,1 2 1 0 0 1\nedge a a 0,1 2 1 0 0 1\n",
+            "line 4: duplicate edge record from a at subset 0,1",
+        ),
+        (  # a permuted copy of the first edge
+            b"meta 0 1 exhausted a\nnode a 0 0 2 3 1 0 1 1 1 2\n"
+            b"edge a a 0,1 2 1 0 0 1\nedge a a 1,0 2 1 0 0 1\n",
+            "line 4: edge subset (1, 0) is not 2 increasing indices in [0, 3)",
+        ),
+        (b"meta 3 7 exhausted a\nnode a 0 0 1 1 1\n", "line 1: malformed meta record: flag '7'"),
+        (b"meta 3 1 exhausted a\nnode a 0 9 1 1 1\n", "line 2: malformed node record: flag '9'"),
+        (b"meta 3 1 exhausted a\nnode a -3 0 1 1 1\n", "line 1: start node a has depth -3, not 0"),
     ],
 )
 def test_search_load_rejects_malformed_graph(tmp_path, capsys, data, message):
@@ -412,6 +425,23 @@ def test_verify_paper_wrong_char_fails(capsys):
     code, out, _ = run(capsys, "verify-paper", "--char", "5")
     assert code == EXIT_MATH
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("char", ["4", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-paper",),
+        ("blowup", "builtin:B"),
+        ("search", "builtin:B"),
+        ("search", "builtin:smooth3"),  # a smooth start has no chart to compute
+    ],
+)
+def test_characteristic_neither_zero_nor_prime_is_a_usage_error(capsys, argv, char):
+    code, out, err = run(capsys, *argv, "--char", char)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"toricnash: characteristic {char} is neither zero nor prime\n"
 
 
 def test_deterministic_stdout(capsys):

@@ -9,8 +9,14 @@ binds nothing, so both are exempt.  A top-level module imported under
 tests/ that is neither in the standard library nor the package or the
 suite's own helpers must be named in the `test` extra of pyproject.toml.
 A private module-level function, class or constant in src/toricnash must
-be read somewhere in src/ outside its own definition.  The benchmark's tracer (bench/tracer.py) wraps package functions by name,
-so every name in its TRACED table must still resolve.  Every EXIT_* code of
+be read somewhere in src/ outside its own definition.  So must a public
+module-level function or class, and a public method, unless the benchmark
+(bench/*.py) reads it as an attribute; a short allowlist names the
+exceptions, each with its reason.  The package exports exactly what the
+benchmark reads as `tn.<name>` and the README's library example imports,
+plus the error classes.  The benchmark's tracer (bench/tracer.py) wraps
+package functions by name, so every name in its TRACED table must still
+resolve.  Every EXIT_* code of
 the CLI has a row in the README's exit-code table, and the table has no other.
 """
 
@@ -20,6 +26,7 @@ import ast
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,6 +152,151 @@ def test_no_dead_private_names():
     sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     assert "cone.py" in sources
     assert dead_private_names(sources) == []
+
+
+def _reference_counts(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, counted as _references counts them."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    for ann in filter(None, _annotations(tree)):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.update(_reference_counts(ast.parse(node.value, mode="eval")))
+    return out
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) for every public module-level function or class
+    and every public method of a module-level class; dunders are not public."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+            if isinstance(stmt, ast.ClassDef):
+                for m in stmt.body:
+                    if isinstance(m, ast.FunctionDef):
+                        yield f"{stmt.name}.{m.name}", m
+
+
+def dead_public_names(sources: dict[str, str], external: set[str]) -> list[str]:
+    """module.name for every public definition that no source reads outside
+    the definition itself and that is not in `external`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((_reference_counts(t) for t in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            name = node.name
+            if name.startswith("_") or name in external:
+                continue
+            if total[name] == _reference_counts(node)[name]:
+                dead.append(f"{module}.{qualified}")
+    return dead
+
+
+def test_dead_public_detector():
+    sources = {
+        "a": (
+            '"""Mentions in_docstring only here."""\n'
+            "import b\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def in_docstring(): pass\n"
+            "def called(): return b.by_attribute()\n"
+            "class Kept:\n"
+            "    def __init__(self): self.used()\n"
+            "    def used(self): return called()\n"
+            "    def unused(self): pass\n"
+            "    def bench_reads(self): pass\n"
+            "def annotated(x: 'Kept') -> int: return 0\n"
+        ),
+        "b": "def by_attribute(): return 1\nclass _Private:\n    def error(self): pass\n",
+    }
+    assert dead_public_names(sources, {"bench_reads"}) == [
+        "a.recursive",
+        "a.in_docstring",
+        "a.Kept.unused",
+        "a.annotated",
+        "b._Private.error",
+    ]
+
+
+def bench_attributes() -> set[str]:
+    """Attribute names that bench/*.py reads, and names it imports from the package."""
+    out = set()
+    for path in ROOT.joinpath("bench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("toricnash"):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+# public definitions that nothing in src/ reads and the benchmark reads by no attribute
+UNREFERENCED_ALLOWED = {
+    "exactmath.adjugate": "named in bench/tracer.py's TRACED table",
+    "semigroup.AffineSemigroup.saturate": "named in bench/tracer.py's TRACED table",
+    "cli._Parser.error": "argparse calls it; the override sets the usage exit code",
+}
+
+
+def test_every_public_definition_has_a_caller():
+    src = ROOT.joinpath("src", "toricnash")
+    sources = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
+    assert "cone" in sources
+    dead = dead_public_names(sources, bench_attributes())
+    # an allowlisted name that gains a caller or goes away leaves the list too
+    assert sorted(dead) == sorted(UNREFERENCED_ALLOWED)
+
+
+def bench_package_names() -> set[str]:
+    """The names bench/*.py reads as tn.<name>, tn being the package."""
+    out = set()
+    for path in ROOT.joinpath("bench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "tn":
+                    out.add(node.attr)
+    return out
+
+
+def readme_library_example() -> str:
+    """The code block under the README's "Library" heading."""
+    section = ROOT.joinpath("README.md").read_text().split("## Library", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def readme_library_imports() -> set[str]:
+    """The names the README's library example imports from the package."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(readme_library_example()))
+        if isinstance(node, ast.ImportFrom) and node.module == "toricnash"
+        for alias in node.names
+    }
+
+
+def test_exports_are_what_the_bench_and_the_readme_use():
+    import toricnash
+
+    bench, readme = bench_package_names(), readme_library_imports()
+    assert "saturation_hilbert_basis" in bench and "blowup_step" in readme  # both were read
+    exported = set(toricnash.__all__) - {"__version__"}
+    assert bench | readme <= exported
+    for name in exported:
+        obj = getattr(toricnash, name)
+        if not (isinstance(obj, type) and issubclass(obj, Exception)):
+            assert name in bench | readme, f"{name} is exported but bench and README do not use it"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the example may write files
+    exec(compile(readme_library_example(), "README.md", "exec"), {})
 
 
 def imported_modules(source: str) -> set[str]:
