@@ -179,8 +179,9 @@ def cmd_search(args) -> int:
         if bad is not None:
             raise CliError(
                 f"{args.load}: node {bad} does not check out: its basis, its smooth flag "
-                "or the chart or certificate of an edge into it is wrong, or it is smooth "
-                "and on the frontier",
+                "or the chart or certificate of an edge into it is wrong, it is smooth "
+                "and on the frontier, it is not pointed and full-dimensional, or it is "
+                "equivalent to another node",
                 EXIT_MATH,
             )
         p = state.characteristic

@@ -36,7 +36,8 @@ def double_description(constraints: Sequence[Vec], dim: int) -> dict[Vec, int]:
 
     The result maps each primitive extreme ray r to a bitmask over the
     constraints: bit i is set when <constraints[i], r> == 0, i indexing the
-    caller's list.  Pre: the constraints span R^dim, so the cone is pointed.
+    caller's list.  The constraints must span R^dim, so that the cone is
+    pointed; if they do not, ValueError is raised before any ray is formed.
     Start from the simplicial cone cut out by dim independent constraints:
     its rays are the sign-fixed adjugate columns, ray j tight on every base
     constraint but the j-th.  The invariant below holds there; then insert
@@ -138,6 +139,14 @@ class Cone(object):
     computed eagerly by one double description, so membership tests are
     plain integer dot products.  The extreme rays are read from the facet
     columns, each facet's tight set over the generators, by ray_incidence.
+
+    When the generators span R^d, the double description runs on them
+    directly: its rays are the facet normals, and it returns each one's
+    tight set.  The cone is pointed exactly when the normals span R^d too,
+    and then no Hermite form runs.  Lower-dimensional cones and cones with
+    a line take dual_description, which computes a lattice basis of the
+    span, and a second orthogonal complement gives the lineality space; a
+    full-dimensional cone with a line so runs the double description twice.
     Cone.from_rays_and_facets builds a cone whose extreme rays and facets
     are already known.
     """
@@ -161,6 +170,17 @@ class Cone(object):
                 raise DimensionMismatch("generator of wrong length")
         self.dim = ambient_dim
         prim = tuple(sorted({primitive(g) for g in gens if not is_zero(g)}))
+
+        try:
+            tight = double_description(prim, ambient_dim)
+        except ValueError:  # prim does not span R^d
+            tight = {}
+        normals = tuple(sorted(tight))
+        if _spans(normals, ambient_dim):  # pointed: the dual cone is full-dimensional
+            self.facet_normals = normals
+            self.span_equations = self.lineality_basis = ()
+            self.generators = _extreme_rays(prim, [tight[n] for n in normals])
+            return
 
         lin_dual, normals = dual_description(prim, ambient_dim)
         self.facet_normals = normals
@@ -220,6 +240,15 @@ class Cone(object):
 
     def __repr__(self) -> str:
         return f"Cone(dim={self.dim}, generators={list(self.generators)})"
+
+
+def _spans(vectors: Sequence[Vec], dim: int) -> bool:
+    """Do the vectors span R^dim?"""
+    try:
+        independent_indices(vectors, dim)
+    except ValueError:
+        return False
+    return True
 
 
 def _tight_columns(normals: Sequence[Vec], gens: Sequence[Vec]) -> list[int]:

@@ -438,10 +438,15 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
     a smaller cone), so every node but the start must also be the target
     of a checked edge from a node of lower depth.  By induction on depth,
     every node is then a chart of a chart of ... the start.  A smooth node
-    is a leaf, so one on the frontier does not check out either.  Then
-    every edge is re-derived from its source and its certificate checked.
+    is a leaf, so one on the frontier does not check out either.  Nodes
+    are distinct classes, so each is filed in a _ClassIndex, and one that
+    hits a node filed before it, or cannot be filed, does not check out: a
+    duplicate could take the target of a cycle's last edge and hide the
+    cycle.  Then every edge is re-derived from its source and its
+    certificate checked.
     """
     frontier = set(report.frontier)
+    index = _ClassIndex()
     # one verdict per edge: the edge pass does not check a parent edge again
     checks_out = functools.cache(lambda i: _edge_checks_out(report, report.edges[i]))
     parents: dict[str, list[int]] = {}
@@ -453,6 +458,16 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
         if report.normalized and not _node_is_saturated(node.semigroup):
             return key
         if _node_is_smooth(node.semigroup) != node.smooth or (node.smooth and key in frontier):
+            return key
+        try:
+            if report.normalized:
+                found, _ = index.locate_cone(node.semigroup.cone)
+            else:
+                found, _ = index.locate(node.semigroup, report.nodes)
+            if found is not None:
+                return key
+            index.insert(node.semigroup, key)
+        except ValueError:  # not a pointed, full-dimensional semigroup
             return key
         if key != report.start_key and not any(map(checks_out, parents.get(key, ()))):
             return key

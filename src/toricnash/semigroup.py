@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import gcd
 from operator import lshift, mul
 from typing import Optional, Sequence
 
@@ -78,16 +79,23 @@ def _packing(rows: Sequence[Sequence[int]], fields: int, bound: int) -> tuple[in
     return width, guards, packed
 
 
+def _cyclic_group(s: Sequence[int], n: int) -> list[Vec]:
+    """The group s generates in (Z/n)^d, each element once: the multiples
+    j s mod n for j below the order of s, n / gcd(n, s); s is reduced mod n."""
+    return [tuple([j * a % n for a in s]) for j in range(n // gcd(n, *s))]
+
+
 def _parallelepiped_cosets(rays: Sequence[Vec]) -> tuple[int, set[Vec]]:
     """(n, K): the lattice points of {sum t_i r_i : 0 <= t_i < 1} are R k / n for k in K.
 
     rays are a basis of Q^d and n = |det R|.  There is one point per coset
     of R Z^d in Z^d, and k = n frac(R^-1 x) names the coset of x.  The k
     form the group that the adjugate's columns generate mod n (det's sign
-    is immaterial): from {0}, add each column's multiples until one falls
-    back into the group so far.  No Hermite form.  Past
-    MAX_PARALLELEPIPED_POINTS this raises ResourceLimitError before any
-    coset is listed.
+    is immaterial).  The first column s generates a cyclic group of order
+    n / gcd(n, s), listed at once as the multiples j s mod n.  Each further
+    column's multiples are added to the group so far until one falls back
+    into it.  No Hermite form.  Past MAX_PARALLELEPIPED_POINTS this raises
+    ResourceLimitError before any coset is listed.
     """
     d = len(rays)
     dval, adj = solve(mat(rays), identity(d))
@@ -99,10 +107,11 @@ def _parallelepiped_cosets(rays: Sequence[Vec]) -> tuple[int, set[Vec]]:
             f"a simplicial piece of index {n} has more than "
             f"{MAX_PARALLELEPIPED_POINTS} parallelepiped points to list"
         )
-    group = {zero_vec(d)}
-    for col in adj:
+    first, *rest = ([a % n for a in col] for col in adj)
+    group = set(_cyclic_group(first, n))
+    for col in rest:
         base = tuple(group)
-        shift = step = tuple([a % n for a in col])
+        shift = step = tuple(col)
         while shift not in group:
             group.update(tuple([(a + b) % n for a, b in zip(k, shift)]) for k in base)
             shift = tuple([(a + b) % n for a, b in zip(shift, step)])

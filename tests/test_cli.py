@@ -322,6 +322,27 @@ def test_search_load_rejects_forged_node(tmp_path, capsys, key, forge):
     assert err.count("\n") == 1
 
 
+def test_search_load_rejects_a_second_node_of_one_class(tmp_path, capsys):
+    # a copy of the start node at depth 1 takes the one-step loop's edge; it
+    # checks out as a node, and every edge checks out, but the loop is hidden
+    path = tmp_path / "B.graph"
+    lines = []
+    for line in (CORPUS / "B.graph").read_text().splitlines():
+        parts = line.split()
+        if parts[:2] == ["edge", "89f996bf9b7b-0"] and parts[2] == "89f996bf9b7b-0":
+            parts[2] = "zz0000000000-0"
+        lines.append(" ".join(parts))
+        if parts[:2] == ["node", "89f996bf9b7b-0"]:
+            lines.append(" ".join(["node", "zz0000000000-0", "1", *parts[3:]]))
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "1")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node zz0000000000-0 does not check out")
+    assert "equivalent to another node" in err
+    assert err.count("\n") == 1
+
+
 def test_search_load_rejects_an_extra_edge_whose_subset_is_no_vertex(tmp_path, capsys):
     # the subset 0,1,2,3,8 of the start's Hilbert basis is live, but its chart is not pointed
     path = tmp_path / "B.graph"

@@ -1,9 +1,13 @@
+import importlib
 import itertools
+import json
+import pkgutil
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import toricnash
 from toricnash.cone import (
     Cone,
     _triangulate_rays,
@@ -14,10 +18,12 @@ from toricnash.exactmath import (
     DimensionMismatch,
     det,
     dot,
+    hermite_form,
     identity,
     independent_indices,
     mat,
     mat_apply,
+    neg,
     orthogonal_complement,
     primitive,
     solve,
@@ -27,6 +33,7 @@ from toricnash.fixtures import BUILTIN_CONES
 from toricnash.semigroup import AffineSemigroup, saturation_hilbert_basis
 
 from helpers import (
+    CORPUS,
     apply_matrix,
     embedded_pointed_cones,
     oracle_facets,
@@ -392,6 +399,13 @@ def test_double_description_matches_reference_and_incidence(drawn):
     assert got == _tight_sets(constraints, got)
 
 
+def test_double_description_refuses_constraints_that_do_not_span():
+    # Cone reads this ValueError as "the generators are not full-dimensional"
+    for constraints, dim in ([((1, 0, 0), (0, 1, 0), (1, 1, 0)), 3], [(), 2], [((0, 0),), 2]):
+        with pytest.raises(ValueError):
+            double_description(constraints, dim)
+
+
 def _newton_cone_constraints(s, p):
     """K's generators as nash builds them: sigma's rays (0, r), then the sorted
     distinct sums (1, v) of the d-subsets of the Hilbert basis whose minor is
@@ -421,3 +435,96 @@ def test_double_description_on_newton_cones(name, p):
     got = double_description(constraints, s.dim + 1)
     assert tuple(sorted(got)) == _reference_dd_rays(constraints, s.dim + 1)
     assert got == _tight_sets(constraints, got)
+
+
+# --- differential gate: the full-dimensional path against dual_description ---
+
+
+def _dual_description_cone(generators, dim):
+    """(generators, facet_normals, span_equations, lineality_basis) the way
+    every Cone computed them before a full-dimensional pointed one skipped
+    its Hermite forms: dual_description, whose orthogonal complement gives
+    the span equations, then the orthogonal complement of the facets and
+    span equations.  A generator of a pointed cone spans an extreme ray
+    when the facets through it and the span equations have rank dim - 1."""
+    prim = tuple(sorted({primitive(vec(g)) for g in generators if any(g)}))
+    span_equations, normals = dual_description(prim, dim)
+    constraints = sorted((*normals, *span_equations, *map(neg, span_equations)))
+    lineality = orthogonal_complement(constraints, dim)
+    if lineality:
+        return prim, normals, span_equations, lineality
+    rays = tuple(
+        g for g in prim
+        if sympy_rank([*(n for n in normals if not dot(n, g)), *span_equations]) == dim - 1
+    )
+    return rays, normals, span_equations, lineality
+
+
+def _assert_matches_dual_description(generators, dim):
+    c = Cone(generators, dim)
+    assert (c.generators, c.facet_normals, c.span_equations, c.lineality_basis) == (
+        _dual_description_cone(generators, dim)
+    )
+    return c
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CONES))
+def test_fixture_cones_match_dual_description(name):
+    cf = BUILTIN_CONES[name]
+    c = _assert_matches_dual_description(cf.generators, cf.dim)
+    _assert_matches_dual_description(saturation_hilbert_basis(c), cf.dim)
+
+
+def test_hilbert_family_cones_match_dual_description():
+    family = json.loads((CORPUS / "hilbert_family.json").read_text())
+    assert len(family) == 120
+    for cone in family:
+        for gens in (cone["rays"], cone["hilbert"]):
+            c = _assert_matches_dual_description([tuple(g) for g in gens], cone["dim"])
+            assert c.is_pointed and c.is_full_dimensional
+
+
+@st.composite
+def _cones_of_each_kind(draw, kind):
+    """(dim, generators) of a full-dimensional pointed cone, a full-dimensional
+    cone with a line (some generator g with -g added), or a lower-dimensional one."""
+    dim, gens = draw(embedded_pointed_cones())
+    full = sympy_rank(gens) == dim
+    assume(full == (kind != "lower"))
+    if kind == "line":
+        gens = gens + [neg(draw(st.sampled_from(gens)))]
+    return dim, draw(st.permutations(gens))
+
+
+@pytest.mark.parametrize("kind", ["pointed", "line", "lower"])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_drawn_cones_match_dual_description(kind, data):
+    dim, gens = data.draw(_cones_of_each_kind(kind))
+    c = _assert_matches_dual_description(gens, dim)
+    assert (c.is_full_dimensional, c.is_pointed) == {
+        "pointed": (True, True), "line": (True, False), "lower": (False, True)
+    }[kind]
+
+
+def test_a_full_dimensional_pointed_cone_runs_no_hermite_form(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return hermite_form(m)
+
+    modules = [
+        importlib.import_module(f"toricnash.{info.name}")
+        for info in pkgutil.iter_modules(toricnash.__path__)
+    ]
+    bound = [m for m in (toricnash, *modules) if hasattr(m, "hermite_form")]
+    assert toricnash.exactmath in bound
+    for m in bound:
+        monkeypatch.setattr(m, "hermite_form", counted)
+    for cf in BUILTIN_CONES.values():
+        c = Cone(cf.generators, cf.dim)
+        assert c.is_pointed and c.is_full_dimensional
+    assert calls == []
+    Cone(((1, 0, 0), (0, 1, 0)), 3)  # the control: a lower-dimensional cone counts
+    assert calls

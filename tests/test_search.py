@@ -568,6 +568,31 @@ def test_verify_report_nodes_rejects_forged_nodes(tmp_path, key, forge):
     assert verify_report_nodes(report) == key
 
 
+@pytest.mark.parametrize("normalized", [True, False])
+def test_verify_report_nodes_rejects_a_second_node_of_one_class(normalized):
+    # a copy of the start at depth 1 takes the one-step loop's edge and hides the loop
+    s = fixtures.source_semigroup()
+    report = explore(s, 3, max_depth=1, normalized=normalized)
+    assert verify_report_nodes(report) is None
+    assert report.cycle_lengths_found() == {1}
+    copy = AffineSemigroup.from_hilbert_basis(s.hilbert_basis(), s.dim, saturated=True)
+    report.nodes["zz"] = GraphNode("zz", copy, 1, False)
+    loop = next(e for e in report.edges if e.src == e.dst)
+    loop.dst = "zz"
+    assert find_cycles(report.nodes, report.edges, (1,)) == []
+    assert all(search._edge_checks_out(report, e) for e in report.edges)  # every edge holds
+    assert verify_report_nodes(report) == "zz"
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_verify_report_nodes_rejects_a_lower_dimensional_node(normalized):
+    # saturated and reached by no edge, as a start may be, but no search node
+    s = AffineSemigroup.from_hilbert_basis(((1, 0),), 2)
+    nodes = {"a": GraphNode("a", s, 0, False)}
+    report = search.SearchReport(0, normalized, nodes, [], [], [], "", "a")
+    assert verify_report_nodes(report) == "a"
+
+
 def test_verify_report_nodes_rejects_a_basis_with_a_line():
     s = AffineSemigroup.from_hilbert_basis(((1, 0), (-1, 0), (0, 1)), 2)
     report = search.SearchReport(3, True, {"a": GraphNode("a", s, 0, False)}, [], [], [], "", "a")

@@ -10,11 +10,13 @@ from toricnash.cone import Cone, NotPointedError, _triangulate_rays
 from toricnash.exactmath import (
     add,
     dot,
+    identity,
     is_zero,
     mat,
     mat_apply,
     orthogonal_complement,
     scale,
+    solve,
     sub,
     vec,
     zero_vec,
@@ -27,6 +29,7 @@ from toricnash.semigroup import (
     NotFullLatticeError,
     NotSaturatedError,
     ResourceLimitError,
+    _cyclic_group,
     _parallelepiped_cosets,
     coordinates_in_basis,
     saturation_hilbert_basis,
@@ -489,6 +492,46 @@ def test_a_coset_group_with_several_generators_gives_every_point(rays):
     assert got == _brute_force_parallelepiped(rays)
     # no coset has order n, so no single adjugate column generates the group
     assert max(_coset_order(rays, x) for x in got) < n
+
+
+def _first_column(rays):
+    """(n, s): |det R| and R's first adjugate column mod n, the generator
+    whose cyclic group _parallelepiped_cosets lists in closed form."""
+    dval, adj = solve(mat(rays), identity(len(rays)))
+    n = abs(dval)
+    return n, [a % n for a in adj[0]]
+
+
+@pytest.mark.parametrize(
+    "rays, order",
+    [
+        (((1, 0), (0, 2)), 1),  # e_1 is in the lattice: the first column is 0 mod n
+        (((1, 0, 0), (0, 3, 0), (0, 0, 2)), 1),
+        (((0, 1), (5, -1)), 5),  # the first column generates the whole group Z/5
+        (((1, 1, 0), (0, 1, 1), (1, 0, 3)), 4),  # and Z/4
+        (((2, 0), (0, 4)), 2),  # Z/2 x Z/4: the first column generates a subgroup of order 2
+        (((4, 0), (0, 2)), 4),  # and one of order 4
+        (((2, 0, 0), (0, 4, 0), (0, 0, 3)), 2),  # Z/2 x Z/12
+    ],
+)
+def test_the_first_coset_factor_is_listed_in_closed_form(rays, order):
+    n, first = _first_column(rays)
+    multiples = {tuple(j * a % n for a in first) for j in range(n)}
+    assert len(multiples) == order
+    got = _cyclic_group(first, n)
+    assert len(got) == order  # each element once
+    assert set(got) == multiples
+    assert _coset_points(rays) == _brute_force_parallelepiped(rays)
+
+
+@settings(max_examples=60)
+@given(_lattice_bases())
+def test_the_first_coset_factor_lists_each_multiple_once(drawn):
+    _, rays = drawn
+    n, first = _first_column(rays)
+    got = _cyclic_group(first, n)
+    assert len(got) == len(set(got))
+    assert set(got) == {tuple(j * a % n for a in first) for j in range(n)}
 
 
 @pytest.mark.parametrize(
