@@ -8,12 +8,10 @@ from typing import Optional, Sequence
 from .exactmath import (
     Vec,
     DimensionMismatch,
-    dot,
     identity,
     independent_indices,
     is_zero,
     mat,
-    mat_apply,
     neg,
     orthogonal_complement,
     primitive,
@@ -106,28 +104,30 @@ def double_description(constraints: Sequence[Vec], dim: int) -> dict[Vec, int]:
     return dict(zip(rays, tights))
 
 
-def dual_description(vectors: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """(lineality basis, extreme rays) of the cone {x : <v, x> >= 0 for all v}.
+def dual_description(vectors: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], dict[Vec, int]]:
+    """(span equations, facets) of the cone C generated by the vectors.
 
-    The rays are primitive, sorted, and chosen inside the rational span of
-    the constraint vectors, which makes them canonical even when the dual
-    cone is not full-dimensional.
+    The span equations E are a saturated lattice basis of span(C)^perp,
+    empty when the vectors span R^dim.  facets maps each primitive facet
+    normal n of C, chosen inside span(C), to its tight set: bit j is set
+    when <n, vectors[j]> == 0, j indexing the caller's list as in
+    double_description.  Zero vectors, multiples and repeats are allowed.
+
+    The normals are the extreme rays of the dual cone cut down to the span,
+    {y : <v, y> >= 0 for every vector v and <e, y> == 0 for e in E}.  Its
+    lineality, C^perp meet span(C), is 0, so it is pointed, and one double
+    description finds it, each equation entering as the pair of
+    inequalities e and -e (Fukuda and Prodon 1996); the pairs' bits are
+    masked off the tight sets.  When the vectors span R^dim there are no
+    equations, and no Hermite form runs.
     """
-    vs = sorted({primitive(v) for v in vectors if not is_zero(v)})
-    if not vs:
-        return identity(dim), ()
-    lin = orthogonal_complement(vs, dim)
-    if not lin:
-        return (), tuple(sorted(double_description(vs, dim)))
-    span_basis = orthogonal_complement(lin, dim)  # saturated basis of span(vs)
-    r = len(span_basis)
-    if r == 0:
-        return lin, ()
-    projected = [vec(dot(v, w) for w in span_basis) for v in vs]
-    rays_y = double_description(sorted(set(projected)), r)
-    back = mat(span_basis)  # columns = basis vectors of the span
-    rays = tuple(sorted(primitive(mat_apply(back, y)) for y in rays_y))
-    return lin, rays
+    try:
+        return (), double_description(vectors, dim)
+    except ValueError:  # the vectors do not span R^dim
+        eqs = orthogonal_complement(vectors, dim)
+    tight = double_description([*vectors, *eqs, *map(neg, eqs)], dim)
+    mask = (1 << len(vectors)) - 1
+    return eqs, {n: t & mask for n, t in tight.items()}
 
 
 class Cone(object):
@@ -136,19 +136,16 @@ class Cone(object):
     Generators are primitivised and deduplicated; when the cone is pointed
     they are further reduced to the extreme rays.  The facet description
     (facet normals plus span equations for lower-dimensional cones) is
-    computed eagerly by one double description, so membership tests are
-    plain integer dot products.  The extreme rays are read from the facet
-    columns, each facet's tight set over the generators, by ray_incidence.
+    computed eagerly by one double description, in dual_description, so
+    membership tests are plain integer dot products.
 
-    When the generators span R^d, the double description runs on them
-    directly: its rays are the facet normals, and it returns each one's
-    tight set.  The cone is pointed exactly when the normals span R^d too,
-    and then no Hermite form runs.  Lower-dimensional cones and cones with
-    a line take dual_description, which computes a lattice basis of the
-    span, and a second orthogonal complement gives the lineality space; a
-    full-dimensional cone with a line so runs the double description twice.
-    Cone.from_rays_and_facets builds a cone whose extreme rays and facets
-    are already known.
+    dual_description returns each facet's tight set over the generators.
+    The cone is pointed exactly when the normals and span equations span
+    R^d; then the extreme rays are read from those tight sets by
+    ray_incidence, and a full-dimensional pointed cone runs no Hermite
+    form.  Otherwise an orthogonal complement of the normals and span
+    equations gives the lineality space.  Cone.from_rays_and_facets builds
+    a cone whose extreme rays and facets are already known.
     """
 
     __slots__ = (
@@ -170,29 +167,17 @@ class Cone(object):
                 raise DimensionMismatch("generator of wrong length")
         self.dim = ambient_dim
         prim = tuple(sorted({primitive(g) for g in gens if not is_zero(g)}))
-
-        try:
-            tight = double_description(prim, ambient_dim)
-        except ValueError:  # prim does not span R^d
-            tight = {}
+        eqs, tight = dual_description(prim, ambient_dim)
         normals = tuple(sorted(tight))
-        if _spans(normals, ambient_dim):  # pointed: the dual cone is full-dimensional
-            self.facet_normals = normals
-            self.span_equations = self.lineality_basis = ()
-            self.generators = _extreme_rays(prim, [tight[n] for n in normals])
-            return
-
-        lin_dual, normals = dual_description(prim, ambient_dim)
         self.facet_normals = normals
-        self.span_equations = lin_dual  # x in span(cone) iff all these vanish on x
-
-        # the cone is cut out by the (primitive) normals and +-lin_dual
-        constraints = sorted((*normals, *lin_dual, *map(neg, lin_dual)))
-        self.lineality_basis = orthogonal_complement(constraints, ambient_dim)
-        if self.lineality_basis:
-            self.generators = prim
+        self.span_equations = eqs  # x in span(cone) iff all these vanish on x
+        if _spans(normals + eqs, ambient_dim):  # pointed: their orthogonal complement is 0
+            self.lineality_basis = ()
+            self.generators = _extreme_rays(prim, [tight[n] for n in normals])
         else:
-            self.generators = _extreme_rays(prim, _tight_columns(normals, prim))
+            constraints = sorted((*normals, *eqs, *map(neg, eqs)))
+            self.lineality_basis = orthogonal_complement(constraints, ambient_dim)
+            self.generators = prim
 
     @classmethod
     def from_rays_and_facets(
@@ -251,11 +236,6 @@ def _spans(vectors: Sequence[Vec], dim: int) -> bool:
     return True
 
 
-def _tight_columns(normals: Sequence[Vec], gens: Sequence[Vec]) -> list[int]:
-    """Per normal n, the bitmask of the positions j with <n, gens[j]> == 0."""
-    return [sum(1 << j for j, g in enumerate(gens) if not sum(map(mul, n, g))) for n in normals]
-
-
 def face_meet(columns: Sequence[int], facets: int, everything: int) -> int:
     """The generators on every facet i in the bitmask `facets`.
 
@@ -309,7 +289,9 @@ def _triangulate_rays(c: Cone) -> list[tuple[Vec, ...]]:
     turn and each piece joined to that ray.
     """
     rays = c.generators
-    facets = _tight_columns(c.facet_normals, rays)
+    facets = [
+        sum(1 << j for j, r in enumerate(rays) if not sum(map(mul, n, r))) for n in c.facet_normals
+    ]
 
     def split(face: int, k: int) -> list[int]:
         if bin(face).count("1") == k:

@@ -49,6 +49,7 @@ TERMINATION_EXHAUSTED = "exhausted"
 TERMINATION_DEPTH = "depth-limit"
 TERMINATION_NODES = "node-limit"
 TERMINATION_CYCLE = "cycle-found"
+_TERMINATIONS = (TERMINATION_EXHAUSTED, TERMINATION_DEPTH, TERMINATION_NODES, TERMINATION_CYCLE)
 
 
 class GraphFormatError(ValueError):
@@ -561,6 +562,7 @@ def load_graph(path: str) -> SearchReport:
             raise GraphFormatError(f"not an ASCII graph file: {exc}") from None
     nodes: dict[str, GraphNode] = {}
     edges: list[GraphEdge] = []
+    node_lines: dict[str, int] = {}  # key -> line number of its node record
     frontier: dict[str, int] = {}  # key -> line number of its frontier record
     edge_lines: dict[tuple[str, tuple[int, ...]], int] = {}  # (src, subset) -> line number
     meta: Optional[tuple[int, bool, str, str, int]] = None  # last: the meta line number
@@ -574,6 +576,10 @@ def load_graph(path: str) -> SearchReport:
             if kind == "meta":
                 if meta is not None:
                     raise GraphFormatError(f"line {lineno}: duplicate meta record")
+                if len(parts) != 5:
+                    raise GraphFormatError(f"line {lineno}: a meta record has 4 fields")
+                if parts[3] not in _TERMINATIONS:
+                    raise GraphFormatError(f"line {lineno}: unknown termination {parts[3]!r}")
                 meta = (int(parts[1]), _flag(parts[2]), parts[3], parts[4], lineno)
             elif kind == "node":
                 key, depth, smooth, dim, ngens = (
@@ -593,6 +599,7 @@ def load_graph(path: str) -> SearchReport:
                 gens = [vec(entries[i * dim : (i + 1) * dim]) for i in range(ngens)]
                 s = AffineSemigroup.from_hilbert_basis(gens, dim)
                 nodes[key] = GraphNode(key, s, depth, smooth)
+                node_lines[key] = lineno
             elif kind == "edge":
                 src, dst = parts[1], parts[2]
                 subset = tuple(int(x) for x in parts[3].split(",")) if parts[3] else ()
@@ -610,6 +617,8 @@ def load_graph(path: str) -> SearchReport:
                 )
                 edges.append(GraphEdge(src, dst, subset, cols))
             elif kind == "frontier":
+                if len(parts) != 2:
+                    raise GraphFormatError(f"line {lineno}: a frontier record has 1 field")
                 if parts[1] in frontier:
                     raise GraphFormatError(f"line {lineno}: duplicate frontier record {parts[1]}")
                 frontier[parts[1]] = lineno
@@ -637,6 +646,10 @@ def load_graph(path: str) -> SearchReport:
         raise GraphFormatError(
             f"line {meta_line}: start node {start_key} has depth {nodes[start_key].depth}, not 0"
         )
+    for key, lineno in node_lines.items():
+        depth = nodes[key].depth
+        if depth < 0:
+            raise GraphFormatError(f"line {lineno}: node {key} has negative depth {depth}")
     report = SearchReport(
         characteristic=p,
         normalized=normalized,

@@ -42,4 +42,8 @@ def test_a_traced_run_is_correct(checkout, workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     if workload == "hilbert":  # every cone is full-dimensional and pointed
-        assert result["metrics"]["exactmath.hermite_form.calls"]["value"] == 0
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        assert metrics["exactmath.hermite_form.calls"] == 0
+        # each Cone runs one dual description, and the tracer counts its facets
+        assert metrics["cone.dual_description.calls"] == metrics["cone.Cone.calls"] > 0
+        assert metrics["cone.dual_description.rays"] > 0

@@ -296,6 +296,16 @@ def test_search_load_rejects_a_loop_whose_certificate_is_not_unimodular(tmp_path
         (b"meta 3 7 exhausted a\nnode a 0 0 1 1 1\n", "line 1: malformed meta record: flag '7'"),
         (b"meta 3 1 exhausted a\nnode a 0 9 1 1 1\n", "line 2: malformed node record: flag '9'"),
         (b"meta 3 1 exhausted a\nnode a -3 0 1 1 1\n", "line 1: start node a has depth -3, not 0"),
+        (b"meta 3 1 garbage a\nnode a 0 0 1 1 1\n", "line 1: unknown termination 'garbage'"),
+        (b"meta 3 1 exhausted a 0\nnode a 0 0 1 1 1\n", "line 1: a meta record has 4 fields"),
+        (
+            b"meta 3 1 depth-limit a\nnode a 0 0 1 1 1\nfrontier a 0\n",
+            "line 3: a frontier record has 1 field",
+        ),
+        (
+            b"meta 3 1 exhausted a\nnode a 0 0 1 1 1\nnode b -1 0 1 1 1\n",
+            "line 3: node b has negative depth -1",
+        ),
     ],
 )
 def test_search_load_rejects_malformed_graph(tmp_path, capsys, data, message):

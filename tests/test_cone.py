@@ -147,9 +147,17 @@ def test_dual_description_consistency():
     for _ in range(40):
         dim = rng.choice((2, 3))
         gens = random_pointed_gens(rng, dim, dim + 2)
-        lin, rays = dual_description(gens, dim)
-        assert lin == ()  # dual of a full-dimensional cone is pointed
-        assert all(dot(n, g) >= 0 for n in rays for g in gens)
+        # the cone, and its copy in the hyperplane x_(dim+1) = 0 of R^(dim+1),
+        # each with a multiple of a generator and a zero vector added
+        for vectors, eqs in ((gens, ()), ([(*g, 0) for g in gens], (identity(dim + 1)[-1],))):
+            vectors = [*vectors, tuple(2 * x for x in vectors[0]), (0,) * len(vectors[0])]
+            span_equations, facets = dual_description(vectors, len(vectors[0]))
+            assert span_equations == eqs
+            for n, tight in facets.items():
+                assert primitive(n) == n and not any(dot(n, e) for e in eqs)
+                assert all(dot(n, v) >= 0 for v in vectors)
+                assert tight == sum(1 << j for j, v in enumerate(vectors) if not dot(n, v))
+        assert {n[:dim] for n in facets} == set(dual_description(gens, dim)[1])
 
 
 # --- differential gate: one double description against the former two ---
@@ -437,18 +445,19 @@ def test_double_description_on_newton_cones(name, p):
     assert got == _tight_sets(constraints, got)
 
 
-# --- differential gate: the full-dimensional path against dual_description ---
+# --- differential gate: Cone against the dual description by projection ---
 
 
 def _dual_description_cone(generators, dim):
     """(generators, facet_normals, span_equations, lineality_basis) the way
     every Cone computed them before a full-dimensional pointed one skipped
-    its Hermite forms: dual_description, whose orthogonal complement gives
-    the span equations, then the orthogonal complement of the facets and
-    span equations.  A generator of a pointed cone spans an extreme ray
-    when the facets through it and the span equations have rank dim - 1."""
+    its Hermite forms: the dual description by projection onto a lattice
+    basis of the span, whose orthogonal complement gives the span
+    equations, then the orthogonal complement of the facets and span
+    equations.  A generator of a pointed cone spans an extreme ray when the
+    facets through it and the span equations have rank dim - 1."""
     prim = tuple(sorted({primitive(vec(g)) for g in generators if any(g)}))
-    span_equations, normals = dual_description(prim, dim)
+    span_equations, normals = _reference_dual_description(prim, dim)
     constraints = sorted((*normals, *span_equations, *map(neg, span_equations)))
     lineality = orthogonal_complement(constraints, dim)
     if lineality:
@@ -507,24 +516,50 @@ def test_drawn_cones_match_dual_description(kind, data):
     }[kind]
 
 
-def test_a_full_dimensional_pointed_cone_runs_no_hermite_form(monkeypatch):
-    calls = []
+def _count_every_binding(monkeypatch, fn, calls):
+    """Count fn's completed calls in calls[fn.__name__], at every binding of
+    it in the package; return the modules that bind it."""
 
-    def counted(m):
-        calls.append(m)
-        return hermite_form(m)
+    def counted(*args):
+        out = fn(*args)
+        calls[fn.__name__] += 1
+        return out
 
     modules = [
         importlib.import_module(f"toricnash.{info.name}")
         for info in pkgutil.iter_modules(toricnash.__path__)
     ]
-    bound = [m for m in (toricnash, *modules) if hasattr(m, "hermite_form")]
-    assert toricnash.exactmath in bound
+    bound = [m for m in (toricnash, *modules) if vars(m).get(fn.__name__) is fn]
     for m in bound:
-        monkeypatch.setattr(m, "hermite_form", counted)
-    for cf in BUILTIN_CONES.values():
-        c = Cone(cf.generators, cf.dim)
-        assert c.is_pointed and c.is_full_dimensional
-    assert calls == []
-    Cone(((1, 0, 0), (0, 1, 0)), 3)  # the control: a lower-dimensional cone counts
-    assert calls
+        monkeypatch.setattr(m, fn.__name__, counted)
+    return bound
+
+
+@pytest.mark.parametrize(
+    "kind, generators, dim, work",
+    [
+        *[
+            pytest.param("pointed", cf.generators, cf.dim, (0, 1), id=f"pointed-{name}")
+            for name, cf in sorted(BUILTIN_CONES.items())
+        ],
+        pytest.param("line", ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)), 3, (1, 1), id="line"),
+        pytest.param("lower", ((1, 0, 0), (1, 2, 0)), 3, (1, 1), id="lower"),
+        pytest.param("lower-line", ((1, 0, 0), (-1, 0, 0), (0, 1, 0)), 3, (2, 1), id="lower-line"),
+    ],
+)
+def test_hermite_forms_and_double_descriptions_per_kind_of_cone(
+    monkeypatch, kind, generators, dim, work
+):
+    # a lower-dimensional cone's first double description stops, uncompleted,
+    # on generators that do not span
+    calls = {"hermite_form": 0, "double_description": 0}
+    assert toricnash.exactmath in _count_every_binding(monkeypatch, hermite_form, calls)
+    assert toricnash.cone in _count_every_binding(monkeypatch, double_description, calls)
+    c = Cone(generators, dim)
+    assert (c.is_full_dimensional, c.is_pointed) == {
+        "pointed": (True, True),
+        "line": (True, False),
+        "lower": (False, True),
+        "lower-line": (False, False),
+    }[kind]
+    assert (calls["hermite_form"], calls["double_description"]) == work

@@ -310,6 +310,18 @@ def test_load_rejects_malformed_files(tmp_path):
             "frontier a\n"
             "frontier a\n"
         ),
+        "bad-termination": "meta 3 1 garbage a\nnode a 0 0 2 2 1 0 0 1\n",
+        "meta-trailing": "meta 3 1 exhausted a b\nnode a 0 0 2 2 1 0 0 1\n",
+        "frontier-trailing": (
+            "meta 3 1 depth-limit a\n"
+            "node a 0 0 2 2 1 0 0 1\n"
+            "frontier a a\n"
+        ),
+        "negative-depth": (
+            "meta 3 1 exhausted a\n"
+            "node a 0 0 2 2 1 0 0 1\n"
+            "node b -1 0 2 2 1 0 0 1\n"
+        ),
     }
     for name, text in cases.items():
         p = tmp_path / f"{name}.txt"
