@@ -10,6 +10,7 @@ from .exactmath import DimensionMismatch, InvalidCharacteristic
 from .iso import certificate_for_matrix, find_isomorphism, fingerprint, verify_certificate
 from .nash import blowup_step, chart
 from .search import (
+    GraphCheckError,
     GraphFormatError,
     explore,
     load_graph,
@@ -34,6 +35,7 @@ __all__ = [
     "ConeFile",
     "ConeFileError",
     "DimensionMismatch",
+    "GraphCheckError",
     "GraphFormatError",
     "InvalidCharacteristic",
     "NotFullDimensionalError",

@@ -23,12 +23,12 @@ from .iso import find_isomorphism
 from .nash import blowup_step
 from .search import (
     TERMINATION_NODES,
+    GraphCheckError,
     GraphFormatError,
     SearchReport,
     explore,
     load_graph,
     save_graph,
-    verify_report_nodes,
 )
 from .semigroup import (
     AffineSemigroup,
@@ -173,17 +173,6 @@ def cmd_search(args) -> int:
             raise CliError(f"cannot read {args.load}: {exc}")
         except GraphFormatError as exc:
             raise CliError(f"{args.load}: {exc}")
-        if state.start_key not in state.nodes:  # an empty file loads as an empty graph
-            raise CliError(f"{args.load}: the graph has no start node")
-        bad = verify_report_nodes(state)
-        if bad is not None:
-            raise CliError(
-                f"{args.load}: node {bad} does not check out: its basis, its smooth flag "
-                "or the chart or certificate of an edge into it is wrong, it is smooth "
-                "and on the frontier, it is not pointed and full-dimensional, or it is "
-                "equivalent to another node",
-                EXIT_MATH,
-            )
         p = state.characteristic
         normalized = state.normalized
         start = state.nodes[state.start_key].semigroup
@@ -195,16 +184,19 @@ def cmd_search(args) -> int:
         p = _resolve_char(args, cf)
         normalized = args.normalized
 
-    report = explore(
-        start,
-        p,
-        max_depth=args.max_depth,
-        max_nodes=args.max_nodes,
-        cycle_lengths=wanted,
-        normalized=normalized,
-        halt_on_cycle=args.halt_on_cycle,
-        state=state,
-    )
+    try:
+        report = explore(
+            start,
+            p,
+            max_depth=args.max_depth,
+            max_nodes=args.max_nodes,
+            cycle_lengths=wanted,
+            normalized=normalized,
+            halt_on_cycle=args.halt_on_cycle,
+            state=state,
+        )
+    except GraphCheckError as exc:  # only a loaded state is checked
+        raise CliError(f"{args.load}: {exc}", EXIT_MATH)
     if args.save:
         save_graph(report, args.save)
     _render_report(report, wanted)

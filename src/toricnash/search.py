@@ -56,6 +56,18 @@ class GraphFormatError(ValueError):
     """Bad persisted graph; the message carries the offending line number."""
 
 
+class GraphCheckError(ValueError):
+    """A well-formed search graph whose node `key` does not check out."""
+
+    def __init__(self, key: str):
+        super().__init__(
+            f"node {key} does not check out: its basis, its smooth flag or the chart or "
+            "certificate of an edge into it is wrong, it is smooth and on the frontier, "
+            "it is not pointed and full-dimensional, or it is equivalent to another node"
+        )
+        self.key = key
+
+
 @dataclass
 class GraphNode:
     key: str
@@ -236,21 +248,20 @@ def explore(
     limits.  A node that the node limit cuts short stays on the frontier
     with the out-edges it has so far.  An edge stores the identity into a
     new node, else the certificate its _ClassIndex lookup returns.  Passing
-    a loaded report as `state` resumes its frontier; its characteristic and
-    mode must match, and a frontier node that already has out-edges has
-    them dropped and redone when it is expanded.  A start that is not
-    pointed, not saturated or does not span Z^d raises NotPointedError,
-    NotSaturatedError or NotFullLatticeError, all ValueErrors.  So does a
-    resume state with an unsaturated node in normalized mode, or with a
-    frontier node flagged smooth (NotSaturatedError, ValueError), and a p
-    that is neither zero nor prime (InvalidCharacteristic).
+    a report as `state` resumes its frontier, and `start` is not read: the
+    characteristic and mode must match, else ValueError, and the report
+    must pass _checked_index, else GraphCheckError; the search goes on with
+    the index that check fills.  A frontier node with out-edges has them
+    dropped and redone when it is expanded.  A start that is not pointed,
+    not saturated or does not span Z^d raises NotPointedError,
+    NotSaturatedError or NotFullLatticeError, and a p that is neither zero
+    nor prime InvalidCharacteristic; all are ValueErrors.
     """
     check_characteristic(p)
     wanted = sorted(set(int(k) for k in cycle_lengths))
     if any(k < 1 for k in wanted):
         raise ValueError("cycle lengths must be positive")
 
-    index = _ClassIndex()
     if state is None:
         if not start.is_pointed:
             raise NotPointedError("search requires a pointed start semigroup")
@@ -258,6 +269,7 @@ def explore(
             raise NotSaturatedError("search requires a saturated start semigroup")
         if not start.generates_full_lattice():
             raise NotFullLatticeError("search requires a start semigroup spanning Z^d")
+        index = _ClassIndex()
         start_key = index.insert(start)
         nodes = {start_key: GraphNode(start_key, start, 0, _node_is_smooth(start))}
         edges: list[GraphEdge] = []
@@ -265,18 +277,11 @@ def explore(
     else:
         if state.characteristic != p or state.normalized != normalized:
             raise ValueError("resume state does not match the requested search")
+        index = _checked_index(state)
         nodes = dict(state.nodes)
         edges = list(state.edges)
         frontier = list(state.frontier)
         start_key = state.start_key
-        for key, node in nodes.items():
-            # locate_cone trusts every node to be saturated (the check is cached)
-            if normalized and not node.semigroup.is_saturated():
-                raise NotSaturatedError(f"node {key} of the resume state is not saturated")
-            index.insert(node.semigroup, key)
-        for key in frontier:
-            if nodes[key].smooth:
-                raise ValueError(f"frontier node {key} of the resume state is flagged smooth")
     # a frontier node with out-edges was cut short by the node limit
     cut_short = {e.src for e in edges}.intersection(frontier)
     heap = [(nodes[k].depth, k) for k in frontier]
@@ -346,36 +351,22 @@ def find_cycles(
         if cur is None or e.subset < cur.subset:
             best_edge[(e.src, e.dst)] = e
     adj: dict[str, list[str]] = {}
-    for (src, dst) in best_edge:
+    for src, dst in best_edge:
         adj.setdefault(src, []).append(dst)
-    for v in adj.values():
-        v.sort()
-
     found: list[CycleRecord] = []
-    seen: set[tuple[str, ...]] = set()
     maxlen = max(wanted)
-    keys = sorted(nodes)
 
     def walk(anchor: str, path: list[str]) -> None:
-        cur = path[-1]
-        for nxt in adj.get(cur, []):
+        """Extend the path, whose nodes follow the anchor in key order, by one edge."""
+        for nxt in adj.get(path[-1], []):
             if nxt == anchor and len(path) in wanted:
-                tup = tuple(path)
-                if tup not in seen:
-                    seen.add(tup)
-                    certs = []
-                    cyc = path + [anchor]
-                    for a, b in zip(cyc, cyc[1:]):
-                        certs.append(best_edge[(a, b)].certificate)
-                    found.append(
-                        CycleRecord(length=len(path), node_keys=tup, certificates=tuple(certs))
-                    )
-            if nxt <= anchor or nxt in path:
-                continue
-            if len(path) < maxlen:
+                ring = path + [anchor]
+                certs = tuple(best_edge[a, b].certificate for a, b in zip(ring, ring[1:]))
+                found.append(CycleRecord(len(path), tuple(path), certs))
+            elif nxt > anchor and nxt not in path and len(path) < maxlen:
                 walk(anchor, path + [nxt])
 
-    for anchor in keys:
+    for anchor in nodes:
         walk(anchor, [anchor])
     found.sort(key=lambda c: (c.length, c.node_keys))
     return found
@@ -428,11 +419,12 @@ def verify_report_cycles(report: SearchReport) -> bool:
     return True
 
 
-def verify_report_nodes(report: SearchReport) -> Optional[str]:
-    """The first node, in key order, that does not check out, else the target of
-    the first edge, in report order, that does not; None if all check out.
+def _checked_index(report: SearchReport) -> _ClassIndex:
+    """The _ClassIndex of a report whose nodes and edges all check out.
 
-    In normalized mode a node is saturated, so its basis must be the
+    Else GraphCheckError names the first node, in key order, that does not
+    check out, or the target of the first edge, in report order, that does
+    not.  In normalized mode a node is saturated, so its basis must be the
     Hilbert basis of the saturation of its cone.  In both modes its smooth
     flag must match a recomputation.  A saturated basis can still be the
     wrong semigroup (drop an extreme ray and the rest is the saturation of
@@ -440,7 +432,7 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
     of a checked edge from a node of lower depth.  By induction on depth,
     every node is then a chart of a chart of ... the start.  A smooth node
     is a leaf, so one on the frontier does not check out either.  Nodes
-    are distinct classes, so each is filed in a _ClassIndex, and one that
+    are distinct classes, so each is filed in the index, once, and one that
     hits a node filed before it, or cannot be filed, does not check out: a
     duplicate could take the target of a cycle's last edge and hide the
     cycle.  Then every edge is re-derived from its source and its
@@ -457,24 +449,35 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
     for key in sorted(report.nodes):
         node = report.nodes[key]
         if report.normalized and not _node_is_saturated(node.semigroup):
-            return key
+            raise GraphCheckError(key)
         if _node_is_smooth(node.semigroup) != node.smooth or (node.smooth and key in frontier):
-            return key
+            raise GraphCheckError(key)
         try:
             if report.normalized:
                 found, _ = index.locate_cone(node.semigroup.cone)
             else:
                 found, _ = index.locate(node.semigroup, report.nodes)
-            if found is not None:
-                return key
-            index.insert(node.semigroup, key)
+            if found is None:
+                index.insert(node.semigroup, key)
         except ValueError:  # not a pointed, full-dimensional semigroup
-            return key
+            found = key
+        if found is not None:
+            raise GraphCheckError(key)
         if key != report.start_key and not any(map(checks_out, parents.get(key, ()))):
-            return key
+            raise GraphCheckError(key)
     for i, e in enumerate(report.edges):
         if not checks_out(i):
-            return e.dst
+            raise GraphCheckError(e.dst)
+    return index
+
+
+def verify_report_nodes(report: SearchReport) -> Optional[str]:
+    """The key of the first node that does not check out by _checked_index's
+    rules, which explore(state=report) also applies; None if all check out."""
+    try:
+        _checked_index(report)
+    except GraphCheckError as exc:
+        return exc.key
     return None
 
 
@@ -591,6 +594,10 @@ def load_graph(path: str) -> SearchReport:
                 )
                 if key in nodes:
                     raise GraphFormatError(f"line {lineno}: duplicate node key {key}")
+                if dim < 1 or ngens < 0:
+                    raise GraphFormatError(
+                        f"line {lineno}: node {key} has dimension {dim} and {ngens} generators"
+                    )
                 entries = [int(x) for x in parts[6:]]
                 if len(entries) != dim * ngens:
                     raise GraphFormatError(
@@ -629,9 +636,7 @@ def load_graph(path: str) -> SearchReport:
         except (IndexError, ValueError) as exc:
             raise GraphFormatError(f"line {lineno}: malformed {kind} record: {exc}") from None
     if meta is None:
-        if nodes or edges or frontier:
-            raise GraphFormatError("line 1: missing meta record")
-        return SearchReport(0, True, {}, [], [], [], TERMINATION_EXHAUSTED, "")
+        raise GraphFormatError("line 1: missing meta record")
     for lineno, e in zip(edge_lines.values(), edges):
         _check_edge(lineno, e, nodes)
     for key, lineno in frontier.items():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 from operator import lshift, mul
 from typing import Optional, Sequence
 
@@ -43,6 +43,10 @@ class ResourceLimitError(Exception):
 # the most lattice points one fundamental parallelepiped may hold; the largest
 # index any fixture or corpus cone reaches is 245
 MAX_PARALLELEPIPED_POINTS = 100_000
+
+# the most subsets one level of a Hilbert basis minor table may hold; the
+# largest table any fixture or corpus search builds has 65,780
+MAX_MINOR_SUBSETS = 1_000_000
 
 
 def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Vec:
@@ -371,10 +375,18 @@ class AffineSemigroup(object):
         """The nonzero dim-minors of the Hilbert basis, keyed by position bitmask.
 
         Computed once by minor_table and kept: fingerprints and Nash charts
-        both read it.
+        both read it.  Its level k holds up to C(|H|, k) minors; past
+        MAX_MINOR_SUBSETS on the largest level this raises ResourceLimitError.
         """
         if self._minors is None:
-            self._minors = minor_table(self.hilbert_basis(), self.dim)
+            h, d = self.hilbert_basis(), self.dim
+            largest = comb(len(h), min(d, len(h) // 2))
+            if largest > MAX_MINOR_SUBSETS:
+                raise ResourceLimitError(
+                    f"the minor table of {len(h)} Hilbert basis elements in dimension {d} "
+                    f"has a level of {largest} subsets, more than {MAX_MINOR_SUBSETS}"
+                )
+            self._minors = minor_table(h, d)
         return self._minors
 
     @classmethod

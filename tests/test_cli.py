@@ -13,6 +13,7 @@ except ImportError:  # not on every platform
 
 import pytest
 
+from toricnash import search, semigroup
 from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_USAGE, main
 from toricnash.iso import certificate_for_matrix, find_isomorphism, verify_certificate
 from toricnash.nash import chart
@@ -49,6 +50,43 @@ def test_hilbert_stops_at_the_parallelepiped_budget(tmp_path, capsys):
     assert (code, out) == (EXIT_RESOURCE, "")
     assert err.startswith("toricnash: ") and "200000" in err
     assert err.count("\n") == 1
+
+
+def test_blowup_and_search_stop_at_the_minor_table_budget(capsys, monkeypatch):
+    # B has 9 Hilbert elements in dimension 5: the largest level holds C(9, 4) = 126 subsets
+    monkeypatch.setattr(semigroup, "MAX_MINOR_SUBSETS", 125)
+    for argv in (("blowup", "builtin:B"), ("search", "builtin:B", "--max-depth", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err.startswith("toricnash: the minor table of 9 Hilbert basis elements")
+        assert "126" in err and err.count("\n") == 1
+    monkeypatch.setattr(semigroup, "MAX_MINOR_SUBSETS", 126)
+    assert run(capsys, "blowup", "builtin:B")[0] == EXIT_OK
+
+
+def test_a_cone_with_a_huge_minor_table_exits_3(tmp_path):
+    # 372 Hilbert elements in dimension 4: C(372, 4) = 785,115,765 minors.  The
+    # child gets 1 GiB of address space, so a missing budget fails the test
+    # instead of filling the machine's memory.
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "big.cone"
+    path.write_text("dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n313 1 246 369\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for command, want in (("hilbert", EXIT_OK), ("blowup", EXIT_RESOURCE),
+                          ("search", EXIT_RESOURCE)):
+        done = subprocess.run(
+            [sys.executable, "-m", "toricnash", command, str(path)], capture_output=True,
+            text=True, env=_module_env(), timeout=60, preexec_fn=limit,
+        )
+        assert done.returncode == want, done.stderr
+        if want == EXIT_RESOURCE:
+            assert done.stdout == ""
+            assert "785115765" in done.stderr
+        else:
+            assert len(done.stdout.splitlines()) == 372
 
 
 def test_hilbert_identity_cone(capsys):
@@ -277,7 +315,9 @@ def test_search_load_rejects_a_loop_whose_certificate_is_not_unimodular(tmp_path
         (b"meta 3 1 exhausted a\nnode a 0 0 1 1 1\nbogus\n", "line 3: unknown record kind 'bogus'"),
         (b"meta 3 1 exhausted ghost\nnode a 0 0 1 1 1\n", "line 1: start key ghost names no node"),
         (b"meta 4 1 exhausted a\nnode a 0 0 1 1 1\n", "line 1: characteristic 4 is neither zero"),
-        (b"", "the graph has no start node"),
+        (b"", "line 1: missing meta record"),
+        (b"meta 3 1 exhausted a\nnode a 0 0 -1 -1 1\n", "line 2: node a has dimension -1"),
+        (b"meta 3 1 exhausted a\nnode a 0 0 0 0\n", "line 2: node a has dimension 0"),
         (b"meta 3 1 exhausted a\n\xc3\xa9\n", "not an ASCII graph file"),
         (
             b"meta 3 1 depth-limit a\nnode a 0 0 1 1 1\nfrontier a\nfrontier a\n",
@@ -330,6 +370,28 @@ def test_search_load_rejects_forged_node(tmp_path, capsys, key, forge):
     assert out == ""
     assert err.startswith(f"toricnash: {path}: node {key} ")
     assert err.count("\n") == 1
+
+
+def test_search_load_files_each_node_once_and_checks_each_edge_once(capsys, monkeypatch):
+    calls = {"insert": 0, "edge": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    insert = search._ClassIndex.insert
+    monkeypatch.setattr(search._ClassIndex, "insert", counting("insert", insert))
+    monkeypatch.setattr(search, "_edge_checks_out", counting("edge", search._edge_checks_out))
+    path = str(CORPUS / "B.graph")
+    code, _, _ = run(capsys, "search", "--load", path, "--max-depth", "1")
+    assert code == EXIT_OK
+    report = load_graph(path)
+    assert calls == {"insert": len(report.nodes), "edge": len(report.edges)} == {
+        "insert": 14, "edge": 21
+    }
 
 
 def test_search_load_rejects_a_second_node_of_one_class(tmp_path, capsys):

@@ -19,6 +19,7 @@ from toricnash.search import (
     TERMINATION_EXHAUSTED,
     TERMINATION_NODES,
     CycleRecord,
+    GraphCheckError,
     GraphEdge,
     GraphFormatError,
     GraphNode,
@@ -322,6 +323,8 @@ def test_load_rejects_malformed_files(tmp_path):
             "node a 0 0 2 2 1 0 0 1\n"
             "node b -1 0 2 2 1 0 0 1\n"
         ),
+        "negative-dimension": "meta 3 1 exhausted a\nnode a 0 0 -1 -1 1\n",
+        "zero-dimension": "meta 3 1 exhausted a\nnode a 0 0 0 0\n",
     }
     for name, text in cases.items():
         p = tmp_path / f"{name}.txt"
@@ -333,8 +336,8 @@ def test_load_rejects_malformed_files(tmp_path):
 def test_load_empty_file(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("")
-    r = load_graph(str(p))
-    assert r.nodes == {} and r.edges == [] and r.frontier == []
+    with pytest.raises(GraphFormatError, match="^line 1: missing meta record$"):
+        load_graph(str(p))
 
 
 def test_graph_format_errors_carry_line_numbers(tmp_path):
@@ -490,7 +493,7 @@ def test_resume_checks_that_every_node_is_saturated():
             3, normalized, {"a": GraphNode("a", s, 0, False)}, [], [], ["a"], "", "a"
         )
 
-    with pytest.raises(NotSaturatedError):
+    with pytest.raises(GraphCheckError, match="^node a does not check out"):
         explore(s, 3, max_depth=1, normalized=True, state=state(True))
     assert explore(s, 3, max_depth=1, normalized=False, state=state(False)).edges
 
@@ -577,11 +580,11 @@ def test_verify_report_nodes_rejects_forged_nodes(tmp_path, key, forge):
     forge_node(path, key, forge)
     report = load_graph(str(path))  # the forgery is well-formed
     assert verify_report_cycles(report)  # and no cycle edge exposes it
-    assert verify_report_nodes(report) == key
+    _assert_refused(report, key)
 
 
-@pytest.mark.parametrize("normalized", [True, False])
-def test_verify_report_nodes_rejects_a_second_node_of_one_class(normalized):
+# In-memory forged reports: each builder returns (report, the key it forges).
+def _a_copy_of_the_start_takes_the_loop(normalized):
     # a copy of the start at depth 1 takes the one-step loop's edge and hides the loop
     s = fixtures.source_semigroup()
     report = explore(s, 3, max_depth=1, normalized=normalized)
@@ -591,33 +594,96 @@ def test_verify_report_nodes_rejects_a_second_node_of_one_class(normalized):
     report.nodes["zz"] = GraphNode("zz", copy, 1, False)
     loop = next(e for e in report.edges if e.src == e.dst)
     loop.dst = "zz"
+    return report, "zz"
+
+
+def _a_lower_dimensional_node(normalized):
+    # saturated and reached by no edge, as a start may be, but no search node
+    s = AffineSemigroup.from_hilbert_basis(((1, 0),), 2)
+    nodes = {"a": GraphNode("a", s, 0, False)}
+    return search.SearchReport(0, normalized, nodes, [], [], [], "", "a"), "a"
+
+
+def _a_basis_with_a_line():
+    s = AffineSemigroup.from_hilbert_basis(((1, 0), (-1, 0), (0, 1)), 2)
+    nodes = {"a": GraphNode("a", s, 0, False)}
+    return search.SearchReport(3, True, nodes, [], [], [], "", "a"), "a"
+
+
+def _a_node_with_no_parent_edge_from_below():
+    smooth = _saturated(((1, 0), (0, 1)), 2)
+    nodes = {"a": GraphNode("a", smooth, 0, True), "b": GraphNode("b", smooth, 1, True)}
+    return search.SearchReport(0, True, nodes, [], [], [], "", "a"), "b"
+
+
+def _a_loop_whose_certificate_is_not_unimodular():
+    # the chart of the A1 singularity at (1, 0), (1, 1) is smooth, and
+    # M = [[1, 1], [0, 2]] maps its rays (0, 1), (1, 0) onto the node's rays
+    a1 = _saturated(((1, 0), (1, 2)), 2)
+    nodes = {"a": GraphNode("a", a1, 0, False)}
+    edges = [GraphEdge("a", "a", (0, 1), ((1, 0), (1, 2)))]  # columns
+    cycles = find_cycles(nodes, edges, (1,))
+    return search.SearchReport(0, True, nodes, edges, cycles, [], "", "a"), "a"
+
+
+def _a_smooth_node_on_the_frontier():
+    report = load_graph(str(CORPUS / "B.graph"))
+    assert report.nodes["9067582a63d1-0"].smooth
+    report.frontier.append("9067582a63d1-0")
+    return report, "9067582a63d1-0"
+
+
+FORGED_REPORTS = [
+    pytest.param(_a_loop_whose_certificate_is_not_unimodular, id="non-unimodular-loop"),
+    pytest.param(lambda: _a_copy_of_the_start_takes_the_loop(True), id="start-copy"),
+    pytest.param(lambda: _a_copy_of_the_start_takes_the_loop(False), id="start-copy-plain"),
+    pytest.param(lambda: _a_lower_dimensional_node(True), id="lower-dimensional"),
+    pytest.param(lambda: _a_lower_dimensional_node(False), id="lower-dimensional-plain"),
+    pytest.param(_a_basis_with_a_line, id="basis-with-a-line"),
+    pytest.param(_a_node_with_no_parent_edge_from_below, id="no-parent-edge"),
+    pytest.param(_a_smooth_node_on_the_frontier, id="smooth-on-the-frontier"),
+]
+
+
+def _assert_refused(report, key):
+    """The verifier names the forged node, and a search will not resume from it."""
+    assert verify_report_nodes(report) == key
+    start = report.nodes[report.start_key].semigroup
+    with pytest.raises(GraphCheckError) as exc:
+        explore(start, report.characteristic, max_depth=2, normalized=report.normalized,
+                state=report)
+    assert exc.value.key == key
+
+
+@pytest.mark.parametrize("forge", FORGED_REPORTS)
+def test_a_forged_report_is_refused_by_the_verifier_and_by_a_resume(forge):
+    _assert_refused(*forge())
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_verify_report_nodes_rejects_a_second_node_of_one_class(normalized):
+    report, key = _a_copy_of_the_start_takes_the_loop(normalized)
     assert find_cycles(report.nodes, report.edges, (1,)) == []
     assert all(search._edge_checks_out(report, e) for e in report.edges)  # every edge holds
-    assert verify_report_nodes(report) == "zz"
+    assert verify_report_nodes(report) == key
 
 
 @pytest.mark.parametrize("normalized", [True, False])
 def test_verify_report_nodes_rejects_a_lower_dimensional_node(normalized):
-    # saturated and reached by no edge, as a start may be, but no search node
-    s = AffineSemigroup.from_hilbert_basis(((1, 0),), 2)
-    nodes = {"a": GraphNode("a", s, 0, False)}
-    report = search.SearchReport(0, normalized, nodes, [], [], [], "", "a")
-    assert verify_report_nodes(report) == "a"
+    report, key = _a_lower_dimensional_node(normalized)
+    assert verify_report_nodes(report) == key
 
 
 def test_verify_report_nodes_rejects_a_basis_with_a_line():
-    s = AffineSemigroup.from_hilbert_basis(((1, 0), (-1, 0), (0, 1)), 2)
-    report = search.SearchReport(3, True, {"a": GraphNode("a", s, 0, False)}, [], [], [], "", "a")
-    assert verify_report_nodes(report) == "a"
+    report, key = _a_basis_with_a_line()
+    assert verify_report_nodes(report) == key
 
 
 def test_verify_report_nodes_needs_a_parent_edge_below_each_node():
-    smooth = _saturated(((1, 0), (0, 1)), 2)
-    nodes = {"a": GraphNode("a", smooth, 0, True), "b": GraphNode("b", smooth, 1, True)}
-    report = search.SearchReport(0, True, nodes, [], [], [], "", "a")
-    assert verify_report_nodes(report) == "b"  # true, smooth, and reached by no edge
-    nodes["a"].depth = 2  # the start may sit anywhere; b still has no edge from below
-    assert verify_report_nodes(report) == "b"
+    report, key = _a_node_with_no_parent_edge_from_below()
+    assert verify_report_nodes(report) == key  # true, smooth, and reached by no edge
+    report.nodes["a"].depth = 2  # the start may sit anywhere; b still has no edge from below
+    assert verify_report_nodes(report) == key
 
 
 def _counting(calls, name, f):
@@ -715,15 +781,9 @@ def test_an_edge_subset_past_the_source_basis_does_not_check_out():
 
 
 def test_a_loop_whose_certificate_is_not_unimodular_does_not_check_out():
-    # the chart of the A1 singularity at (1, 0), (1, 1) is smooth, and
-    # M = [[1, 1], [0, 2]] maps its rays (0, 1), (1, 0) onto the node's rays
-    a1 = _saturated(((1, 0), (1, 2)), 2)
-    m = ((1, 0), (1, 2))  # columns
-    nodes = {"a": GraphNode("a", a1, 0, False)}
-    edges = [GraphEdge("a", "a", (0, 1), m)]
-    cycles = find_cycles(nodes, edges, (1,))
-    report = search.SearchReport(0, True, nodes, edges, cycles, [], "", "a")
+    report, key = _a_loop_whose_certificate_is_not_unimodular()
+    a1 = report.nodes[key].semigroup
     assert [c.length for c in report.cycles] == [1]
     assert nash.chart(a1, a1.hilbert_basis()[:2], 0).cone.generators == ((0, 1), (1, 0))
     assert not verify_report_cycles(report)
-    assert verify_report_nodes(report) == "a"
+    assert verify_report_nodes(report) == key
