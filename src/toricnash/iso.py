@@ -199,6 +199,15 @@ def certificate_for_matrix(a: AffineSemigroup, m: Mat) -> IsoCertificate:
     return IsoCertificate(matrix=m, mapping=mapping)
 
 
+def carries(m: Mat, a: Sequence[Vec], b: set[Vec]) -> bool:
+    """True iff the unimodular m maps the points a onto the set b.
+
+    The images are tested first: most candidate maps miss on the first point.
+    Unimodular m is injective, so equal sizes make the images all of b.
+    """
+    return len(a) == len(b) and all(mat_apply(m, x) in b for x in a) and is_unimodular(m)
+
+
 def verify_certificate(a: AffineSemigroup, b: AffineSemigroup, cert: IsoCertificate) -> bool:
     """True iff the matrix is unimodular and maps H(a) onto H(b) bijectively.
 
@@ -245,13 +254,9 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
     d = a.dim
     base = [ha[i] for i in independent_indices(ha, d)]
     base_det, base_adj = solve(mat(base), identity(d))
+    candidates = [sig_b.by[sig_a.of[v]] for v in base]
     hb_set = set(hb)
-
-    def onto(m: Mat) -> bool:
-        # images in H(b) and m unimodular, so m maps H(a) onto H(b) (equal sizes)
-        return all(mat_apply(m, h) in hb_set for h in ha) and is_unimodular(m)
-
-    m = first_base_map([sig_b.by[sig_a.of[v]] for v in base], base_det, base_adj, onto)
+    m = first_base_map(candidates, base_det, base_adj, lambda m: carries(m, ha, hb_set))
     return None if m is None else certificate_for_matrix(a, m)
 
 

@@ -20,11 +20,10 @@ facets by bitmask ANDs, with no Cone built for P.
 
 vertex_charts is the one path through P.  It sums each live subset from two
 tables of partial sums of H, one per half of the subset's bitmask, keeps
-the distinct sums, and returns (subset, cone) for the subsets at vertices
-only, kept on the semigroup.  A normalized chart is cone intersect Z^d, so
-its class is its cone's class: a search needs nothing else from a step.
-blowup_step wraps the same cones, with every other live subset, in
-BlowupCharts, and the lone chart() reads its one chart from them.
+the distinct sums, and maps each subset at a vertex to its cone, a table
+kept on the semigroup.  A normalized chart is cone intersect Z^d, so its
+class is its cone's class: a search needs nothing else from a step.
+blowup_step and chart() index the same table.
 """
 
 from __future__ import annotations
@@ -222,13 +221,12 @@ def chart(
     """The blowup chart of s at the given Hilbert subset; ValueError if its minor vanishes.
 
     The chart is pointed exactly when the subset sums to a vertex of the
-    Newton polyhedron.  Its verdict and cone are read from vertex_charts, so
-    all charts of one source share one double description; normalizing
+    Newton polyhedron.  Its cone is read from vertex_charts; normalizing
     saturates that cone.
     """
     members = _members(s, subset)
     step = _Step(s, p)
-    ch = BlowupChart(step, members, step.det(members), dict(vertex_charts(s, p)).get(members))
+    ch = BlowupChart(step, members, step.det(members), vertex_charts(s, p).get(members))
     if ch.pointed and normalize:
         ch.normalized_chart = AffineSemigroup.from_cone(ch.cone)
     return ch
@@ -264,24 +262,25 @@ def _live_sums(h: Sequence[Vec], masks: Sequence[int]) -> dict[Vec, int]:
     return sums
 
 
-def vertex_charts(s: AffineSemigroup, p: int) -> tuple[tuple[tuple[int, ...], Cone], ...]:
-    """(subset positions, chart cone) for every pointed chart, in lexicographic subset order.
+def vertex_charts(s: AffineSemigroup, p: int) -> dict[tuple[int, ...], Cone]:
+    """Subset positions -> chart cone for every pointed chart, in lexicographic subset order.
 
     The pointed charts are the live subsets whose sum is a vertex of the
     Newton polyhedron; one double description settles them all, and no
-    BlowupChart, generator or saturation is formed.  The result is kept on
-    s, keyed by p.  A vertex v is the sum of exactly one live subset: if
-    B != B' both summed to v, the symmetric exchange axiom would give b in
-    B - B' and b' in B' - B with B - b + b' and B' - b' + b live, whose sums
-    v + b' - b and v + b - b' average to v.
+    BlowupChart, generator or saturation is formed.  The table is kept on
+    s, keyed by p; it holds cones only, nothing that refers back to s.  A
+    vertex v is the sum of exactly one live subset: if B != B' both summed
+    to v, the symmetric exchange axiom would give b in B - B' and b' in
+    B' - B with B - b + b' and B' - b' + b live, whose sums v + b' - b and
+    v + b - b' average to v.  Keys are increasing positions: a permuted
+    subset has no entry.
     """
     kept = s._vertex_charts = s._vertex_charts or {}
     if p not in kept:
         step = _Step(s, p)
         sums = _live_sums(step.h, step.live())
         cones = _tangent_cones(sorted(sums), s.cone)
-        pairs = ((_positions(sums[v]), cone) for v, cone in cones.items())
-        kept[p] = tuple(sorted(pairs, key=lambda c: c[0]))
+        kept[p] = dict(sorted((_positions(sums[v]), cone) for v, cone in cones.items()))
     return kept[p]
 
 
@@ -289,15 +288,13 @@ def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[Bl
     """All charts of one blowup step, in lexicographic subset order.
 
     Charts with a non-pointed semigroup are kept and flagged; their
-    normalization is not computed.  The subset family itself does not
-    depend on the normalized flag; it is read from the semigroup's cached
-    minor table, which a search has already filled by fingerprinting.
-    The pointed charts and their Cones come from vertex_charts; normalizing
-    saturates that Cone directly, so no chart's replacement sets are formed
-    here.
+    normalization is not computed.  The live subsets are read from the
+    semigroup's cached minor table, and the pointed charts' Cones from
+    vertex_charts; normalizing saturates that Cone, so no chart's
+    replacement sets are formed here.
     """
     step = _Step(s, p)
-    cones = dict(vertex_charts(s, p))
+    cones = vertex_charts(s, p)
     subsets = sorted(_positions(mask) for mask in step.live())
     charts = tuple(BlowupChart(step, m, step.det(m), cones.get(m)) for m in subsets)
     for ch in charts:

@@ -25,21 +25,13 @@ from .exactmath import (
     identity,
     independent_indices,
     is_prime,
-    is_unimodular,
     mat,
-    mat_apply,
     solve,
     vec,
 )
-from .iso import (
-    certificate_for_matrix,
-    find_isomorphism,
-    fingerprint,
-    first_base_map,
-    verify_certificate,
-)
+from .iso import carries, find_isomorphism, fingerprint, first_base_map
 from .cone import Cone, NotFullDimensionalError, NotPointedError
-from .nash import chart, chart_generators, vertex_charts
+from .nash import chart_generators, vertex_charts
 from .semigroup import AffineSemigroup, NotFullLatticeError, NotSaturatedError
 
 DEFAULT_MAX_DEPTH = 4
@@ -158,14 +150,12 @@ class _ClassIndex:
 
     locate_cone finds the node of a saturated chart from its cone alone.  A
     normalized chart is cone intersect Z^d, so it is equivalent to a
-    (saturated) node exactly when some V in GL_d(Z) maps the node's cone
-    onto the chart's.  Such a V permutes primitive extreme rays and keeps
-    their signatures, so it is found by sending the node's base rays to
-    chart rays of equal signature, V = images . adj / det, and keeping V
-    when it is integral, maps every node ray to a chart ray and has
-    |det V| = 1.  The two cones have one key, so equally many rays, and V
-    maps H(node) onto H(chart): V^{-1}, for the first V in base-ray order,
-    is the certificate, with nothing saturated or searched.  locate compares
+    (saturated) node exactly when some V in GL_d(Z) carries the node's
+    primitive extreme rays onto the chart's.  Such a V keeps ray signatures,
+    so it is found by sending the node's base rays to chart rays of equal
+    signature, V = images . adj / det, and keeping the first integral V
+    that carries the rays.  V maps H(node) onto H(chart), and V^{-1} is the
+    certificate, with nothing saturated or searched.  locate compares
     semigroups with find_isomorphism, for non-normalized search; equivalent
     semigroups have equivalent cones, so it scans the same bucket.  Either
     way the first equivalent node in filing order is found.  A node key is
@@ -199,13 +189,12 @@ class _ClassIndex:
         for r in c.generators:
             by.setdefault(sig[r], []).append(r)
         rays = set(c.generators)
-
-        def onto(m: Mat) -> bool:  # entry is the node being tried
-            return all(mat_apply(m, r) in rays for r in entry.rays) and is_unimodular(m)
-
         for key in self.buckets.get(_cone_key(c, sig), []):
             entry = self.cones[key]
-            v = first_base_map([by[b] for b in entry.base], entry.det, entry.adj, onto)
+            candidates = [by[b] for b in entry.base]
+            v = first_base_map(
+                candidates, entry.det, entry.adj, lambda m: carries(m, entry.rays, rays)
+            )
             if v is not None:
                 det, adj = solve(v, identity(c.dim))  # det is +-1, so V^{-1} = det . adj
                 return key, tuple(tuple(det * e for e in col) for col in adj)
@@ -293,7 +282,7 @@ def explore(
         if key in cut_short:
             edges = [e for e in edges if e.src != key]
         source = nodes[key].semigroup
-        for subset, cone in vertex_charts(source, p):
+        for subset, cone in vertex_charts(source, p).items():
             if normalized:
                 target = None  # saturated only if it starts a new node
                 found, cert = index.locate_cone(cone)
@@ -373,36 +362,28 @@ def find_cycles(
 
 
 def _edge_checks_out(report: SearchReport, e: GraphEdge) -> bool:
-    """Re-derive the edge's chart from its source and check its certificate onto its target.
+    """Look the edge's chart up in its source's vertex_charts, as explore made
+    it, and check that its certificate carries the chart onto its target.
 
-    In normalized mode nothing is saturated.  A normalized chart is its cone
-    intersect Z^d, and so is a saturated target, so M maps the one onto the
-    other (verify_certificate's verdict) exactly when M is square and
-    unimodular, the target is saturated (a cached check) and M maps the
-    chart's primitive extreme rays onto the target's, as in locate_cone.
+    A subset with no entry (a vanishing minor, no vertex, not increasing or
+    out of range) does not check out.  In normalized mode nothing is
+    saturated: a normalized chart is its cone intersect Z^d, and so is a
+    saturated target, so M maps the one onto the other exactly when it
+    carries the chart's primitive extreme rays onto the target's.  Otherwise
+    M must carry the chart's Hilbert basis onto the target's.
     """
     src, dst = report.nodes[e.src].semigroup, report.nodes[e.dst].semigroup
-    h = src.hilbert_basis()
-    if not all(0 <= i < len(h) for i in e.subset):  # a report built in memory, unchecked
-        return False
+    members, p, m, d = tuple(e.subset), report.characteristic, e.certificate, src.dim
     try:
-        ch = chart(src, tuple(h[i] for i in e.subset), report.characteristic, normalize=False)
-    except ValueError:  # a vanishing minor, or a source that is no blowup source
+        cone = vertex_charts(src, p).get(members)
+    except ValueError:  # a source that is no blowup source
         return False
-    if not ch.pointed:
+    if cone is None or len(m) != d or any(len(col) != d for col in m):
         return False
-    m = e.certificate
-    if not report.normalized:
-        target = ch.chart_semigroup
-        return verify_certificate(target, dst, certificate_for_matrix(target, m))
-    d = src.dim
-    return (
-        len(m) == d
-        and all(len(col) == d for col in m)
-        and is_unimodular(m)
-        and _node_is_saturated(dst)
-        and sorted(mat_apply(m, r) for r in ch.cone.generators) == list(dst.cone.generators)
-    )
+    if report.normalized:
+        return _node_is_saturated(dst) and carries(m, cone.generators, set(dst.cone.generators))
+    target = AffineSemigroup(chart_generators(src, members, p), d, cone=cone)
+    return carries(m, target.hilbert_basis(), set(dst.hilbert_basis()))
 
 
 def verify_report_cycles(report: SearchReport) -> bool:
@@ -424,7 +405,8 @@ def _checked_index(report: SearchReport) -> _ClassIndex:
 
     Else GraphCheckError names the first node, in key order, that does not
     check out, or the target of the first edge, in report order, that does
-    not.  In normalized mode a node is saturated, so its basis must be the
+    not.  An edge end or frontier key that names no node is named first.
+    In normalized mode a node is saturated, so its basis must be the
     Hilbert basis of the saturation of its cone.  In both modes its smooth
     flag must match a recomputation.  A saturated basis can still be the
     wrong semigroup (drop an extreme ray and the rest is the saturation of
@@ -439,6 +421,9 @@ def _checked_index(report: SearchReport) -> _ClassIndex:
     certificate checked.
     """
     frontier = set(report.frontier)
+    for key in [k for e in report.edges for k in (e.src, e.dst)] + report.frontier:
+        if key not in report.nodes:
+            raise GraphCheckError(key)
     index = _ClassIndex()
     # one verdict per edge: the edge pass does not check a parent edge again
     checks_out = functools.cache(lambda i: _edge_checks_out(report, report.edges[i]))

@@ -391,8 +391,13 @@ class AffineSemigroup(object):
 
     @classmethod
     def from_cone(cls, c: Cone) -> "AffineSemigroup":
-        """The saturated semigroup cone(c) intersect Z^d, sharing c as its cone."""
-        return cls.from_hilbert_basis(saturation_hilbert_basis(c), c.dim, saturated=True, cone=c)
+        """The saturated semigroup cone(c) intersect Z^d, sharing c as its cone.
+
+        It generates Z^d exactly when c is full-dimensional, so that is recorded.
+        """
+        out = cls.from_hilbert_basis(saturation_hilbert_basis(c), c.dim, saturated=True, cone=c)
+        out._full = c.is_full_dimensional
+        return out
 
     def saturate(self) -> "AffineSemigroup":
         return AffineSemigroup.from_cone(self.cone)

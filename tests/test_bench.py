@@ -47,6 +47,9 @@ def test_a_traced_run_is_correct(checkout, workload):
         # cycles, so a function hidden from the tracer by a rebinding reads 0 here
         assert metrics["search.load_graph.calls"] == 3
         assert metrics["search.verify_report_cycles.calls"] >= 3
+    if workload == "search":
+        # the start's lattice test; every node built from a cone knows it spans Z^d
+        assert metrics["exactmath.hermite_form.calls"] == 1
     if workload == "hilbert":  # every cone is full-dimensional and pointed
         assert metrics["exactmath.hermite_form.calls"] == 0
         # each Cone runs one dual description, and the tracer counts its facets

@@ -426,7 +426,7 @@ def test_differential_chart_targets(name, depth):
     for key in sorted(report.nodes):
         if key in report.frontier or report.nodes[key].smooth:
             continue
-        for subset, cone in vertex_charts(report.nodes[key].semigroup, p):
+        for subset, cone in vertex_charts(report.nodes[key].semigroup, p).items():
             target = AffineSemigroup.from_cone(cone)
             dst, matrix = cert_of[(key, subset)]
             cert = _assert_same_answer(target, report.nodes[dst].semigroup)
@@ -453,7 +453,7 @@ def test_cone_lookup_matches_semigroup_lookup(name, depth):
     for key in sorted(nodes):
         if nodes[key].smooth:
             continue
-        for subset, cone in vertex_charts(nodes[key].semigroup, p):
+        for subset, cone in vertex_charts(nodes[key].semigroup, p).items():
             target = AffineSemigroup.from_cone(cone)
             want = next(
                 ((k, c) for k in nodes if (c := find_isomorphism(target, nodes[k].semigroup))),

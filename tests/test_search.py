@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import toricnash.cone as cone_module
 from toricnash import fixtures, nash, search, semigroup
 from toricnash.cone import Cone, NotPointedError
-from toricnash.exactmath import Mat, identity
+from toricnash.exactmath import Mat, identity, is_unimodular, mat_apply
 from toricnash.iso import certificate_for_matrix, find_isomorphism, fingerprint, verify_certificate
 from toricnash.search import (
     TERMINATION_CYCLE,
@@ -541,18 +541,27 @@ def test_closure_of_b_in_characteristic_3():
 # included.  A hit stores the inverse of the first cone map that the lookup
 # finds, so a change to the order in which it tries rays may change the
 # certificate into a target whose cone has automorphisms (B at p = 2, depth 3,
-# in test_cli), but none of the edges pinned here.
+# in test_cli), but none of the edges pinned here.  The "plain" graphs are
+# searched without normalizing.
+def _pin(name, p, depth, normalized, digest):
+    mode = "" if normalized else "plain-"
+    return pytest.param(name, p, depth, normalized, digest, id=f"{name}-{p}-{depth}-{mode}{digest}")
+
+
 @pytest.mark.parametrize(
-    "name, p, depth, digest",
+    "name, p, depth, normalized, digest",
     [
-        ("dim4char3", 3, 4, "f15a8f41f0e2"),
-        ("B", 5, 2, "c94b580652dc"),
-        ("B", 2, 2, "5451a5faf37d"),
+        _pin("dim4char3", 3, 4, True, "f15a8f41f0e2"),
+        _pin("B", 5, 2, True, "c94b580652dc"),
+        _pin("B", 2, 2, True, "5451a5faf37d"),
+        _pin("B", 3, 2, False, "0c560c107eb6"),
+        _pin("dim4char3", 3, 3, False, "f5adb2ee4ee9"),
     ],
 )
-def test_saved_graphs_are_pinned(name, p, depth, digest):
+def test_saved_graphs_are_pinned(name, p, depth, normalized, digest):
     cf = fixtures.BUILTIN_CONES[name]
-    lines = search._graph_lines(explore(_saturated(cf.generators, cf.dim), p, max_depth=depth))
+    start = _saturated(cf.generators, cf.dim)
+    lines = search._graph_lines(explore(start, p, max_depth=depth, normalized=normalized))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12] == digest
 
 
@@ -633,6 +642,25 @@ def _a_smooth_node_on_the_frontier():
     return report, "9067582a63d1-0"
 
 
+def _a_loop_at_a_permuted_subset():
+    # chart() sorts the Hilbert elements it is given, the subset table does not;
+    # load_graph would reject the file save_graph writes for this report
+    report = explore(fixtures.source_semigroup(), 3, max_depth=1)
+    loop = next(e for e in report.edges if e.src == e.dst)
+    loop.subset = loop.subset[::-1]
+    assert _edge_rule_through_chart(report, loop)
+    return report, loop.dst
+
+
+def _a_ghost(where):
+    report = explore(fixtures.source_semigroup(), 3, max_depth=1)
+    if where == "edge":
+        report.edges.append(GraphEdge(report.start_key, "ghost", (0, 1, 2, 3, 4), identity(5)))
+    else:
+        report.frontier.append("ghost")
+    return report, "ghost"
+
+
 FORGED_REPORTS = [
     pytest.param(_a_loop_whose_certificate_is_not_unimodular, id="non-unimodular-loop"),
     pytest.param(lambda: _a_copy_of_the_start_takes_the_loop(True), id="start-copy"),
@@ -642,6 +670,9 @@ FORGED_REPORTS = [
     pytest.param(_a_basis_with_a_line, id="basis-with-a-line"),
     pytest.param(_a_node_with_no_parent_edge_from_below, id="no-parent-edge"),
     pytest.param(_a_smooth_node_on_the_frontier, id="smooth-on-the-frontier"),
+    pytest.param(_a_loop_at_a_permuted_subset, id="permuted-subset"),
+    pytest.param(lambda: _a_ghost("edge"), id="ghost-edge-end"),
+    pytest.param(lambda: _a_ghost("frontier"), id="ghost-frontier-key"),
 ]
 
 
@@ -747,6 +778,46 @@ def test_edge_check_matches_the_hilbert_basis_check(name):
             assert search._edge_checks_out(report, GraphEdge(e.src, e.dst, e.subset, m)) == want
             verdicts.append(want)
     assert verdicts.count(True) >= len(report.edges)  # the stored certificates, at least
+
+
+def _edge_rule_through_chart(report, e):
+    """The edge check as it read before the subset table: the public chart()
+    at the subset's Hilbert elements, then sorted ray images onto the
+    target's rays (normalized) or verify_certificate (not normalized)."""
+    src, dst = report.nodes[e.src].semigroup, report.nodes[e.dst].semigroup
+    h = src.hilbert_basis()
+    if not all(0 <= i < len(h) for i in e.subset):
+        return False
+    try:
+        ch = nash.chart(src, [h[i] for i in e.subset], report.characteristic, normalize=False)
+    except ValueError:
+        return False
+    if not ch.pointed:
+        return False
+    m, d = e.certificate, src.dim
+    if not report.normalized:
+        target = ch.chart_semigroup
+        return verify_certificate(target, dst, certificate_for_matrix(target, m))
+    return (
+        len(m) == d
+        and all(len(col) == d for col in m)
+        and is_unimodular(m)
+        and dst.is_saturated()
+        and sorted(mat_apply(m, r) for r in ch.cone.generators) == list(dst.cone.generators)
+    )
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "plain"])
+@pytest.mark.parametrize("name, depth", [("B", 2), ("dim4char3", 3), ("reeves", 2)])
+def test_edge_check_matches_the_check_through_chart(name, depth, normalized):
+    cf = fixtures.BUILTIN_CONES[name]
+    start = _saturated(cf.generators, cf.dim)
+    report = explore(start, 3, max_depth=depth, normalized=normalized)
+    for e in report.edges:
+        assert search._edge_checks_out(report, e) and _edge_rule_through_chart(report, e)
+        moved = _forged_certificates(e.certificate)[2]  # one entry off
+        forged = GraphEdge(e.src, e.dst, e.subset, moved)
+        assert search._edge_checks_out(report, forged) == _edge_rule_through_chart(report, forged)
 
 
 def test_a_cycle_target_short_of_an_inner_hilbert_element_does_not_check_out():

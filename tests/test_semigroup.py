@@ -12,6 +12,7 @@ from toricnash.exactmath import (
     dot,
     identity,
     is_zero,
+    lattice_is_full,
     mat,
     mat_apply,
     orthogonal_complement,
@@ -151,6 +152,16 @@ def test_generates_full_lattice():
     assert not AffineSemigroup(((2,),), 1).generates_full_lattice()
     assert AffineSemigroup(((1, 0), (1, 2), (1, 1)), 2).generates_full_lattice()
     assert not AffineSemigroup(((2, 0), (0, 2)), 2).generates_full_lattice()
+
+
+@given(embedded_pointed_cones())
+def test_from_cone_records_whether_it_spans_the_lattice(drawn):
+    # a pointed cone's lattice points generate Z^d exactly when it is full-dimensional
+    dim, gens = drawn
+    c = Cone(gens, dim)
+    s = AffineSemigroup.from_cone(c)
+    assert s.generates_full_lattice() == lattice_is_full(s.hilbert_basis(), dim)
+    assert s.generates_full_lattice() == c.is_full_dimensional
 
 
 def test_is_smooth():
@@ -608,7 +619,7 @@ def test_hilbert_basis_of_fixture_chart_generators(name):
     cf = BUILTIN_CONES[name]
     s = AffineSemigroup(saturation_hilbert_basis(Cone(cf.generators, cf.dim)), cf.dim)
     p = LOOP_CHARACTERISTIC
-    for members, _ in vertex_charts(s, p):
+    for members in vertex_charts(s, p):
         chart = AffineSemigroup(chart_generators(s, members, p), s.dim)
         assert chart.hilbert_basis() == _reference_hilbert_basis(chart)
 
