@@ -22,6 +22,8 @@ from .exactmath import InvalidCharacteristic, Vec, primitive
 from .iso import find_isomorphism
 from .nash import blowup_step
 from .search import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_NODES,
     TERMINATION_NODES,
     GraphCheckError,
     GraphFormatError,
@@ -262,8 +264,8 @@ def build_parser() -> _Parser:
     p_s = sub.add_parser("search", help="breadth-first loop search over blowup charts")
     p_s.add_argument("cone", nargs="?", default=None)
     add_char(p_s)
-    p_s.add_argument("--max-depth", type=int, default=4)
-    p_s.add_argument("--max-nodes", type=int, default=10_000)
+    p_s.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p_s.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p_s.add_argument("--cycles", default="1", help="comma-separated cycle lengths to report")
     p_s.add_argument(
         "--normalized",

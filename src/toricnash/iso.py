@@ -1,25 +1,27 @@
 """Unimodular equivalence of pointed affine semigroups.
 
 Two semigroups are equivalent when some GL_d(Z) matrix maps one Hilbert
-basis onto the other.  Each Hilbert element h of a full-dimensional
-semigroup has a GL(Z)-invariant signature: whether it lies on an extreme
+basis onto the other.  A Frame is a point set of a full-dimensional
+pointed cone (a Hilbert basis, or the cone's extreme rays) in which each
+point h has a GL(Z)-invariant signature: whether it lies on an extreme
 ray, and its sorted facet values <n_f, h>.  The sorted multiset of
 signatures, with the dimension, is a lookup key that buckets candidate
-classes; a backtracking search over signature-preserving assignments of an
-independent d-subset produces an explicit certificate matrix, which can be
+classes; first_map backtracks over signature-preserving assignments of an
+independent d-subset to find an explicit certificate matrix, which can be
 re-verified independently.  The fingerprint (counts, incidence profiles,
-determinant multiset) names search nodes.  Both are computed once per
-semigroup and kept on it.
+determinant multiset) names search nodes.  A semigroup's fingerprint and
+the frame of its Hilbert basis are computed once and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from math import comb
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .cone import NotFullDimensionalError, NotPointedError
+from .cone import Cone, NotFullDimensionalError, NotPointedError
 from .exactmath import (
     Mat,
     Vec,
@@ -143,22 +145,42 @@ def _compute_fingerprint(s: AffineSemigroup) -> Fingerprint:
 Signature = tuple[int, tuple[int, ...]]
 
 
-class Signatures(NamedTuple):
-    """Signatures of the Hilbert elements of a full-dimensional pointed semigroup.
+class Frame:
+    """A point set of a full-dimensional pointed cone, read up to GL_d(Z).
 
-    The signature of h is (1 if h lies on an extreme ray else 0, the sorted
-    facet values <n_f, h>).  Facet normals are primitive and move by U^{-T}
-    under x -> U x, and rays move by U, so every unimodular map between two
-    semigroups preserves signatures, and equivalent semigroups have equal keys.
+    The signature of a point h is (1 if h lies on an extreme ray else 0,
+    the sorted facet values <n_f, h>).  Facet normals are primitive and move
+    by U^{-T} under x -> U x, and rays move by U, so every unimodular map
+    between two frames keeps each point's signature, and equivalent frames
+    have equal keys.  The base, the first independent d points with the
+    determinant and adjugate of their matrix, is computed on first use.
     """
 
-    key: tuple[int, tuple[Signature, ...]]  # (dim, sorted multiset of signatures)
-    of: dict[Vec, Signature]  # Hilbert element -> its signature
-    by: dict[Signature, list[Vec]]  # signature -> its Hilbert elements, in sorted order
+    def __init__(self, points: Sequence[Vec], c: Cone):
+        rays = set(c.generators)
+        self.points = tuple(points)
+        self.of: dict[Vec, Signature] = {}  # point -> its signature
+        self.by: dict[Signature, list[Vec]] = {}  # signature -> its points, in order
+        for h in self.points:
+            sig = (
+                1 if primitive(h) in rays else 0,
+                tuple(sorted(dot(n, h) for n in c.facet_normals)),
+            )
+            self.of[h] = sig
+            self.by.setdefault(sig, []).append(h)
+        self.key = (c.dim, tuple(sorted(self.of.values())))  # (dim, sorted signatures)
+
+    @cached_property
+    def base(self) -> tuple[tuple[Vec, ...], int, Mat]:
+        """(base points, det, adj) with mat(base) . adj == det . I."""
+        d = self.key[0]
+        base = tuple(self.points[i] for i in independent_indices(self.points, d))
+        det, adj = solve(mat(base), identity(d))
+        return base, det, adj
 
 
-def signatures(s: AffineSemigroup) -> Signatures:
-    """The semigroup's signatures, computed on first use and kept on it.
+def signatures(s: AffineSemigroup) -> Frame:
+    """The frame of the semigroup's Hilbert basis, computed on first use and kept on it.
 
     A lower-dimensional cone's facet normals are determined only up to its
     span equations, so its facet values are not invariant: such a semigroup
@@ -167,22 +189,11 @@ def signatures(s: AffineSemigroup) -> Signatures:
     if s._signatures is None:
         if not s.is_pointed:
             raise NotPointedError("signatures require a pointed semigroup")
-        c = s.cone
-        if not c.is_full_dimensional:
+        if not s.cone.is_full_dimensional:
             raise NotFullDimensionalError(
                 "unimodular equivalence is decided only for full-dimensional cones"
             )
-        rays = set(c.generators)
-        of: dict[Vec, Signature] = {}
-        by: dict[Signature, list[Vec]] = {}
-        for h in s.hilbert_basis():
-            sig = (
-                1 if primitive(h) in rays else 0,
-                tuple(sorted(dot(n, h) for n in c.facet_normals)),
-            )
-            of[h] = sig
-            by.setdefault(sig, []).append(h)
-        s._signatures = Signatures((s.dim, tuple(sorted(of.values()))), of, by)
+        s._signatures = Frame(s.hilbert_basis(), s.cone)
     return s._signatures
 
 
@@ -209,34 +220,28 @@ def carries(m: Mat, a: Sequence[Vec], b: set[Vec]) -> bool:
 
 
 def verify_certificate(a: AffineSemigroup, b: AffineSemigroup, cert: IsoCertificate) -> bool:
-    """True iff the matrix is unimodular and maps H(a) onto H(b) bijectively.
+    """True iff the square matrix carries H(a) onto H(b).
 
     A non-empty declared mapping must be exactly the pairs (h, M h), h in H(a).
     """
-    square = len(cert.matrix) == a.dim and all(len(col) == a.dim for col in cert.matrix)
+    m = cert.matrix
+    square = len(m) == a.dim and all(len(col) == a.dim for col in m)
     if a.dim != b.dim or not square:
         return False
-    if not is_unimodular(cert.matrix):
-        return False
     ha = a.hilbert_basis()
-    hb = set(b.hilbert_basis())
-    images = [mat_apply(cert.matrix, h) for h in ha]
-    if len(ha) != len(hb) or set(images) != hb:
+    if not carries(m, ha, set(b.hilbert_basis())):
         return False
-    pairs = set(zip(ha, images))
-    return not cert.mapping or (len(cert.mapping) == len(pairs) and set(cert.mapping) == pairs)
+    return not cert.mapping or (
+        len(cert.mapping) == len(ha) and set(cert.mapping) == {(h, mat_apply(m, h)) for h in ha}
+    )
 
 
 def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCertificate]:
     """Search for a unimodular map with f(H(a)) == H(b).
 
     Equal Hilbert bases give the identity in any dimension; otherwise both
-    semigroups must be full-dimensional (NotFullDimensionalError).  Unequal
-    signature keys short-circuit to None.  Completeness: any such map is
-    determined by its values on the first independent d-subset D of sorted
-    H(a) and preserves signatures, so D's images are tried depth-first among
-    the elements of H(b) with the same signature, in sorted order, and a
-    valid certificate is found whenever one exists.
+    semigroups must be full-dimensional (NotFullDimensionalError), and
+    first_map searches the frames of their Hilbert bases.
     """
     if a.dim != b.dim:
         return None
@@ -248,31 +253,25 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
         return None
     if set(ha) == set(hb):
         return certificate_for_matrix(a, identity(a.dim))
-    sig_a, sig_b = signatures(a), signatures(b)
-    if sig_a.key != sig_b.key:
-        return None
-    d = a.dim
-    base = [ha[i] for i in independent_indices(ha, d)]
-    base_det, base_adj = solve(mat(base), identity(d))
-    candidates = [sig_b.by[sig_a.of[v]] for v in base]
-    hb_set = set(hb)
-    m = first_base_map(candidates, base_det, base_adj, lambda m: carries(m, ha, hb_set))
+    m = first_map(signatures(a), signatures(b))
     return None if m is None else certificate_for_matrix(a, m)
 
 
-def first_base_map(
-    candidates: Sequence[Sequence[Vec]], base_det: int, base_adj: Mat,
-    accept: Callable[[Mat], bool],
-) -> Optional[Mat]:
-    """The first accepted integral map of a base onto distinct candidate images.
+def first_map(a: Frame, b: Frame) -> Optional[Mat]:
+    """The first unimodular map that carries a's points onto b's, or None.
 
-    candidates[i] lists the allowed images of base element i.  Images are
-    picked depth-first, in the listed order and all distinct; each full
-    pick fixes m = images . adj(base) / det(base), with (base_det, base_adj)
-    from solve(mat(base), identity(d)).  The first m that is integral and
-    passes accept(m) is returned, None when there is none.
+    Unequal keys short-circuit to None.  Completeness: any such map is
+    determined by its values on a's base and keeps signatures, so the base's
+    images are picked depth-first, all distinct, among b's points of the same
+    signature, in b's order.  Each full pick fixes m = images . adj / det;
+    the first m that is integral and carries a's points onto b's is returned.
     """
-    d = len(candidates)
+    if a.key != b.key:
+        return None
+    base, base_det, base_adj = a.base
+    candidates = [b.by[a.of[v]] for v in base]
+    target = set(b.points)
+    d = len(base)
 
     def assemble(images: Sequence[Vec]) -> Optional[Mat]:
         numer = mat_mul(mat(images), base_adj)
@@ -285,7 +284,7 @@ def first_base_map(
                 new.append(e // base_det)
             cols.append(tuple(new))
         m = tuple(cols)
-        return m if accept(m) else None
+        return m if carries(m, a.points, target) else None
 
     def backtrack(i: int, picked: list[Vec], used: set[Vec]) -> Optional[Mat]:
         if i == d:

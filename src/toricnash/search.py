@@ -15,21 +15,10 @@ import hashlib
 import heapq
 import os
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactmath import (
-    Mat,
-    Vec,
-    check_characteristic,
-    identity,
-    independent_indices,
-    is_prime,
-    mat,
-    solve,
-    vec,
-)
-from .iso import carries, find_isomorphism, fingerprint, first_base_map
+from .exactmath import Mat, check_characteristic, identity, is_prime, solve, vec
+from .iso import Frame, carries, find_isomorphism, fingerprint, first_map
 from .cone import Cone, NotFullDimensionalError, NotPointedError
 from .nash import chart_generators, vertex_charts
 from .semigroup import AffineSemigroup, NotFullLatticeError, NotSaturatedError
@@ -116,64 +105,34 @@ def _node_is_saturated(s: AffineSemigroup) -> bool:
         return False
 
 
-RaySignature = tuple[int, ...]
-
-
-class _ConeEntry(NamedTuple):
-    """What a lookup by cone needs of a node, computed once when it is filed."""
-
-    rays: tuple[Vec, ...]  # the node's primitive extreme rays, sorted
-    base: tuple[RaySignature, ...]  # signatures of its first independent d rays
-    det: int  # det of those rays as columns
-    adj: Mat  # their adjugate: rays . adj == det . I
-
-
-def _ray_signatures(c: Cone) -> dict[Vec, RaySignature]:
-    """Each primitive extreme ray r of a pointed cone -> its sorted facet values <n_f, r>."""
-    return {r: tuple(sorted(sum(map(mul, n, r)) for n in c.facet_normals)) for r in c.generators}
-
-
-def _cone_key(c: Cone, sig: dict[Vec, RaySignature]) -> tuple:
-    return c.dim, tuple(sorted(sig.values()))
-
-
 class _ClassIndex:
-    """Node keys bucketed by cone key, and the per-fingerprint key counters.
+    """Node keys bucketed by the key of their ray frame, and the per-fingerprint key counters.
 
-    A node's cone key is the dimension with the sorted multiset of its ray
-    signatures, a ray's signature being its sorted facet values.  Primitive
-    facet normals move by U^{-T} under x -> U x and rays by U, so a
-    unimodular map between two cones keeps every ray's signature and
-    equivalent cones share a key, as iso.signatures argues for Hilbert
-    elements.  The key is computed once, when a node is filed; so are the
-    node's first independent d rays with their adjugate and determinant.
-
-    locate_cone finds the node of a saturated chart from its cone alone.  A
-    normalized chart is cone intersect Z^d, so it is equivalent to a
-    (saturated) node exactly when some V in GL_d(Z) carries the node's
-    primitive extreme rays onto the chart's.  Such a V keeps ray signatures,
-    so it is found by sending the node's base rays to chart rays of equal
-    signature, V = images . adj / det, and keeping the first integral V
-    that carries the rays.  V maps H(node) onto H(chart), and V^{-1} is the
-    certificate, with nothing saturated or searched.  locate compares
-    semigroups with find_isomorphism, for non-normalized search; equivalent
-    semigroups have equivalent cones, so it scans the same bucket.  Either
-    way the first equivalent node in filing order is found.  A node key is
-    the first 12 hex digits of sha256(fingerprint bytes) and the node's
-    index among the nodes with that fingerprint, so only new nodes are
-    fingerprinted.
+    A node's ray frame is iso.Frame(c.generators, c) of its cone c, built
+    once, when the node is filed.  locate_cone finds the node of a saturated
+    chart from its cone alone.  A normalized chart is cone intersect Z^d, so
+    it is equivalent to a (saturated) node exactly when some V in GL_d(Z)
+    carries the node's primitive extreme rays onto the chart's, and
+    first_map(node frame, chart frame) finds the first such V.  V maps
+    H(node) onto H(chart), and V^{-1} is the certificate, with nothing
+    saturated or searched.  locate compares semigroups with
+    find_isomorphism, for non-normalized search; equivalent semigroups have
+    equivalent cones, so it scans the same bucket.  Either way the first
+    equivalent node in filing order is found.  A node key is the first 12
+    hex digits of sha256(fingerprint bytes) and the node's index among the
+    nodes with that fingerprint, so only new nodes are fingerprinted.
     """
 
     def __init__(self) -> None:
         self.buckets: dict[tuple, list[str]] = {}
-        self.cones: dict[str, _ConeEntry] = {}
+        self.frames: dict[str, Frame] = {}
         self.counts: dict[bytes, int] = {}
 
     def locate(
         self, s: AffineSemigroup, nodes: dict[str, GraphNode]
     ) -> tuple[Optional[str], Optional[Mat]]:
         c = s.cone
-        for key in self.buckets.get(_cone_key(c, _ray_signatures(c)), []):
+        for key in self.buckets.get(Frame(c.generators, c).key, []):
             cert = find_isomorphism(s, nodes[key].semigroup)
             if cert is not None:
                 return key, cert.matrix
@@ -184,17 +143,9 @@ class _ClassIndex:
 
         Every node must be saturated; c must be pointed and full-dimensional.
         """
-        sig = _ray_signatures(c)
-        by: dict[RaySignature, list[Vec]] = {}
-        for r in c.generators:
-            by.setdefault(sig[r], []).append(r)
-        rays = set(c.generators)
-        for key in self.buckets.get(_cone_key(c, sig), []):
-            entry = self.cones[key]
-            candidates = [by[b] for b in entry.base]
-            v = first_base_map(
-                candidates, entry.det, entry.adj, lambda m: carries(m, entry.rays, rays)
-            )
+        chart = Frame(c.generators, c)
+        for key in self.buckets.get(chart.key, []):
+            v = first_map(self.frames[key], chart)
             if v is not None:
                 det, adj = solve(v, identity(c.dim))  # det is +-1, so V^{-1} = det . adj
                 return key, tuple(tuple(det * e for e in col) for col in adj)
@@ -210,11 +161,8 @@ class _ClassIndex:
         self.counts[fp] = n + 1
         if key is None:
             key = f"{hashlib.sha256(fp).hexdigest()[:12]}-{n}"
-        sig = _ray_signatures(c)
-        base = [c.generators[i] for i in independent_indices(c.generators, s.dim)]
-        det, adj = solve(mat(base), identity(s.dim))
-        self.cones[key] = _ConeEntry(c.generators, tuple(sig[r] for r in base), det, adj)
-        self.buckets.setdefault(_cone_key(c, sig), []).append(key)
+        frame = self.frames[key] = Frame(c.generators, c)
+        self.buckets.setdefault(frame.key, []).append(key)
         return key
 
 
@@ -387,10 +335,20 @@ def _edge_checks_out(report: SearchReport, e: GraphEdge) -> bool:
 
 
 def verify_report_cycles(report: SearchReport) -> bool:
-    """Re-derive each cycle edge's chart and check its certificate."""
+    """Re-derive each cycle edge's chart and check its certificate.
+
+    A cycle checks out when its length, its node count and its certificate
+    count agree and are positive, every key names a node, and each edge of
+    the closed ring, the last node back to the first included, is a report
+    edge with that certificate that checks out.
+    """
     for cyc in report.cycles:
-        ring = list(cyc.node_keys) + [cyc.node_keys[0]]
-        for a, b, cert_matrix in zip(ring, ring[1:], cyc.certificates):
+        keys = list(cyc.node_keys)
+        if not cyc.length == len(keys) == len(cyc.certificates) >= 1:
+            return False
+        if any(k not in report.nodes for k in keys):
+            return False
+        for a, b, cert_matrix in zip(keys, keys[1:] + keys[:1], cyc.certificates):
             edge = next(
                 (e for e in report.edges if (e.src, e.dst, e.certificate) == (a, b, cert_matrix)),
                 None,

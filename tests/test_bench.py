@@ -47,6 +47,11 @@ def test_a_traced_run_is_correct(checkout, workload):
         # cycles, so a function hidden from the tracer by a rebinding reads 0 here
         assert metrics["search.load_graph.calls"] == 3
         assert metrics["search.verify_report_cycles.calls"] >= 3
+        # every isomorphism query of the ledgers has an answer, and one corrupted
+        # control certificate per corpus graph is rejected
+        calls = metrics["iso.find_isomorphism.calls"]
+        assert metrics["iso.find_isomorphism.found"] == calls > 0
+        assert metrics["iso.verify_certificate.rejected"] == 3
     if workload == "search":
         # the start's lattice test; every node built from a cone knows it spans Z^d
         assert metrics["exactmath.hermite_form.calls"] == 1

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ except ImportError:  # not on every platform
 import pytest
 
 from toricnash import search, semigroup
-from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_USAGE, main
+from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_USAGE, build_parser, main
 from toricnash.iso import certificate_for_matrix, find_isomorphism, verify_certificate
 from toricnash.nash import chart
 from toricnash.search import load_graph
@@ -162,6 +163,13 @@ def test_char_defaults_to_cone_file_value(capsys):
     code, out, _ = run(capsys, "blowup", "builtin:B")
     assert code == EXIT_OK
     assert "chart {1,2,4,5,6} det 2 pointed yes" in out
+
+
+def test_search_limits_default_to_those_of_explore():
+    args = build_parser().parse_args(["search", "builtin:B"])
+    params = inspect.signature(search.explore).parameters
+    assert args.max_depth == params["max_depth"].default
+    assert args.max_nodes == params["max_nodes"].default
 
 
 def test_search_loop_found(capsys):

@@ -11,8 +11,25 @@ from hypothesis import assume, given, settings, strategies as st
 import toricnash.cone as cone_module
 from toricnash import fixtures, nash, search, semigroup
 from toricnash.cone import Cone, NotPointedError
-from toricnash.exactmath import Mat, identity, is_unimodular, mat_apply
-from toricnash.iso import certificate_for_matrix, find_isomorphism, fingerprint, verify_certificate
+from toricnash.exactmath import (
+    Mat,
+    dot,
+    identity,
+    independent_indices,
+    is_unimodular,
+    mat,
+    mat_apply,
+    mat_mul,
+    solve,
+)
+from toricnash.iso import (
+    Frame,
+    carries,
+    certificate_for_matrix,
+    find_isomorphism,
+    fingerprint,
+    verify_certificate,
+)
 from toricnash.search import (
     TERMINATION_CYCLE,
     TERMINATION_DEPTH,
@@ -458,16 +475,92 @@ def test_cone_lookup_finds_a_unimodular_image(source, data):
 def test_cone_lookup_misses_cones_with_equal_keys():
     # the cyclic quotients 1/5(1,1) and 1/5(1,2): every ray has facet values {0, 5}
     a, b = Cone(((0, 1), (5, -1)), 2), Cone(((0, 1), (5, -2)), 2)
-    assert search._cone_key(a, search._ray_signatures(a)) == search._cone_key(
-        b, search._ray_signatures(b)
-    )
+    assert Frame(a.generators, a).key == Frame(b.generators, b).key
     index = _ClassIndex()
     key = index.insert(AffineSemigroup.from_cone(a))
     nodes = {key: GraphNode(key, AffineSemigroup.from_cone(a), 0, False)}
-    assert index.buckets[search._cone_key(b, search._ray_signatures(b))] == [key]
+    assert index.buckets[Frame(b.generators, b).key] == [key]
     assert index.locate_cone(b) == (None, None)
     assert index.locate(AffineSemigroup.from_cone(b), nodes) == (None, None)
     assert index.locate_cone(a)[0] == key
+
+
+class _FormerConeIndex:
+    """The cone lookup before iso.Frame, kept as the reference for locate_cone.
+
+    Each node files its rays' sorted facet values and, once, its first
+    independent d rays with their determinant and adjugate; a chart's bucket
+    is (dim, sorted ray signatures), the node's base rays go depth-first to
+    chart rays of equal signature, the first integral map that carries the
+    node's rays onto the chart's is accepted, and its inverse is returned.
+    """
+
+    def __init__(self):
+        self.buckets, self.entries = {}, {}
+
+    @staticmethod
+    def _signatures(c):
+        return {r: tuple(sorted(dot(n, r) for n in c.facet_normals)) for r in c.generators}
+
+    def insert(self, c, key):
+        sig = self._signatures(c)
+        base = [c.generators[i] for i in independent_indices(c.generators, c.dim)]
+        det, adj = solve(mat(base), identity(c.dim))
+        self.entries[key] = (c.generators, [sig[r] for r in base], det, adj)
+        self.buckets.setdefault((c.dim, tuple(sorted(sig.values()))), []).append(key)
+
+    def locate_cone(self, c):
+        sig = self._signatures(c)
+        by = {}
+        for r in c.generators:
+            by.setdefault(sig[r], []).append(r)
+        for key in self.buckets.get((c.dim, tuple(sorted(sig.values()))), []):
+            rays, base_sigs, det, adj = self.entries[key]
+            v = self._first_base_map([by[b] for b in base_sigs], det, adj, rays, set(c.generators))
+            if v is not None:
+                sign, inv = solve(v, identity(c.dim))
+                return key, tuple(tuple(sign * e for e in col) for col in inv)
+        return None, None
+
+    @staticmethod
+    def _first_base_map(candidates, det, adj, rays, target):
+        def backtrack(picked):
+            if len(picked) == len(candidates):
+                numer = mat_mul(mat(picked), adj)
+                if any(e % det for col in numer for e in col):
+                    return None
+                m = tuple(tuple(e // det for e in col) for col in numer)
+                return m if carries(m, rays, target) else None
+            for w in candidates[len(picked)]:
+                if w not in picked and (found := backtrack(picked + [w])) is not None:
+                    return found
+            return None
+
+        return backtrack([])
+
+
+# B at p = 2 reaches nodes with cone automorphisms, where
+# a lookup from chart to node would find another certificate
+@pytest.mark.parametrize(
+    "name, p, depth", [("B", 3, 2), ("dim4char3", 3, 3), ("reeves", 3, 2), ("B", 2, 2)]
+)
+def test_cone_lookup_matches_the_former_lookup(name, p, depth):
+    cf = fixtures.BUILTIN_CONES[name]
+    report = explore(_saturated(cf.generators, cf.dim), p, max_depth=depth)
+    index, former = _ClassIndex(), _FormerConeIndex()
+    for key, node in report.nodes.items():
+        index.insert(node.semigroup, key)
+        former.insert(node.semigroup.cone, key)
+    hits = misses = 0
+    for key, node in report.nodes.items():
+        if node.smooth:
+            continue
+        for cone in nash.vertex_charts(node.semigroup, p).values():
+            got = index.locate_cone(cone)
+            assert got == former.locate_cone(cone)
+            hits += got[0] is not None
+            misses += got[0] is None
+    assert hits >= len(report.edges) and misses
 
 
 def test_a_smooth_node_on_the_frontier_does_not_check_out(tmp_path):
@@ -858,3 +951,34 @@ def test_a_loop_whose_certificate_is_not_unimodular_does_not_check_out():
     assert nash.chart(a1, a1.hilbert_basis()[:2], 0).cone.generators == ((0, 1), (1, 0))
     assert not verify_report_cycles(report)
     assert verify_report_nodes(report) == key
+
+
+def _closing_edge_skipped(report):
+    pairs = {(e.src, e.dst) for e in report.edges}
+    e = next(e for e in report.edges if e.src != e.dst and (e.dst, e.src) not in pairs)
+    return CycleRecord(2, (e.src, e.dst), (e.certificate,))
+
+
+def _length_disagrees(report):
+    two = next(c for c in report.cycles if c.length == 2)
+    return CycleRecord(5, two.node_keys, two.certificates)
+
+
+def _empty_record(report):
+    return CycleRecord(0, (), ())
+
+
+def _a_key_that_names_no_node(report):
+    two = next(c for c in report.cycles if c.length == 2)
+    del report.nodes[two.node_keys[1]]
+    return two
+
+
+@pytest.mark.parametrize(
+    "forge", [_closing_edge_skipped, _length_disagrees, _empty_record, _a_key_that_names_no_node]
+)
+def test_a_forged_cycle_record_does_not_check_out(forge):
+    report = explore(_saturated(fixtures.DIM4_CHAR3_COLUMNS, 4), 3, max_depth=2, cycle_lengths=(1, 2))
+    assert report.cycles and verify_report_cycles(report)
+    report.cycles = [forge(report)]
+    assert verify_report_cycles(report) is False
