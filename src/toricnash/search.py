@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactmath import Mat, check_characteristic, identity, is_prime, solve, vec
-from .iso import Frame, carries, find_isomorphism, fingerprint, first_map
+from .exactmath import Mat, Vec, check_characteristic, identity, is_prime, solve, vec
+from .iso import Frame, carries, fingerprint, first_map
 from .cone import Cone, NotFullDimensionalError, NotPointedError
 from .nash import chart_generators, vertex_charts
 from .semigroup import AffineSemigroup, NotFullLatticeError, NotSaturatedError
@@ -42,8 +42,8 @@ class GraphCheckError(ValueError):
 
     def __init__(self, key: str):
         super().__init__(
-            f"node {key} does not check out: its basis, its smooth flag or the chart or "
-            "certificate of an edge into it is wrong, it is smooth and on the frontier, "
+            f"node {key} does not check out: its basis, its depth, its smooth flag or the "
+            "chart or certificate of an edge into it is wrong, it is smooth and on the frontier, "
             "it is not pointed and full-dimensional, or it is equivalent to another node"
         )
         self.key = key
@@ -105,45 +105,45 @@ def _node_is_saturated(s: AffineSemigroup) -> bool:
         return False
 
 
-class _ClassIndex:
-    """Node keys bucketed by the key of their ray frame, and the per-fingerprint key counters.
+def _points(s: AffineSemigroup, normalized: bool) -> tuple[Vec, ...]:
+    """The points that name the class of the node s: its cone's primitive extreme
+    rays when normalized (s is its cone intersect Z^d), else its Hilbert basis."""
+    return s.cone.generators if normalized else s.hilbert_basis()
 
-    A node's ray frame is iso.Frame(c.generators, c) of its cone c, built
-    once, when the node is filed.  locate_cone finds the node of a saturated
-    chart from its cone alone.  A normalized chart is cone intersect Z^d, so
-    it is equivalent to a (saturated) node exactly when some V in GL_d(Z)
-    carries the node's primitive extreme rays onto the chart's, and
-    first_map(node frame, chart frame) finds the first such V.  V maps
-    H(node) onto H(chart), and V^{-1} is the certificate, with nothing
-    saturated or searched.  locate compares semigroups with
-    find_isomorphism, for non-normalized search; equivalent semigroups have
-    equivalent cones, so it scans the same bucket.  Either way the first
-    equivalent node in filing order is found.  A node key is the first 12
-    hex digits of sha256(fingerprint bytes) and the node's index among the
-    nodes with that fingerprint, so only new nodes are fingerprinted.
+
+def _chart_points(
+    src: AffineSemigroup, subset: tuple[int, ...], cone: Cone, p: int, normalized: bool
+) -> tuple[Vec, ...]:
+    """The points that name the class of src's chart at subset; nothing is saturated."""
+    if normalized:
+        return cone.generators
+    return AffineSemigroup(chart_generators(src, subset, p), src.dim, cone=cone).hilbert_basis()
+
+
+class _ClassIndex:
+    """Node keys bucketed by the key of their frame, and the per-fingerprint key counters.
+
+    A node's frame is iso.Frame(_points(s), s.cone), built when it is filed.
+    locate takes a chart's points and cone: first_map(node frame, chart
+    frame) finds the first V in GL_d(Z) that carries the node's points onto
+    the chart's, so V maps the node onto the chart, and V^{-1} is the
+    certificate.  The first equivalent node in filing order is found; if it
+    has automorphisms, the certificate inverts the first V in the order of
+    its base, in both modes.  A node key is the first 12 hex digits of
+    sha256(fingerprint bytes) and its index among the nodes with that
+    fingerprint, so only new nodes are fingerprinted.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, normalized: bool) -> None:
+        self.normalized = normalized
         self.buckets: dict[tuple, list[str]] = {}
         self.frames: dict[str, Frame] = {}
         self.counts: dict[bytes, int] = {}
 
-    def locate(
-        self, s: AffineSemigroup, nodes: dict[str, GraphNode]
-    ) -> tuple[Optional[str], Optional[Mat]]:
-        c = s.cone
-        for key in self.buckets.get(Frame(c.generators, c).key, []):
-            cert = find_isomorphism(s, nodes[key].semigroup)
-            if cert is not None:
-                return key, cert.matrix
-        return None, None
-
-    def locate_cone(self, c: Cone) -> tuple[Optional[str], Optional[Mat]]:
-        """The node equivalent to the saturation of c, with a certificate onto it.
-
-        Every node must be saturated; c must be pointed and full-dimensional.
-        """
-        chart = Frame(c.generators, c)
+    def locate(self, points: Sequence[Vec], c: Cone) -> tuple[Optional[str], Optional[Mat]]:
+        """The node of the class the points name, with a certificate onto it;
+        c, their cone, must be pointed and full-dimensional."""
+        chart = Frame(points, c)
         for key in self.buckets.get(chart.key, []):
             v = first_map(self.frames[key], chart)
             if v is not None:
@@ -161,7 +161,7 @@ class _ClassIndex:
         self.counts[fp] = n + 1
         if key is None:
             key = f"{hashlib.sha256(fp).hexdigest()[:12]}-{n}"
-        frame = self.frames[key] = Frame(c.generators, c)
+        frame = self.frames[key] = Frame(_points(s, self.normalized), c)
         self.buckets.setdefault(frame.key, []).append(key)
         return key
 
@@ -183,8 +183,10 @@ def explore(
     the walk stops after the first whole node that completes some requested
     cycle length; otherwise it runs to exhaustion or to the depth/node
     limits.  A node that the node limit cuts short stays on the frontier
-    with the out-edges it has so far.  An edge stores the identity into a
-    new node, else the certificate its _ClassIndex lookup returns.  Passing
+    with the out-edges it has so far.  A chart is looked up by _chart_points;
+    a new node is its cone's saturation when normalized, else the semigroup
+    of its Hilbert basis.  An edge stores the identity into a new node, else
+    the certificate that _ClassIndex.locate returns.  Passing
     a report as `state` resumes its frontier, and `start` is not read: the
     characteristic and mode must match, else ValueError, and the report
     must pass _checked_index, else GraphCheckError; the search goes on with
@@ -206,7 +208,7 @@ def explore(
             raise NotSaturatedError("search requires a saturated start semigroup")
         if not start.generates_full_lattice():
             raise NotFullLatticeError("search requires a start semigroup spanning Z^d")
-        index = _ClassIndex()
+        index = _ClassIndex(normalized)
         start_key = index.insert(start)
         nodes = {start_key: GraphNode(start_key, start, 0, _node_is_smooth(start))}
         edges: list[GraphEdge] = []
@@ -231,18 +233,16 @@ def explore(
             edges = [e for e in edges if e.src != key]
         source = nodes[key].semigroup
         for subset, cone in vertex_charts(source, p).items():
-            if normalized:
-                target = None  # saturated only if it starts a new node
-                found, cert = index.locate_cone(cone)
-            else:
-                target = AffineSemigroup(chart_generators(source, subset, p), source.dim, cone=cone)
-                found, cert = index.locate(target, nodes)
+            points = _chart_points(source, subset, cone, p, normalized)
+            found, cert = index.locate(points, cone)
             if found is None:
                 if len(nodes) >= max_nodes:
                     termination = TERMINATION_NODES
                     break
-                if target is None:
+                if normalized:
                     target = AffineSemigroup.from_cone(cone)
+                else:
+                    target = AffineSemigroup.from_hilbert_basis(points, source.dim, cone=cone)
                 found = index.insert(target)
                 nodes[found] = GraphNode(found, target, depth + 1, _node_is_smooth(target))
                 cert = identity(target.dim)
@@ -311,14 +311,13 @@ def find_cycles(
 
 def _edge_checks_out(report: SearchReport, e: GraphEdge) -> bool:
     """Look the edge's chart up in its source's vertex_charts, as explore made
-    it, and check that its certificate carries the chart onto its target.
+    it, and check that its certificate carries the chart's points onto its
+    target's, as _chart_points and _points name them.
 
     A subset with no entry (a vanishing minor, no vertex, not increasing or
-    out of range) does not check out.  In normalized mode nothing is
-    saturated: a normalized chart is its cone intersect Z^d, and so is a
-    saturated target, so M maps the one onto the other exactly when it
-    carries the chart's primitive extreme rays onto the target's.  Otherwise
-    M must carry the chart's Hilbert basis onto the target's.
+    out of range) does not check out.  In normalized mode the target must be
+    saturated: then it and the chart are their cones intersect Z^d, and M
+    maps the one onto the other exactly when it carries rays onto rays.
     """
     src, dst = report.nodes[e.src].semigroup, report.nodes[e.dst].semigroup
     members, p, m, d = tuple(e.subset), report.characteristic, e.certificate, src.dim
@@ -328,10 +327,10 @@ def _edge_checks_out(report: SearchReport, e: GraphEdge) -> bool:
         return False
     if cone is None or len(m) != d or any(len(col) != d for col in m):
         return False
-    if report.normalized:
-        return _node_is_saturated(dst) and carries(m, cone.generators, set(dst.cone.generators))
-    target = AffineSemigroup(chart_generators(src, members, p), d, cone=cone)
-    return carries(m, target.hilbert_basis(), set(dst.hilbert_basis()))
+    if report.normalized and not _node_is_saturated(dst):
+        return False
+    points = _chart_points(src, members, cone, p, report.normalized)
+    return carries(m, points, set(_points(dst, report.normalized)))
 
 
 def verify_report_cycles(report: SearchReport) -> bool:
@@ -363,50 +362,52 @@ def _checked_index(report: SearchReport) -> _ClassIndex:
 
     Else GraphCheckError names the first node, in key order, that does not
     check out, or the target of the first edge, in report order, that does
-    not.  An edge end or frontier key that names no node is named first.
-    In normalized mode a node is saturated, so its basis must be the
-    Hilbert basis of the saturation of its cone.  In both modes its smooth
-    flag must match a recomputation.  A saturated basis can still be the
-    wrong semigroup (drop an extreme ray and the rest is the saturation of
-    a smaller cone), so every node but the start must also be the target
-    of a checked edge from a node of lower depth.  By induction on depth,
-    every node is then a chart of a chart of ... the start.  A smooth node
-    is a leaf, so one on the frontier does not check out either.  Nodes
-    are distinct classes, so each is filed in the index, once, and one that
-    hits a node filed before it, or cannot be filed, does not check out: a
-    duplicate could take the target of a cycle's last edge and hide the
-    cycle.  Then every edge is re-derived from its source and its
-    certificate checked.
+    not; an edge end, frontier key or start key that names no node comes
+    first.  A node in normalized mode is saturated: its basis is the
+    Hilbert basis of its cone's saturation.  Its smooth flag must match a
+    recomputation, and a smooth node, a leaf, is not on the frontier.
+    Depths are breadth-first: the start's is 0, every other node's is 1 +
+    the least depth among the sources of its in-edges, and an in-edge from
+    one level up checks out, as a saturated basis can still be the wrong
+    semigroup (drop an extreme ray).  By induction on depth, every node is
+    a chart of a chart of ... the start.  Each node is filed in the index,
+    once; one that hits a node filed before it, or cannot be filed, does
+    not check out, as a duplicate could take a cycle's last edge and hide
+    the cycle.  Then every edge is re-derived and its certificate checked.
     """
     frontier = set(report.frontier)
-    for key in [k for e in report.edges for k in (e.src, e.dst)] + report.frontier:
+    ends = [k for e in report.edges for k in (e.src, e.dst)]
+    for key in ends + report.frontier + [report.start_key]:
         if key not in report.nodes:
             raise GraphCheckError(key)
-    index = _ClassIndex()
+    index = _ClassIndex(report.normalized)
     # one verdict per edge: the edge pass does not check a parent edge again
     checks_out = functools.cache(lambda i: _edge_checks_out(report, report.edges[i]))
-    parents: dict[str, list[int]] = {}
+    least: dict[str, int] = {}  # key -> the least depth of a source of its in-edges
+    parents: dict[str, list[int]] = {}  # key -> its in-edges from one level up
     for i, e in enumerate(report.edges):
-        if report.nodes[e.src].depth < report.nodes[e.dst].depth:
+        up = report.nodes[e.src].depth
+        least[e.dst] = min(least.get(e.dst, up), up)
+        if up == report.nodes[e.dst].depth - 1:
             parents.setdefault(e.dst, []).append(i)
     for key in sorted(report.nodes):
         node = report.nodes[key]
-        if report.normalized and not _node_is_saturated(node.semigroup):
+        s = node.semigroup
+        if report.normalized and not _node_is_saturated(s):
             raise GraphCheckError(key)
-        if _node_is_smooth(node.semigroup) != node.smooth or (node.smooth and key in frontier):
+        if _node_is_smooth(s) != node.smooth or (node.smooth and key in frontier):
             raise GraphCheckError(key)
         try:
-            if report.normalized:
-                found, _ = index.locate_cone(node.semigroup.cone)
-            else:
-                found, _ = index.locate(node.semigroup, report.nodes)
+            found, _ = index.locate(_points(s, report.normalized), s.cone)
             if found is None:
-                index.insert(node.semigroup, key)
+                index.insert(s, key)
         except ValueError:  # not a pointed, full-dimensional semigroup
             found = key
         if found is not None:
             raise GraphCheckError(key)
-        if key != report.start_key and not any(map(checks_out, parents.get(key, ()))):
+        up = parents.get(key, ())
+        placed = least.get(key) == node.depth - 1 and any(map(checks_out, up))
+        if not (node.depth == 0 if key == report.start_key else placed):
             raise GraphCheckError(key)
     for i, e in enumerate(report.edges):
         if not checks_out(i):
@@ -432,8 +433,8 @@ def verify_report_nodes(report: SearchReport) -> Optional[str]:
 #   edge <src> <dst> <subset indices increasing, comma-joined> <dim> <matrix row-major>
 #   frontier <key>
 #
-# A flag is 0 or 1, the start node has depth 0, and no two edges share a
-# source and a subset.
+# A flag is 0 or 1, the start node has depth 0, a node has at least <dim>
+# generators, and no two edges share a source and a subset.
 # ---------------------------------------------------------------------------
 
 
@@ -528,16 +529,13 @@ def load_graph(path: str) -> SearchReport:
                     raise GraphFormatError(f"line {lineno}: unknown termination {parts[3]!r}")
                 meta = (int(parts[1]), _flag(parts[2]), parts[3], parts[4], lineno)
             elif kind == "node":
-                key, depth, smooth, dim, ngens = (
-                    parts[1],
-                    int(parts[2]),
-                    _flag(parts[3]),
-                    int(parts[4]),
-                    int(parts[5]),
-                )
+                key, depth, smooth = parts[1], int(parts[2]), _flag(parts[3])
+                dim, ngens = int(parts[4]), int(parts[5])
                 if key in nodes:
                     raise GraphFormatError(f"line {lineno}: duplicate node key {key}")
-                if dim < 1 or ngens < 0:
+                # a search node is full-dimensional, so it has dim generators or
+                # more: checking a record costs time polynomial in its length
+                if not 1 <= dim <= ngens:
                     raise GraphFormatError(
                         f"line {lineno}: node {key} has dimension {dim} and {ngens} generators"
                     )

@@ -326,6 +326,14 @@ def test_search_load_rejects_a_loop_whose_certificate_is_not_unimodular(tmp_path
         (b"", "line 1: missing meta record"),
         (b"meta 3 1 exhausted a\nnode a 0 0 -1 -1 1\n", "line 2: node a has dimension -1"),
         (b"meta 3 1 exhausted a\nnode a 0 0 0 0\n", "line 2: node a has dimension 0"),
+        (  # fewer generators than a full-dimensional node has; the cone alone would take seconds
+            b"meta 3 1 exhausted a\nnode a 0 0 400 0\n",
+            "line 2: node a has dimension 400 and 0 generators",
+        ),
+        (
+            b"meta 3 1 exhausted a\nnode a 0 0 3 2 1 0 0 0 1 0\n",
+            "line 2: node a has dimension 3 and 2 generators",
+        ),
         (b"meta 3 1 exhausted a\n\xc3\xa9\n", "not an ASCII graph file"),
         (
             b"meta 3 1 depth-limit a\nnode a 0 0 1 1 1\nfrontier a\nfrontier a\n",
@@ -377,6 +385,21 @@ def test_search_load_rejects_forged_node(tmp_path, capsys, key, forge):
     assert code == EXIT_MATH
     assert out == ""
     assert err.startswith(f"toricnash: {path}: node {key} ")
+    assert err.count("\n") == 1
+
+
+def test_search_load_rejects_an_inflated_depth(tmp_path, capsys):
+    # a frontier node one edge from the start claims depth 3, two levels too deep
+    path = tmp_path / "B.graph"
+    code, _, _ = run(capsys, "search", "builtin:B", "--max-depth", "1", "--save", str(path))
+    assert code == EXIT_OK
+    text = path.read_text()
+    assert "\nnode 00b61433dbb2-0 1 " in text and "\nfrontier 00b61433dbb2-0\n" in text
+    path.write_text(text.replace("\nnode 00b61433dbb2-0 1 ", "\nnode 00b61433dbb2-0 3 "))
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "2")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node 00b61433dbb2-0 does not check out")
     assert err.count("\n") == 1
 
 

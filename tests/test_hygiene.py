@@ -14,10 +14,11 @@ module-level function or class, and a public method, unless the benchmark
 (bench/*.py) reads it as an attribute; a short allowlist names the
 exceptions, each with its reason.  The package exports exactly what the
 benchmark reads as `tn.<name>` and the README's library example imports,
-plus the error classes.  The benchmark's tracer (bench/tracer.py) wraps
-package functions by name, so every name in its TRACED table must still
-resolve.  Every EXIT_* code of
-the CLI has a row in the README's exit-code table, and the table has no other.
+plus the error classes, and the README's "The package exports N names"
+sentence names each of them once and counts them.  The benchmark's tracer
+(bench/tracer.py) wraps package functions by name, so every name in its
+TRACED table must still resolve.  Every EXIT_* code of the CLI has a row
+in the README's exit-code table, and the table has no other.
 """
 
 from __future__ import annotations
@@ -292,6 +293,22 @@ def test_exports_are_what_the_bench_and_the_readme_use():
         obj = getattr(toricnash, name)
         if not (isinstance(obj, type) and issubclass(obj, Exception)):
             assert name in bench | readme, f"{name} is exported but bench and README do not use it"
+
+
+def readme_exports(readme: str) -> tuple[int, list[str]]:
+    """N and the quoted names of the README's "The package exports N names: ..." sentence."""
+    m = re.search(r"^The package exports (\d+) names: ", readme, flags=re.M)
+    sentence = readme[m.end():].split("\n\n", 1)[0].split(".  ", 1)[0]
+    return int(m.group(1)), re.findall(r"`(\w+)`", sentence)
+
+
+def test_readme_names_every_export():
+    import toricnash
+
+    count, names = readme_exports(ROOT.joinpath("README.md").read_text())
+    exported = set(toricnash.__all__) - {"__version__"}
+    assert sorted(names) == sorted(exported)
+    assert count == len(exported)
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

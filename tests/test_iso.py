@@ -440,14 +440,16 @@ def test_cone_lookup_matches_semigroup_lookup(name, depth):
     """Every pointed chart of every unsmooth node, found by its cone alone.
 
     The reference saturates the chart and scans every node in filing order
-    with find_isomorphism; the cone lookup must name the same node with the
-    same certificate matrix, which is the edge's for an expanded node, and
-    must miss exactly when the reference does (charts of frontier nodes).
+    with find_isomorphism; the lookup by rays must name the same node with
+    the same certificate matrix, which is the edge's for an expanded node,
+    and must miss exactly when the reference does (charts of frontier
+    nodes).  The lookup by Hilbert bases must name the same node.
     """
     report, p = _search(name, depth)
-    index, nodes = _ClassIndex(), report.nodes
+    index, plain, nodes = _ClassIndex(True), _ClassIndex(False), report.nodes
     for key, node in nodes.items():
         index.insert(node.semigroup, key)
+        plain.insert(node.semigroup, key)
     cert_of = {(e.src, e.subset): (e.dst, e.certificate) for e in report.edges}
     hits = misses = 0
     for key in sorted(nodes):
@@ -459,8 +461,8 @@ def test_cone_lookup_matches_semigroup_lookup(name, depth):
                 ((k, c) for k in nodes if (c := find_isomorphism(target, nodes[k].semigroup))),
                 (None, None),
             )
-            got = index.locate_cone(cone)
-            assert got[0] == want[0] == index.locate(target, nodes)[0]
+            got = index.locate(cone.generators, cone)
+            assert got[0] == want[0] == plain.locate(target.hilbert_basis(), cone)[0]
             if want[0] is None:
                 assert key in report.frontier
                 misses += 1

@@ -3,16 +3,17 @@ import functools
 import hashlib
 import os
 import typing
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import toricnash.cone as cone_module
-from toricnash import fixtures, nash, search, semigroup
+from toricnash import fixtures, iso, nash, search, semigroup
 from toricnash.cone import Cone, NotPointedError
 from toricnash.exactmath import (
     Mat,
+    Vec,
     dot,
     identity,
     independent_indices,
@@ -227,7 +228,7 @@ def one_fingerprint(monkeypatch):
 
 
 def test_class_index_numbers_keys_per_fingerprint(one_fingerprint):
-    index = _ClassIndex()
+    index = _ClassIndex(False)
     classes = [
         _saturated(((1, 0), (0, 1)), 2),
         _saturated(((1, 0), (1, 2)), 2),
@@ -235,9 +236,8 @@ def test_class_index_numbers_keys_per_fingerprint(one_fingerprint):
     ]
     keys = [index.insert(s) for s in classes]
     assert keys == [f"{one_fingerprint}-{i}" for i in range(3)]
-    nodes = {k: GraphNode(k, s, 0, False) for k, s in zip(keys, classes)}
     moved = AffineSemigroup([apply_matrix(((1, 1), (0, 1)), v) for v in classes[2].generators], 2)
-    found, cert = index.locate(moved, nodes)
+    found, cert = index.locate(moved.hilbert_basis(), moved.cone)
     assert found == keys[2]
     assert verify_certificate(moved, classes[2], certificate_for_matrix(moved, cert))
 
@@ -439,9 +439,9 @@ def test_save_graph_failure_keeps_previous_file(tmp_path, monkeypatch):
 
 def test_class_index_annotations_resolve():
     hints = typing.get_type_hints(_ClassIndex.locate)
-    assert hints["return"] == tuple[Optional[str], Optional[Mat]]
-    hints = typing.get_type_hints(_ClassIndex.locate_cone)
-    assert hints == {"c": Cone, "return": tuple[Optional[str], Optional[Mat]]}
+    assert hints == {
+        "points": Sequence[Vec], "c": Cone, "return": tuple[Optional[str], Optional[Mat]]
+    }
     hints = typing.get_type_hints(_ClassIndex.insert)
     assert hints == {"s": AffineSemigroup, "key": Optional[str], "return": str}
 
@@ -460,13 +460,13 @@ def test_cone_lookup_finds_a_unimodular_image(source, data):
     c = Cone(gens, d)
     assume(c.is_pointed and c.is_full_dimensional)
     orthant, node = _saturated(identity(d), d), AffineSemigroup.from_cone(c)
-    index = _ClassIndex()
+    index = _ClassIndex(True)
     keys = [index.insert(s) for s in (orthant, node)]
     nodes = {k: GraphNode(k, s, 0, False) for k, s in zip(keys, (orthant, node))}
     want = keys[0] if find_isomorphism(node, orthant) else keys[1]  # the first filed wins
     u = data.draw(unimodular_matrices(d))
     moved = Cone([apply_matrix(u, r) for r in c.generators], d)
-    found, cert = index.locate_cone(moved)
+    found, cert = index.locate(moved.generators, moved)
     assert found == want
     chart = AffineSemigroup.from_cone(moved)
     assert verify_certificate(chart, nodes[found].semigroup, certificate_for_matrix(chart, cert))
@@ -476,17 +476,17 @@ def test_cone_lookup_misses_cones_with_equal_keys():
     # the cyclic quotients 1/5(1,1) and 1/5(1,2): every ray has facet values {0, 5}
     a, b = Cone(((0, 1), (5, -1)), 2), Cone(((0, 1), (5, -2)), 2)
     assert Frame(a.generators, a).key == Frame(b.generators, b).key
-    index = _ClassIndex()
+    index, plain = _ClassIndex(True), _ClassIndex(False)
     key = index.insert(AffineSemigroup.from_cone(a))
-    nodes = {key: GraphNode(key, AffineSemigroup.from_cone(a), 0, False)}
+    assert plain.insert(AffineSemigroup.from_cone(a)) == key
     assert index.buckets[Frame(b.generators, b).key] == [key]
-    assert index.locate_cone(b) == (None, None)
-    assert index.locate(AffineSemigroup.from_cone(b), nodes) == (None, None)
-    assert index.locate_cone(a)[0] == key
+    assert index.locate(b.generators, b) == (None, None)
+    assert plain.locate(AffineSemigroup.from_cone(b).hilbert_basis(), b) == (None, None)
+    assert index.locate(a.generators, a)[0] == key
 
 
 class _FormerConeIndex:
-    """The cone lookup before iso.Frame, kept as the reference for locate_cone.
+    """The cone lookup before iso.Frame, kept as the reference for a normalized locate.
 
     Each node files its rays' sorted facet values and, once, its first
     independent d rays with their determinant and adjugate; a chart's bucket
@@ -547,7 +547,7 @@ class _FormerConeIndex:
 def test_cone_lookup_matches_the_former_lookup(name, p, depth):
     cf = fixtures.BUILTIN_CONES[name]
     report = explore(_saturated(cf.generators, cf.dim), p, max_depth=depth)
-    index, former = _ClassIndex(), _FormerConeIndex()
+    index, former = _ClassIndex(True), _FormerConeIndex()
     for key, node in report.nodes.items():
         index.insert(node.semigroup, key)
         former.insert(node.semigroup.cone, key)
@@ -556,8 +556,58 @@ def test_cone_lookup_matches_the_former_lookup(name, p, depth):
         if node.smooth:
             continue
         for cone in nash.vertex_charts(node.semigroup, p).values():
-            got = index.locate_cone(cone)
+            got = index.locate(cone.generators, cone)
             assert got == former.locate_cone(cone)
+            hits += got[0] is not None
+            misses += got[0] is None
+    assert hits >= len(report.edges) and misses
+
+
+class _FormerPlainIndex:
+    """The non-normalized lookup before one lookup served both modes, kept as
+    the reference for a plain locate.
+
+    Nodes are bucketed by the key of their ray frame; a chart semigroup is
+    looked up in its cone's bucket, and the first node in filing order that
+    find_isomorphism(chart, node) maps it onto is returned with that
+    certificate's matrix.
+    """
+
+    def __init__(self):
+        self.buckets, self.nodes = {}, {}
+
+    def insert(self, s, key):
+        self.nodes[key] = s
+        self.buckets.setdefault(Frame(s.cone.generators, s.cone).key, []).append(key)
+
+    def locate(self, s):
+        for key in self.buckets.get(Frame(s.cone.generators, s.cone).key, []):
+            cert = find_isomorphism(s, self.nodes[key])
+            if cert is not None:
+                return key, cert.matrix
+        return None, None
+
+
+@pytest.mark.parametrize(
+    "name, p, depth", [("B", 2, 2), ("B", 3, 2), ("dim4char3", 3, 3), ("reeves", 3, 2)]
+)
+def test_plain_lookup_matches_the_former_lookup(name, p, depth):
+    """Every chart of every unsmooth node of a search without normalizing:
+    locate, from node to chart, gives the former lookup's node and matrix."""
+    cf = fixtures.BUILTIN_CONES[name]
+    report = explore(_saturated(cf.generators, cf.dim), p, max_depth=depth, normalized=False)
+    index, former = _ClassIndex(False), _FormerPlainIndex()
+    for key, node in report.nodes.items():
+        index.insert(node.semigroup, key)
+        former.insert(node.semigroup, key)
+    hits = misses = 0
+    for key, node in report.nodes.items():
+        if node.smooth:
+            continue
+        for subset, cone in nash.vertex_charts(node.semigroup, p).items():
+            gens = nash.chart_generators(node.semigroup, subset, p)
+            got = index.locate(search._chart_points(node.semigroup, subset, cone, p, False), cone)
+            assert got == former.locate(AffineSemigroup(gens, cf.dim, cone=cone))
             hits += got[0] is not None
             misses += got[0] is None
     assert hits >= len(report.edges) and misses
@@ -658,14 +708,17 @@ def test_saved_graphs_are_pinned(name, p, depth, normalized, digest):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12] == digest
 
 
-def test_a_normalized_search_runs_no_isomorphism_search(monkeypatch):
+def test_a_search_runs_no_isomorphism_search(monkeypatch):
     def refuse(a, b):
-        raise AssertionError("a cone lookup hit searched for an isomorphism")
+        raise AssertionError("a class lookup searched for an isomorphism")
 
-    monkeypatch.setattr(search, "find_isomorphism", refuse)
+    assert not hasattr(search, "find_isomorphism")
+    monkeypatch.setattr(iso, "find_isomorphism", refuse)
     cf = fixtures.BUILTIN_CONES["dim4char3"]
-    lines = search._graph_lines(explore(_saturated(cf.generators, cf.dim), 3, max_depth=4))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12] == "f15a8f41f0e2"
+    for depth, normalized, digest in [(4, True, "f15a8f41f0e2"), (3, False, "f5adb2ee4ee9")]:
+        start = _saturated(cf.generators, cf.dim)
+        lines = search._graph_lines(explore(start, 3, max_depth=depth, normalized=normalized))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12] == digest
 
 
 @pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
@@ -746,12 +799,23 @@ def _a_loop_at_a_permuted_subset():
 
 
 def _a_ghost(where):
+    if where == "start":  # nothing else names a node, so nothing else checks out or fails
+        return search.SearchReport(3, True, {}, [], [], [], "", "ghost"), "ghost"
     report = explore(fixtures.source_semigroup(), 3, max_depth=1)
     if where == "edge":
         report.edges.append(GraphEdge(report.start_key, "ghost", (0, 1, 2, 3, 4), identity(5)))
     else:
         report.frontier.append("ghost")
     return report, "ghost"
+
+
+def _an_inflated_depth():
+    # a frontier node one edge from the start claims depth 3; its parent edge still checks out
+    report = explore(fixtures.source_semigroup(), 3, max_depth=1)
+    key = report.frontier[0]
+    assert report.nodes[key].depth == 1
+    report.nodes[key].depth = 3
+    return report, key
 
 
 FORGED_REPORTS = [
@@ -766,13 +830,15 @@ FORGED_REPORTS = [
     pytest.param(_a_loop_at_a_permuted_subset, id="permuted-subset"),
     pytest.param(lambda: _a_ghost("edge"), id="ghost-edge-end"),
     pytest.param(lambda: _a_ghost("frontier"), id="ghost-frontier-key"),
+    pytest.param(lambda: _a_ghost("start"), id="ghost-start"),
+    pytest.param(_an_inflated_depth, id="inflated-depth"),
 ]
 
 
 def _assert_refused(report, key):
     """The verifier names the forged node, and a search will not resume from it."""
     assert verify_report_nodes(report) == key
-    start = report.nodes[report.start_key].semigroup
+    start = fixtures.source_semigroup()  # a resume does not read it
     with pytest.raises(GraphCheckError) as exc:
         explore(start, report.characteristic, max_depth=2, normalized=report.normalized,
                 state=report)
@@ -806,8 +872,8 @@ def test_verify_report_nodes_rejects_a_basis_with_a_line():
 def test_verify_report_nodes_needs_a_parent_edge_below_each_node():
     report, key = _a_node_with_no_parent_edge_from_below()
     assert verify_report_nodes(report) == key  # true, smooth, and reached by no edge
-    report.nodes["a"].depth = 2  # the start may sit anywhere; b still has no edge from below
-    assert verify_report_nodes(report) == key
+    report.nodes["a"].depth = 2  # a start off depth 0 does not check out, and a comes first
+    assert verify_report_nodes(report) == "a"
 
 
 def _counting(calls, name, f):
