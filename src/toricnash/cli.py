@@ -73,6 +73,8 @@ def _load_cone_source(arg: str) -> ConeFile:
         raise CliError(f"cannot read {arg}: {exc}")
     except ConeFileError as exc:
         raise CliError(f"{arg}: {exc}")
+    except ResourceLimitError as exc:
+        raise CliError(f"{arg}: {exc}", EXIT_RESOURCE)
 
 
 def _display_order(file_gens: Sequence[Vec], hilbert: Sequence[Vec]) -> list[Vec]:

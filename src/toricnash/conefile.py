@@ -4,7 +4,8 @@ Line oriented: `#` starts a comment, blank lines are skipped.  The first
 payload line is `dim <d>`; optional `name <word>` and `char <p>` lines may
 follow; every remaining line is one generator given as d integers.
 Generators are rows of the file even though the library treats them as
-column vectors.
+column vectors.  A dimension above MAX_DIMENSION is refused as a resource
+limit before any cone is built.
 """
 
 from __future__ import annotations
@@ -13,6 +14,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactmath import Vec, vec
+from .semigroup import ResourceLimitError
+
+# the largest dimension a cone file may declare; every fixture and corpus cone
+# has dimension 2 to 5, and a bare `dim d` line alone builds a cone over 2d
+# constraints, so an unbounded d stalls every command that reads the file
+MAX_DIMENSION = 32
 
 
 class ConeFileError(ValueError):
@@ -46,6 +53,11 @@ def parse_cone_file(text: str) -> ConeFile:
                 raise ConeFileError(f"line {lineno}: dimension is not an integer") from None
             if dim <= 0:
                 raise ConeFileError(f"line {lineno}: dimension must be positive")
+            if dim > MAX_DIMENSION:
+                raise ResourceLimitError(
+                    f"line {lineno}: dimension {dim} is more than {MAX_DIMENSION}, "
+                    "the largest a cone file may declare"
+                )
             continue
         if not gens and parts[0] == "name" and len(parts) == 2:
             if name is not None:

@@ -249,6 +249,26 @@ def solve(m: Mat, rhs: Sequence[Vec]) -> tuple[int, Optional[Mat]]:
     return sign * prev, tuple(tuple(sign * row[n + j] for row in a) for j in range(len(rhs)))
 
 
+def exchange(d: int, adj: Mat, j: int, x: Vec) -> tuple[int, Mat]:
+    """(det, adj) of m with column j replaced by x, from d = det(m) != 0 and adj(m).
+
+    With y = adj x, the new determinant is y_j (Cramer).  Row j of the
+    adjugate is unchanged, and every other row i becomes
+    (y_j adj_i - y_i adj_j) / d.  That is Sherman-Morrison with the
+    denominators cleared; the division is exact, since the new adjugate
+    is integral, and the rule holds when y_j = 0 too.
+    """
+    y = mat_apply(adj, x)
+    yj = y[j]
+    out = []
+    for col in adj:
+        cj = col[j]
+        new = [(yj * a - cj * b) // d for a, b in zip(col, y)]
+        new[j] = cj
+        out.append(tuple(new))
+    return yj, tuple(out)
+
+
 def _minor(m: Mat, drop_row: int, drop_col: int) -> Mat:
     return tuple(
         tuple(col[i] for i in range(len(col)) if i != drop_row)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cone import Cone, NotFullDimensionalError, NotPointedError
 from .exactmath import (
@@ -210,29 +210,36 @@ def certificate_for_matrix(a: AffineSemigroup, m: Mat) -> IsoCertificate:
     return IsoCertificate(matrix=m, mapping=mapping)
 
 
-def carries(m: Mat, a: Sequence[Vec], b: set[Vec]) -> bool:
-    """True iff the unimodular m maps the points a onto the set b.
+def carries(m: Mat, images: Iterable[Vec], b: set[Vec]) -> bool:
+    """True iff the unimodular m maps distinct points onto the set b, given their images.
 
-    The images are tested first: most candidate maps miss on the first point.
-    Unimodular m is injective, so equal sizes make the images all of b.
+    The images are tested as they come, so a lazy iterable stops at the
+    first miss, where most candidate maps fail.  Unimodular m is injective,
+    so as many images as b has points make the images all of b.
     """
-    return len(a) == len(b) and all(mat_apply(m, x) in b for x in a) and is_unimodular(m)
+    count = 0
+    for count, y in enumerate(images, 1):
+        if y not in b:
+            return False
+    return count == len(b) and is_unimodular(m)
 
 
 def verify_certificate(a: AffineSemigroup, b: AffineSemigroup, cert: IsoCertificate) -> bool:
     """True iff the square matrix carries H(a) onto H(b).
 
-    A non-empty declared mapping must be exactly the pairs (h, M h), h in H(a).
+    A non-empty declared mapping must be exactly the pairs (h, M h), h in
+    H(a).  M is applied to H(a) once, for both tests.
     """
     m = cert.matrix
     square = len(m) == a.dim and all(len(col) == a.dim for col in m)
     if a.dim != b.dim or not square:
         return False
     ha = a.hilbert_basis()
-    if not carries(m, ha, set(b.hilbert_basis())):
+    images = [mat_apply(m, h) for h in ha]
+    if not carries(m, images, set(b.hilbert_basis())):
         return False
     return not cert.mapping or (
-        len(cert.mapping) == len(ha) and set(cert.mapping) == {(h, mat_apply(m, h)) for h in ha}
+        len(cert.mapping) == len(ha) and set(cert.mapping) == set(zip(ha, images))
     )
 
 
@@ -284,7 +291,7 @@ def first_map(a: Frame, b: Frame) -> Optional[Mat]:
                 new.append(e // base_det)
             cols.append(tuple(new))
         m = tuple(cols)
-        return m if carries(m, a.points, target) else None
+        return m if carries(m, (mat_apply(m, x) for x in a.points), target) else None
 
     def backtrack(i: int, picked: list[Vec], used: set[Vec]) -> Optional[Mat]:
         if i == d:

@@ -17,7 +17,9 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactmath import Mat, Vec, check_characteristic, identity, is_prime, solve, vec
+from .exactmath import (
+    Mat, Vec, check_characteristic, identity, is_prime, is_unimodular, mat, mat_apply, solve, vec,
+)
 from .iso import Frame, carries, fingerprint, first_map
 from .cone import Cone, NotFullDimensionalError, NotPointedError
 from .nash import chart_generators, vertex_charts
@@ -92,8 +94,12 @@ class SearchReport:
 
 
 def _node_is_smooth(s: AffineSemigroup) -> bool:
+    """s.is_smooth(), or False where that raises.  It runs only on d Hilbert
+    elements of determinant +-1, which span Z^d and are saturated, so no
+    other node is saturated just to be told False."""
     try:
-        return s.is_smooth()
+        h = s.hilbert_basis()
+        return len(h) == s.dim and is_unimodular(mat(h)) and s.is_smooth()
     except ValueError:
         return False
 
@@ -330,7 +336,8 @@ def _edge_checks_out(report: SearchReport, e: GraphEdge) -> bool:
     if report.normalized and not _node_is_saturated(dst):
         return False
     points = _chart_points(src, members, cone, p, report.normalized)
-    return carries(m, points, set(_points(dst, report.normalized)))
+    target = set(_points(dst, report.normalized))
+    return carries(m, (mat_apply(m, x) for x in points), target)
 
 
 def verify_report_cycles(report: SearchReport) -> bool:

@@ -8,10 +8,12 @@ from typing import Optional, Sequence
 
 from .cone import Cone, NotPointedError, _triangulate_rays
 from .exactmath import (
+    Mat,
     Vec,
     DimensionMismatch,
     det,
     dot,
+    exchange,
     identity,
     independent_indices,
     is_zero,
@@ -89,23 +91,23 @@ def _cyclic_group(s: Sequence[int], n: int) -> list[Vec]:
     return [tuple([j * a % n for a in s]) for j in range(n // gcd(n, *s))]
 
 
-def _parallelepiped_cosets(rays: Sequence[Vec]) -> tuple[int, set[Vec]]:
+def _parallelepiped_cosets(dval: int, adj: Mat) -> tuple[int, set[Vec]]:
     """(n, K): the lattice points of {sum t_i r_i : 0 <= t_i < 1} are R k / n for k in K.
 
-    rays are a basis of Q^d and n = |det R|.  There is one point per coset
-    of R Z^d in Z^d, and k = n frac(R^-1 x) names the coset of x.  The k
-    form the group that the adjugate's columns generate mod n (det's sign
-    is immaterial).  The first column s generates a cyclic group of order
+    dval and adj are the determinant and adjugate of R, whose columns r_i
+    are a basis of Q^d, and n = |dval|.  There is one point per coset of
+    R Z^d in Z^d, and k = n frac(R^-1 x) names the coset of x.  The k form
+    the group that the adjugate's columns generate mod n (det's sign is
+    immaterial).  The first column s generates a cyclic group of order
     n / gcd(n, s), listed at once as the multiples j s mod n.  Each further
     column's multiples are added to the group so far until one falls back
-    into it.  No Hermite form.  Past MAX_PARALLELEPIPED_POINTS this raises
-    ResourceLimitError before any coset is listed.
+    into it.  No Hermite form and no elimination.  Past
+    MAX_PARALLELEPIPED_POINTS this raises ResourceLimitError before any
+    coset is listed.
     """
-    d = len(rays)
-    dval, adj = solve(mat(rays), identity(d))
     n = abs(dval)
     if n == 1:
-        return 1, {zero_vec(d)}
+        return 1, {zero_vec(len(adj))}
     if n > MAX_PARALLELEPIPED_POINTS:
         raise ResourceLimitError(
             f"a simplicial piece of index {n} has more than "
@@ -122,14 +124,53 @@ def _parallelepiped_cosets(rays: Sequence[Vec]) -> tuple[int, set[Vec]]:
     return n, group
 
 
+def _piece_bases(
+    pieces: Sequence[tuple[Vec, ...]], coords: dict[Vec, Vec]
+) -> dict[tuple[Vec, ...], tuple[tuple[Vec, ...], int, Mat]]:
+    """piece -> (its rays in column order, det, adj) of the matrix of their coords.
+
+    The first piece is solved.  The pieces of a triangulation are connected
+    through shared facets, so breadth first from there every other piece
+    shares all its rays but one with a piece already handled, and takes
+    its determinant and adjugate from that piece by one exchange: its new
+    ray replaces the column of the ray it lacks.
+    """
+    bit = {r: 1 << i for i, r in enumerate(coords)}
+    # facet (a piece's rays but one, as a bitmask) -> the pieces that have it
+    sharing: dict[int, list[tuple[Vec, ...]]] = {}
+    for piece in pieces:
+        mask = sum(bit[r] for r in piece)
+        for r in piece:
+            sharing.setdefault(mask ^ bit[r], []).append(piece)
+    first = pieces[0]
+    out = {first: (first, *solve(mat([coords[r] for r in first]), identity(len(first))))}
+    queue = [first]
+    for piece in queue:
+        cols, dval, adj = out[piece]
+        mask = sum(bit[r] for r in cols)
+        for j, r in enumerate(cols):
+            for other in sharing[mask ^ bit[r]]:
+                if other not in out:
+                    x = next(s for s in other if s not in cols)
+                    moved = cols[:j] + (x,) + cols[j + 1:]
+                    out[other] = (moved, *exchange(dval, adj, j, coords[x]))
+                    queue.append(other)
+    return out
+
+
 def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     """Hilbert basis of the saturated semigroup cone(c) intersect Z^d.
 
-    Candidates: the primitive extreme rays together with the lattice points
-    of the fundamental parallelepiped of every simplicial piece of a
+    A simplicial full-dimensional cone whose rays have determinant +-1 is
+    its own Hilbert basis, decided by one det.  Otherwise the candidates
+    are the primitive extreme rays together with the lattice points of
+    the fundamental parallelepiped of every simplicial piece of a
     triangulation, which is read from c's facet incidence with no further
-    double description.  An irreducible element lies in some piece with all
-    ray coefficients below one, so the candidates generate.
+    double description.  An irreducible element lies in some piece with
+    all ray coefficients below one, so the candidates generate.  Only the
+    first piece is solved: every other one takes its determinant and
+    adjugate, from which its cosets are listed, from a neighbouring piece
+    by an exchange (_piece_bases).
 
     A candidate is held as its packed facet values (_packing), and only the
     elements kept are built as vectors.  The point R k / n with coset
@@ -154,6 +195,8 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     rays = c.generators
     if not rays:
         return ()
+    if len(rays) == c.dim and abs(det(mat(rays))) == 1:
+        return rays
     normals = c.facet_normals
     rows = [[sum(map(mul, n, r)) for n in normals] for r in rays]
     _, guards, packs = _packing(rows, len(normals), max(map(sum, zip(*rows))))
@@ -166,11 +209,15 @@ def saturation_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     # None for an extreme ray: a primitive one is the sum of no two nonzero
     # points of the cone, so it is kept untested
     cands: dict[int, Optional[tuple[Sequence[Vec], int, Vec]]] = dict.fromkeys(packs)
-    for piece in _triangulate_rays(c):
-        n, group = _parallelepiped_cosets([coords[r] for r in piece])
-        piece_packs = [packed[r] for r in piece]
+    pieces = _triangulate_rays(c)
+    bases = _piece_bases(pieces, coords)
+    # cosets in the triangulation's order, so that the budget refuses the same piece first
+    for piece in pieces:
+        cols, dval, adj = bases[piece]
+        n, group = _parallelepiped_cosets(dval, adj)
+        piece_packs = [packed[r] for r in cols]
         for k in group:
-            cands.setdefault(sum(map(mul, k, piece_packs)) // n, (piece, n, k))
+            cands.setdefault(sum(map(mul, k, piece_packs)) // n, (cols, n, k))
     cands.pop(0, None)
     kept = list(rays)
     kept_packed: list[int] = []

@@ -16,6 +16,7 @@ import pytest
 
 from toricnash import search, semigroup
 from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_USAGE, build_parser, main
+from toricnash.conefile import MAX_DIMENSION
 from toricnash.iso import certificate_for_matrix, find_isomorphism, verify_certificate
 from toricnash.nash import chart
 from toricnash.search import load_graph
@@ -51,6 +52,21 @@ def test_hilbert_stops_at_the_parallelepiped_budget(tmp_path, capsys):
     assert (code, out) == (EXIT_RESOURCE, "")
     assert err.startswith("toricnash: ") and "200000" in err
     assert err.count("\n") == 1
+
+
+def test_a_cone_file_past_the_dimension_bound_exits_3(tmp_path, capsys):
+    # a bare `dim d` line builds a cone over 2d constraints: refused before any is built
+    path = tmp_path / "wide.cone"
+    path.write_text("dim 200\n")
+    for command in ("hilbert", "blowup", "search"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err.startswith(f"toricnash: {path}: line 1: dimension 200 ")
+        assert str(MAX_DIMENSION) in err and err.count("\n") == 1
+    path.write_text(f"dim {MAX_DIMENSION}\n")
+    assert run(capsys, "hilbert", str(path))[:2] == (EXIT_OK, "")
 
 
 def test_blowup_and_search_stop_at_the_minor_table_budget(capsys, monkeypatch):

@@ -1,7 +1,10 @@
 import pytest
 
 from toricnash import fixtures
-from toricnash.conefile import ConeFile, ConeFileError, parse_cone_file, render_cone_file
+from toricnash.conefile import (
+    MAX_DIMENSION, ConeFile, ConeFileError, parse_cone_file, render_cone_file,
+)
+from toricnash.semigroup import ResourceLimitError
 
 
 def test_parse_minimal():
@@ -59,3 +62,9 @@ def test_no_generators_is_valid():
 def test_metadata_after_generators_rejected():
     with pytest.raises(ConeFileError):
         parse_cone_file("dim 2\n1 0\nname late\n")
+
+
+def test_a_dimension_past_the_bound_is_a_resource_limit():
+    assert parse_cone_file(f"dim {MAX_DIMENSION}\n").dim == MAX_DIMENSION
+    with pytest.raises(ResourceLimitError, match=f"line 2: dimension {MAX_DIMENSION + 1} "):
+        parse_cone_file(f"# wide\ndim {MAX_DIMENSION + 1}\n")

@@ -4,7 +4,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toricnash.exactmath import (
     DimensionMismatch,
@@ -15,6 +15,7 @@ from toricnash.exactmath import (
     det,
     det_p,
     dot,
+    exchange,
     hermite_form,
     identity,
     independent_indices,
@@ -191,6 +192,34 @@ def test_solve_against_sympy():
     assert solve((), ((),)) == (1, ((),))
     with pytest.raises(DimensionMismatch):
         solve(identity(2), ((1, 2, 3),))
+
+
+@st.composite
+def _column_exchanges(draw):
+    """(columns of a nonsingular m, j, x).  Half the time x combines the columns
+    other than j, so that m with column j replaced by x is singular."""
+    n = draw(st.integers(2, 6))
+    entries = st.integers(-6, 6)
+    cols = [tuple(draw(entries) for _ in range(n)) for _ in range(n)]
+    assume(sympy_det(cols) != 0)
+    j = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        coeffs = [0 if i == j else draw(st.integers(-2, 2)) for i in range(n)]
+        x = tuple(sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(n))
+    else:
+        x = tuple(draw(entries) for _ in range(n))
+    return cols, j, x
+
+
+@settings(max_examples=200)
+@given(_column_exchanges())
+@example(([(1, 0), (0, 1)], 0, (0, 3)))  # a singular result
+@example(([(2, 1, 0), (0, 3, 1), (1, 0, 5)], 2, (4, 2, 0)))  # twice column 0
+def test_exchange_matches_sympy(drawn):
+    cols, j, x = drawn
+    d, adj = solve(mat(cols), identity(len(cols)))
+    replaced = cols[:j] + [x] + cols[j + 1:]
+    assert exchange(d, adj, j, x) == (sympy_det(replaced), sympy_adjugate(replaced))
 
 
 def _greedy_reference(vectors):

@@ -530,7 +530,7 @@ class _FormerConeIndex:
                 if any(e % det for col in numer for e in col):
                     return None
                 m = tuple(tuple(e // det for e in col) for col in numer)
-                return m if carries(m, rays, target) else None
+                return m if carries(m, [mat_apply(m, r) for r in rays], target) else None
             for w in candidates[len(picked)]:
                 if w not in picked and (found := backtrack(picked + [w])) is not None:
                     return found

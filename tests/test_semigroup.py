@@ -1,6 +1,9 @@
+import functools
 import itertools
+import json
 import random
 import time
+from operator import mul
 
 import pytest
 import sympy
@@ -9,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from toricnash.cone import Cone, NotPointedError, _triangulate_rays
 from toricnash.exactmath import (
     add,
+    det,
     dot,
     identity,
     is_zero,
@@ -22,8 +26,10 @@ from toricnash.exactmath import (
     vec,
     zero_vec,
 )
+from toricnash import semigroup
 from toricnash.fixtures import BUILTIN_CONES, LOOP_CHARACTERISTIC
 from toricnash.nash import chart_generators, vertex_charts
+from toricnash.search import load_graph
 from toricnash.semigroup import (
     MAX_PARALLELEPIPED_POINTS,
     AffineSemigroup,
@@ -31,12 +37,14 @@ from toricnash.semigroup import (
     NotSaturatedError,
     ResourceLimitError,
     _cyclic_group,
+    _packing,
     _parallelepiped_cosets,
     coordinates_in_basis,
     saturation_hilbert_basis,
 )
 
 from helpers import (
+    CORPUS,
     apply_matrix,
     embedded_pointed_cones,
     has_opposite_primitives,
@@ -274,8 +282,9 @@ def test_nonpointed_without_opposite_pair(gens):
 
 
 def _coset_points(rays):
-    """The points R k / n of _parallelepiped_cosets, each checked to be integral."""
-    n, group = _parallelepiped_cosets(rays)
+    """The points R k / n of _parallelepiped_cosets, given R's det and adjugate from
+    solve, each checked to be integral."""
+    n, group = _parallelepiped_cosets(*solve(mat(rays), identity(len(rays))))
     points = set()
     for k in group:
         nx = tuple(dot(row, k) for row in zip(*rays))
@@ -478,6 +487,82 @@ def test_a_parallelepiped_past_the_budget_is_refused_before_it_is_listed():
     assert len(_coset_points(((1, 0), (-1, n)))) == n
     with pytest.raises(ResourceLimitError, match=str(n + 1)):
         saturation_hilbert_basis(Cone(((1, 0), (-1, n + 1)), 2))
+
+
+def _former_saturation(c):
+    """saturation_hilbert_basis as it was with one solve(R, I) per simplicial piece."""
+    rays = c.generators
+    if not rays:
+        return ()
+    normals = c.facet_normals
+    rows = [[dot(n, r) for n in normals] for r in rays]
+    _, guards, packs = _packing(rows, len(normals), max(map(sum, zip(*rows))))
+    packed = dict(zip(rays, packs))
+    coords = {r: r for r in rays}
+    if c.span_equations:
+        span_basis = orthogonal_complement(c.span_equations, c.dim)
+        coords = {r: coordinates_in_basis(span_basis, r) for r in rays}
+    cands = dict.fromkeys(packs)
+    for piece in _triangulate_rays(c):
+        rays_matrix = mat([coords[r] for r in piece])
+        n, group = _parallelepiped_cosets(*solve(rays_matrix, identity(len(piece))))
+        piece_packs = [packed[r] for r in piece]
+        for k in group:
+            cands.setdefault(sum(map(mul, k, piece_packs)) // n, (piece, n, k))
+    cands.pop(0, None)
+    kept, kept_packed = list(rays), []
+    for px in sorted(cands):
+        point = cands[px]
+        if point is None:
+            kept_packed.append(px)
+        elif not any(((px | guards) - ph) & guards == guards for ph in kept_packed):
+            piece, n, k = point
+            kept.append(tuple(sum(map(mul, row, k)) // n for row in zip(*piece)))
+            kept_packed.append(px)
+    return tuple(sorted(kept))
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_cones():
+    """Seeded GL_d(Z) images of the 120 hilbert_family cones, then every chart
+    cone of the three corpus graphs."""
+    rng = random.Random(3101)
+    cones = []
+    for entry in json.loads((CORPUS / "hilbert_family.json").read_text()):
+        u = random_unimodular(rng, entry["dim"])
+        cones.append(Cone([apply_matrix(u, tuple(r)) for r in entry["rays"]], entry["dim"]))
+    for name in ("B", "dim4char3", "reeves"):
+        report = load_graph(str(CORPUS / f"{name}.graph"))
+        for node in report.nodes.values():
+            cones.extend(vertex_charts(node.semigroup, report.characteristic).values())
+    return tuple(cones)
+
+
+def test_saturation_matches_the_former_per_piece_solve():
+    cones = _bench_cones()
+    assert len(cones) > 1000
+    for c in cones:
+        assert saturation_hilbert_basis(c) == _former_saturation(c)
+
+
+def test_saturation_solves_at_most_once_per_cone(monkeypatch):
+    # the pieces after the first take their adjugates by exchange, and a
+    # unimodular simplicial cone is settled by one det
+    calls = []
+    real = semigroup.solve
+    monkeypatch.setattr(semigroup, "solve", lambda *args: calls.append(args) or real(*args))
+    unimodular = several = 0
+    for c in _bench_cones():
+        calls.clear()
+        saturation_hilbert_basis(c)
+        rays = c.generators
+        if len(rays) == c.dim and abs(det(mat(rays))) == 1:
+            unimodular += 1
+            assert not calls
+        else:
+            assert len(calls) == 1
+        several += len(_triangulate_rays(c)) > 1
+    assert unimodular > 100 and several > 400
 
 
 def _coset_order(rays, x):
