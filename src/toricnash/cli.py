@@ -245,7 +245,7 @@ def build_parser() -> _Parser:
             "--char",
             type=int,
             default=None,
-            help="field characteristic (0 or a prime; default: cone file value or 0)",
+            help="field characteristic (0 or a prime below 2^31; default: cone file value or 0)",
         )
 
     p_h = sub.add_parser("hilbert", help="Hilbert basis of a pointed cone")

@@ -143,9 +143,9 @@ class Cone(object):
     The cone is pointed exactly when the normals and span equations span
     R^d; then the extreme rays are read from those tight sets by
     ray_incidence, and a full-dimensional pointed cone runs no Hermite
-    form.  Otherwise an orthogonal complement of the normals and span
-    equations gives the lineality space.  Cone.from_rays_and_facets builds
-    a cone whose extreme rays and facets are already known.
+    form.  Otherwise the generators are kept as given.
+    Cone.from_rays_and_facets builds a cone whose extreme rays and facets
+    are already known.
     """
 
     __slots__ = (
@@ -153,7 +153,7 @@ class Cone(object):
         "generators",
         "facet_normals",
         "span_equations",
-        "lineality_basis",
+        "is_pointed",
     )
 
     def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None):
@@ -171,12 +171,11 @@ class Cone(object):
         normals = tuple(sorted(tight))
         self.facet_normals = normals
         self.span_equations = eqs  # x in span(cone) iff all these vanish on x
-        if _spans(normals + eqs, ambient_dim):  # pointed: their orthogonal complement is 0
-            self.lineality_basis = ()
+        # pointed iff no line is orthogonal to every normal and span equation
+        self.is_pointed = _spans(normals + eqs, ambient_dim)
+        if self.is_pointed:
             self.generators = _extreme_rays(prim, [tight[n] for n in normals])
         else:
-            constraints = sorted((*normals, *eqs, *map(neg, eqs)))
-            self.lineality_basis = orthogonal_complement(constraints, ambient_dim)
             self.generators = prim
 
     @classmethod
@@ -193,12 +192,9 @@ class Cone(object):
         out.dim = ambient_dim
         out.generators = tuple(sorted(rays))
         out.facet_normals = tuple(sorted(facet_normals))
-        out.span_equations = out.lineality_basis = ()
+        out.span_equations = ()
+        out.is_pointed = True
         return out
-
-    @property
-    def is_pointed(self) -> bool:
-        return not self.lineality_basis
 
     @property
     def is_full_dimensional(self) -> bool:

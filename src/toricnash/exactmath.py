@@ -190,8 +190,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# the largest characteristic accepted; trial division decides it in milliseconds
+MAX_CHARACTERISTIC = 2**31 - 1
+
+
 def check_characteristic(p: int) -> None:
-    """Raise InvalidCharacteristic unless p is zero or a prime."""
+    """Raise InvalidCharacteristic unless p is zero or a prime up to MAX_CHARACTERISTIC.
+
+    The bound is tested first, so a huge p is refused before trial division.
+    """
+    if p > MAX_CHARACTERISTIC:
+        raise InvalidCharacteristic(
+            f"characteristic {p} is above the largest supported, {MAX_CHARACTERISTIC}"
+        )
     if p and not is_prime(p):
         raise InvalidCharacteristic(f"characteristic {p} is neither zero nor prime")
 

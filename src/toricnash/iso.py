@@ -9,8 +9,7 @@ signatures, with the dimension, is a lookup key that buckets candidate
 classes; first_map backtracks over signature-preserving assignments of an
 independent d-subset to find an explicit certificate matrix, which can be
 re-verified independently.  The fingerprint (counts, incidence profiles,
-determinant multiset) names search nodes.  A semigroup's fingerprint and
-the frame of its Hilbert basis are computed once and kept on it.
+determinant multiset) names search nodes.
 """
 
 from __future__ import annotations
@@ -98,13 +97,7 @@ def _element_profile(v: Vec, cone) -> tuple[int, int]:
 
 
 def fingerprint(s: AffineSemigroup) -> Fingerprint:
-    """The semigroup's fingerprint, computed on first use and kept on it."""
-    if s._fingerprint is None:
-        s._fingerprint = _compute_fingerprint(s)
-    return s._fingerprint
-
-
-def _compute_fingerprint(s: AffineSemigroup) -> Fingerprint:
+    """The semigroup's fingerprint."""
     if not s.is_pointed:
         raise NotPointedError("fingerprint requires a pointed semigroup")
     h = s.hilbert_basis()
@@ -180,21 +173,19 @@ class Frame:
 
 
 def signatures(s: AffineSemigroup) -> Frame:
-    """The frame of the semigroup's Hilbert basis, computed on first use and kept on it.
+    """The frame of the semigroup's Hilbert basis.
 
     A lower-dimensional cone's facet normals are determined only up to its
     span equations, so its facet values are not invariant: such a semigroup
     raises NotFullDimensionalError.
     """
-    if s._signatures is None:
-        if not s.is_pointed:
-            raise NotPointedError("signatures require a pointed semigroup")
-        if not s.cone.is_full_dimensional:
-            raise NotFullDimensionalError(
-                "unimodular equivalence is decided only for full-dimensional cones"
-            )
-        s._signatures = Frame(s.hilbert_basis(), s.cone)
-    return s._signatures
+    if not s.is_pointed:
+        raise NotPointedError("signatures require a pointed semigroup")
+    if not s.cone.is_full_dimensional:
+        raise NotFullDimensionalError(
+            "unimodular equivalence is decided only for full-dimensional cones"
+        )
+    return Frame(s.hilbert_basis(), s.cone)
 
 
 @dataclass(frozen=True)

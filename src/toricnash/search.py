@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactmath import (
-    Mat, Vec, check_characteristic, identity, is_prime, is_unimodular, mat, mat_apply, solve, vec,
+    InvalidCharacteristic, Mat, Vec, check_characteristic, identity, is_unimodular, mat, mat_apply,
+    solve, vec,
 )
 from .iso import Frame, carries, fingerprint, first_map
 from .cone import Cone, NotFullDimensionalError, NotPointedError
@@ -373,6 +374,9 @@ def _checked_index(report: SearchReport) -> _ClassIndex:
     first.  A node in normalized mode is saturated: its basis is the
     Hilbert basis of its cone's saturation.  Its smooth flag must match a
     recomputation, and a smooth node, a leaf, is not on the frontier.
+    No in-edge vouches for the start, so in both modes its listed basis
+    must be the Hilbert basis of the semigroup it generates; the test runs
+    once the start is filed, and so pointed and full-dimensional.
     Depths are breadth-first: the start's is 0, every other node's is 1 +
     the least depth among the sources of its in-edges, and an in-edge from
     one level up checks out, as a saturated basis can still be the wrong
@@ -412,9 +416,13 @@ def _checked_index(report: SearchReport) -> _ClassIndex:
             found = key
         if found is not None:
             raise GraphCheckError(key)
-        up = parents.get(key, ())
-        placed = least.get(key) == node.depth - 1 and any(map(checks_out, up))
-        if not (node.depth == 0 if key == report.start_key else placed):
+        if key == report.start_key:
+            minimal = AffineSemigroup(s.generators, s.dim, cone=s.cone).hilbert_basis()
+            placed = node.depth == 0 and s.generators == minimal
+        else:
+            up = parents.get(key, ())
+            placed = least.get(key) == node.depth - 1 and any(map(checks_out, up))
+        if not placed:
             raise GraphCheckError(key)
     for i, e in enumerate(report.edges):
         if not checks_out(i):
@@ -591,8 +599,10 @@ def load_graph(path: str) -> SearchReport:
         if key not in nodes:
             raise GraphFormatError(f"line {lineno}: frontier references a missing node {key}")
     p, normalized, termination, start_key, meta_line = meta
-    if p and not is_prime(p):
-        raise GraphFormatError(f"line {meta_line}: characteristic {p} is neither zero nor prime")
+    try:
+        check_characteristic(p)
+    except InvalidCharacteristic as exc:
+        raise GraphFormatError(f"line {meta_line}: {exc}") from None
     if start_key not in nodes:
         raise GraphFormatError(f"line {meta_line}: start key {start_key} names no node")
     if nodes[start_key].depth:  # every other depth is checked against a parent edge

@@ -209,3 +209,14 @@ FORGED_B_NODES = [
     ("e57cbb5b5a6b-0", flip_smooth_flag),  # not smooth, claimed smooth
     ("9067582a63d1-0", flip_smooth_flag),  # smooth, claimed not
 ]
+
+
+def redundant_start_graph(path):
+    """Write a `--no-normalized` graph at path whose one node, the start S-0 on
+    the frontier, lists B's Hilbert basis and (1, 1, 0, 0, 0), the sum of two
+    of its elements: a generating set of B's semigroup, but not its basis."""
+    basis = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+             (0, 0, 0, 0, 1), (2, 2, -1, 1, -2), (1, 2, -1, 1, -1), (1, 2, 0, 0, -1),
+             (1, 1, 0, 1, -1), (1, 1, 0, 0, 0))
+    flat = " ".join(str(x) for v in basis for x in v)
+    path.write_text(f"meta 3 0 depth-limit S-0\nnode S-0 0 0 5 {len(basis)} {flat}\nfrontier S-0\n")

@@ -14,14 +14,15 @@ except ImportError:  # not on every platform
 
 import pytest
 
-from toricnash import search, semigroup
+from toricnash import exactmath, search, semigroup
 from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_USAGE, build_parser, main
 from toricnash.conefile import MAX_DIMENSION
+from toricnash.exactmath import MAX_CHARACTERISTIC
 from toricnash.iso import certificate_for_matrix, find_isomorphism, verify_certificate
 from toricnash.nash import chart
 from toricnash.search import load_graph
 
-from helpers import CORPUS, FORGED_B_NODES, forge_node
+from helpers import CORPUS, FORGED_B_NODES, forge_node, redundant_start_graph
 
 
 def run(capsys, *argv):
@@ -584,6 +585,49 @@ def test_characteristic_neither_zero_nor_prime_is_a_usage_error(capsys, argv, ch
     assert err == f"toricnash: characteristic {char} is neither zero nor prime\n"
 
 
+def _refuse_trial_division_past_the_bound(monkeypatch):
+    """Make is_prime, wherever the package binds it, fail at once on a p past
+    MAX_CHARACTERISTIC, where trial division would take years."""
+    real = exactmath.is_prime
+
+    def guarded(p):
+        assert p <= MAX_CHARACTERISTIC, f"trial division ran on {p}"
+        return real(p)
+
+    for module in (exactmath, search):
+        if getattr(module, "is_prime", None) is real:
+            monkeypatch.setattr(module, "is_prime", guarded)
+
+
+@pytest.mark.parametrize("entry", ["verify-paper", "blowup", "search", "search --load"])
+def test_a_characteristic_past_the_bound_is_refused_at_once(tmp_path, capsys, monkeypatch, entry):
+    _refuse_trial_division_past_the_bound(monkeypatch)
+    p = 10**30 + 57
+    message = f"characteristic {p} is above the largest supported, {MAX_CHARACTERISTIC}\n"
+    cone, graph = tmp_path / "a2.cone", tmp_path / "B.graph"
+    cone.write_text(f"dim 2\nchar {p}\n1 0\n1 2\n")
+    graph.write_text((CORPUS / "B.graph").read_text().replace("meta 3 ", f"meta {p} ", 1))
+    argv, prefix = {
+        "verify-paper": (("verify-paper", "--char", str(p)), ""),
+        "blowup": (("blowup", str(cone)), ""),
+        "search": (("search", "builtin:B", "--char", str(p)), ""),
+        "search --load": (("search", "--load", str(graph)), f"{graph}: line 1: "),
+    }[entry]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (EXIT_USAGE, "", f"toricnash: {prefix}{message}")
+
+
+def test_the_largest_characteristic_is_accepted(capsys):
+    # 2^31 - 1 is prime, and B's depth-1 graph there is its graph at p = 0
+    code, out, _ = run(capsys, "search", "builtin:B", "--max-depth", "1", "--char", "2147483647")
+    assert code == EXIT_OK
+    assert out == run(capsys, "search", "builtin:B", "--max-depth", "1", "--char", "0")[1]
+    assert out.splitlines()[1:3] == ["nodes 14", "edges 21"]
+    assert "cycle length 1: found" in out
+
+
 def test_deterministic_stdout(capsys):
     _, out1, _ = run(capsys, "blowup", "builtin:B", "--char", "3")
     _, out2, _ = run(capsys, "blowup", "builtin:B", "--char", "3")
@@ -632,6 +676,17 @@ def test_a_symmetric_target_keeps_the_cone_map_certificate(tmp_path, capsys):
     assert searched != edge.certificate
     for m in (edge.certificate, searched):
         assert verify_certificate(target, dst, certificate_for_matrix(target, m))
+
+
+def test_search_load_rejects_a_start_whose_basis_is_not_minimal(tmp_path, capsys):
+    # B's Hilbert basis plus the sum of two of its elements, as a --no-normalized start
+    path = tmp_path / "S.graph"
+    redundant_start_graph(path)
+    code, out, err = run(capsys, "search", "--load", str(path), "--max-depth", "1")
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node S-0 does not check out")
+    assert err.count("\n") == 1
 
 
 def test_search_load_rejects_a_smooth_frontier_node(tmp_path, capsys):

@@ -289,12 +289,6 @@ def test_fingerprint_builds_no_minor_table_above_cap(monkeypatch):
     assert fingerprint(_wide_semigroup()).det_source == 1
 
 
-def test_fingerprint_and_signatures_are_kept_on_the_semigroup():
-    s = AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2)
-    assert fingerprint(s) is fingerprint(s)
-    assert signatures(s) is signatures(s)
-
-
 # ---------------------------------------------------------------------------
 # signatures against an independent recomputation, and the lower-dimensional case
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def _assert_same_cone(got, ref):
     assert got.generators == ref.generators
     assert got.facet_normals == ref.facet_normals
     assert got.span_equations == ref.span_equations
-    assert got.lineality_basis == ref.lineality_basis
+    assert got.is_pointed == ref.is_pointed
 
 
 def _assert_charts_match_reference(s, p):

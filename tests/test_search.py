@@ -61,6 +61,7 @@ from helpers import (
     FORGED_B_NODES,
     apply_matrix,
     forge_node,
+    redundant_start_graph,
     unimodular_matrices,
 )
 
@@ -639,6 +640,17 @@ def test_resume_checks_that_every_node_is_saturated():
     with pytest.raises(GraphCheckError, match="^node a does not check out"):
         explore(s, 3, max_depth=1, normalized=True, state=state(True))
     assert explore(s, 3, max_depth=1, normalized=False, state=state(False)).edges
+
+
+def test_resume_checks_that_the_start_lists_its_hilbert_basis(tmp_path):
+    # no in-edge vouches for the start, so a redundant element is caught in both modes
+    path = tmp_path / "S.graph"
+    redundant_start_graph(path)
+    report = load_graph(str(path))
+    assert not report.normalized
+    assert verify_report_nodes(report) == "S-0"
+    report.normalized = True
+    assert verify_report_nodes(report) == "S-0"
 
 
 def _explore_summary(s, p, depth):
