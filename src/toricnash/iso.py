@@ -90,12 +90,6 @@ class Fingerprint:
         return b"".join(out)
 
 
-def _element_profile(v: Vec, cone) -> tuple[int, int]:
-    ray = 1 if primitive(v) in cone.generators else 0
-    incidence = sum(1 for n in cone.facet_normals if dot(n, v) == 0)
-    return (ray, incidence)
-
-
 def fingerprint(s: AffineSemigroup) -> Fingerprint:
     """The semigroup's fingerprint."""
     if not s.is_pointed:
@@ -104,14 +98,13 @@ def fingerprint(s: AffineSemigroup) -> Fingerprint:
     c = s.cone
     rays = c.generators
     facets = c.facet_normals
-    elem = tuple(sorted(_element_profile(v, c) for v in h))
+    on_ray = set(rays)
+    on_facet = [[dot(n, v) == 0 for n in facets] for v in h]  # |H| x |F|
+    elem = tuple(sorted((int(primitive(v) in on_ray), sum(row)) for v, row in zip(h, on_facet)))
     fac = tuple(
         sorted(
-            (
-                sum(1 for r in rays if dot(n, r) == 0),
-                sum(1 for v in h if dot(n, v) == 0),
-            )
-            for n in facets
+            (sum(1 for r in rays if dot(n, r) == 0), sum(row[f] for row in on_facet))
+            for f, n in enumerate(facets)
         )
     )
     d = s.dim

@@ -21,9 +21,14 @@ facets by bitmask ANDs, with no Cone built for P.
 vertex_charts is the one path through P.  It sums each live subset from two
 tables of partial sums of H, one per half of the subset's bitmask, keeps
 the distinct sums, and maps each subset at a vertex to its cone, a table
-kept on the semigroup.  A normalized chart is cone intersect Z^d, so its
-class is its cone's class: a search needs nothing else from a step.
-blowup_step and chart() index the same table.
+kept on the semigroup.  Before the double description it drops every sum
+v_B that is the midpoint of two live sums one exchange away: with i, k in
+B, j, l outside it and h_i + h_k = h_j + h_l, v_B averages v_B - h_i + h_j
+and v_B - h_k + h_l.  Such a point is no vertex, and P is pointed, so P is
+the convex hull of its vertices plus sigma: dropping it leaves K's facets,
+extreme rays and their tight sets as they were.  A normalized chart is
+cone intersect Z^d, so its class is its cone's class: a search needs
+nothing else from a step.  blowup_step and chart() index the same table.
 """
 
 from __future__ import annotations
@@ -135,6 +140,43 @@ class _Step:
         """h -> sorted replacement differences g - h, per member h."""
         h = self.h
         return {h[i]: _differences(h, i, js) for i, js in zip(members, self.replacements(members))}
+
+    def vertex_candidates(self, sums: dict[Vec, int]) -> list[Vec]:
+        """The sorted live sums v_B that are not a midpoint of two single exchanges.
+
+        With i, k in B and j, l outside it, h_i + h_k = h_j + h_l makes v_B
+        the midpoint of v_B - h_i + h_j and v_B - h_k + h_l, distinct since
+        the h are, so v_B is no vertex when both exchanges are live (or
+        B - i + l and B - k + j are).  Pairs with equal sums are disjoint,
+        so one pass over the pairs of H groups every (i, k) with its (j, l).
+        """
+        h, minors, p = self.h, self.minors, self.p
+        by_sum: dict[Vec, list[tuple[int, int]]] = {}
+        for a in range(len(h)):
+            for b in range(a, len(h)):
+                by_sum.setdefault(tuple(map(add, h[a], h[b])), []).append((a, b))
+        partners = {
+            pair: [q for q in pairs if q != pair]
+            for pairs in by_sum.values() if len(pairs) > 1 for pair in pairs
+        }
+
+        def live(mask: int) -> int:
+            return _det_p(minors.get(mask, 0), p)
+
+        def midpoint(mask: int) -> bool:
+            inside = _positions(mask)
+            for x, i in enumerate(inside):
+                for k in inside[x:]:
+                    for j, l in partners.get((i, k), ()):
+                        if mask & (1 << j | 1 << l):
+                            continue
+                        out_i, out_k = mask ^ 1 << i, mask ^ 1 << k
+                        if (live(out_i | 1 << j) and live(out_k | 1 << l)
+                                or live(out_i | 1 << l) and live(out_k | 1 << j)):
+                            return True
+            return False
+
+        return sorted(v for v, mask in sums.items() if not midpoint(mask))
 
 
 def _tangent_cones(points: Sequence[Vec], sigma: Cone) -> dict[Vec, Cone]:
@@ -267,19 +309,22 @@ def vertex_charts(s: AffineSemigroup, p: int) -> dict[tuple[int, ...], Cone]:
 
     The pointed charts are the live subsets whose sum is a vertex of the
     Newton polyhedron; one double description settles them all, and no
-    BlowupChart, generator or saturation is formed.  The table is kept on
-    s, keyed by p; it holds cones only, nothing that refers back to s.  A
-    vertex v is the sum of exactly one live subset: if B != B' both summed
-    to v, the symmetric exchange axiom would give b in B - B' and b' in
-    B' - B with B - b + b' and B' - b' + b live, whose sums v + b' - b and
-    v + b - b' average to v.  Keys are increasing positions: a permuted
-    subset has no entry.
+    BlowupChart, generator or saturation is formed.  It is fed only the
+    sums that are no midpoint of two single exchanges
+    (_Step.vertex_candidates): the others are not vertices, and K, the
+    cone over P, has the same facets and extreme rays without them.  The
+    table is kept on s, keyed by p; it holds cones only, nothing that
+    refers back to s.  A vertex v is the sum of exactly one live subset:
+    if B != B' both summed to v, the symmetric exchange axiom would give b
+    in B - B' and b' in B' - B with B - b + b' and B' - b' + b live, whose
+    sums v + b' - b and v + b - b' average to v.  Keys are increasing
+    positions: a permuted subset has no entry.
     """
     kept = s._vertex_charts = s._vertex_charts or {}
     if p not in kept:
         step = _Step(s, p)
         sums = _live_sums(step.h, step.live())
-        cones = _tangent_cones(sorted(sums), s.cone)
+        cones = _tangent_cones(step.vertex_candidates(sums), s.cone)
         kept[p] = dict(sorted((_positions(sums[v]), cone) for v, cone in cones.items()))
     return kept[p]
 

@@ -95,12 +95,12 @@ class SearchReport:
 
 
 def _node_is_smooth(s: AffineSemigroup) -> bool:
-    """s.is_smooth(), or False where that raises.  It runs only on d Hilbert
-    elements of determinant +-1, which span Z^d and are saturated, so no
-    other node is saturated just to be told False."""
+    """Exactly d Hilbert elements of determinant +-1, or False where the Hilbert
+    basis raises.  Such elements generate Z^d and their cone meets Z^d in
+    exactly their semigroup, so no lattice or saturation test is needed."""
     try:
         h = s.hilbert_basis()
-        return len(h) == s.dim and is_unimodular(mat(h)) and s.is_smooth()
+        return len(h) == s.dim and is_unimodular(mat(h))
     except ValueError:
         return False
 

@@ -454,17 +454,6 @@ class AffineSemigroup(object):
             )
         return self._saturated
 
-    def is_smooth(self) -> bool:
-        """Freeness test: exactly d Hilbert elements forming a unimodular basis."""
-        if not self.is_pointed:
-            raise NotPointedError("smoothness test requires a pointed semigroup")
-        if not self.generates_full_lattice():
-            raise NotFullLatticeError("smoothness test requires the full lattice")
-        if not self.is_saturated():
-            raise NotSaturatedError("smoothness test requires a saturated semigroup")
-        h = self.hilbert_basis()
-        return len(h) == self.dim and abs(det(mat(h))) == 1
-
     def same_semigroup(self, other: "AffineSemigroup") -> bool:
         """Mathematical equality: mutual membership of all generators."""
         if self.dim != other.dim:

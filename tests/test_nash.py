@@ -4,15 +4,16 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricnash import fixtures
+from toricnash import fixtures, nash
 from toricnash.cone import NotPointedError
-from toricnash.exactmath import InvalidCharacteristic, det_p, mat, sub, vec
-from toricnash.nash import blowup_step, chart, chart_generators, g_set
-from toricnash.search import explore
+from toricnash.exactmath import InvalidCharacteristic, add, det_p, mat, sub, vec
+from toricnash.nash import blowup_step, chart, chart_generators, g_set, vertex_charts
+from toricnash.search import explore, load_graph
 from toricnash.semigroup import AffineSemigroup, NotFullLatticeError, saturation_hilbert_basis
 from toricnash.cone import Cone
 
 from helpers import (
+    CORPUS,
     apply_matrix,
     random_pointed_gens,
     random_unimodular,
@@ -418,3 +419,121 @@ def test_chart_inside_an_edge_of_the_newton_polyhedron_is_not_pointed():
     assert low.normalized_chart.cone.generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert high.normalized_chart.cone.generators == ((0, 0, -1), (0, 1, 2), (1, 0, 0))
     _assert_newton_verdicts(s, 0)
+
+
+# Differential gate for the vertex filter: vertex_charts feeds K's double
+# description only the live sums that are not the midpoint of two single
+# exchanges, and must give the table built from every distinct live sum.
+def _unfiltered_vertex_charts(s, p):
+    step = nash._Step(s, p)
+    sums = nash._live_sums(step.h, step.live())
+    cones = nash._tangent_cones(sorted(sums), s.cone)
+    return dict(sorted((nash._positions(sums[v]), cone) for v, cone in cones.items()))
+
+
+def _same_charts(got, want):
+    return list(got) == list(want) and all(
+        (got[m].generators, got[m].facet_normals) == (want[m].generators, want[m].facet_normals)
+        for m in want
+    )
+
+
+def _differential_sources(name):
+    if name == "fixtures":
+        return [_saturated(cf.generators, cf.dim) for cf in fixtures.BUILTIN_CONES.values()]
+    return [n.semigroup for n in load_graph(str(CORPUS / f"{name}.graph")).nodes.values()]
+
+
+@pytest.mark.parametrize("name", ["fixtures", "B", "dim4char3", "reeves"])
+def test_vertex_charts_match_every_live_sum_on_fixtures_and_corpus_nodes(name):
+    for s in _differential_sources(name):
+        for p in (0, 2, 3, 5, 7):
+            want = _unfiltered_vertex_charts(s, p)
+            assert _same_charts(vertex_charts(s, p), want)
+
+
+@settings(max_examples=60)
+@given(_pointed_sources(), st.sampled_from((0, 2, 3, 5, 7)))
+def test_vertex_charts_match_every_live_sum_on_drawn_sources(source, p):
+    s = source[0]
+    want = _unfiltered_vertex_charts(s, p)
+    assert _same_charts(vertex_charts(s, p), want)
+
+
+def test_a_filter_that_drops_a_vertex_fails_the_differential_test(monkeypatch):
+    cf = fixtures.BUILTIN_CONES["B"]
+    s = _saturated(cf.generators, cf.dim)
+    want = _unfiltered_vertex_charts(s, 3)
+    h = s.hilbert_basis()
+    vertex = tuple(map(sum, zip(*(h[i] for i in next(iter(want))))))
+    keep = nash._Step.vertex_candidates
+    monkeypatch.setattr(
+        nash._Step, "vertex_candidates", lambda step, sums: [v for v in keep(step, sums) if v != vertex]
+    )
+    assert not _same_charts(vertex_charts(s, 3), want)
+
+
+def _midpoint_cases(s, p):
+    """Check each dropped live sum on vectors; return the cases that drop them.
+
+    A dropped v_B must be the midpoint of two distinct live sums B - i + j
+    and B - k + l (or B - i + l and B - k + j) with h_i + h_k = h_j + h_l,
+    each swap's determinant taken afresh; the cases are i = k, j = l and
+    the general one.
+    """
+    step = nash._Step(s, p)
+    sums = nash._live_sums(step.h, step.live())
+    kept = step.vertex_candidates(sums)
+    assert kept == sorted(set(kept)) and set(kept) <= set(sums)
+    h = s.hilbert_basis()
+    cases = set()
+    for v in set(sums).difference(kept):
+        inside = [h[i] for i in nash._positions(sums[v])]
+        outside = [g for g in h if g not in inside]
+
+        def swap(out, into):
+            return [x for x in inside if x != out] + [into]
+
+        found = set()
+        for i, k in itertools.combinations_with_replacement(inside, 2):
+            for j, l in itertools.combinations_with_replacement(outside, 2):
+                if add(i, k) != add(j, l):
+                    continue
+                for a, b in ((j, l), (l, j)):
+                    x, y = swap(i, a), swap(k, b)
+                    if det_p(mat(x), p) and det_p(mat(y), p):
+                        vx, vy = (tuple(map(sum, zip(*e))) for e in (x, y))
+                        assert vx != vy and {vx, vy} <= set(sums)
+                        assert add(vx, vy) == tuple(2 * c for c in v)
+                        found.add("i = k" if i == k else "j = l" if j == l else "general")
+        assert found, v
+        cases |= found
+    return cases
+
+
+def test_every_dropped_sum_is_a_midpoint_in_each_case():
+    cases = set()
+    for cf in fixtures.BUILTIN_CONES.values():
+        s = _saturated(cf.generators, cf.dim)
+        for p in (0, 2, 3, 5, 7):
+            cases |= _midpoint_cases(s, p)
+    assert cases == {"i = k", "j = l", "general"}
+
+
+@settings(max_examples=60)
+@given(_pointed_sources(), st.sampled_from((0, 2, 3, 5, 7)))
+def test_every_dropped_sum_is_a_midpoint_on_drawn_sources(source, p):
+    _midpoint_cases(source[0], p)
+
+
+def test_the_newton_cone_is_fed_few_points_on_a_short_search(monkeypatch):
+    # every distinct live sum, 537 points in 10 double descriptions, went to K before the filter
+    fed = []
+    tangent_cones = nash._tangent_cones
+    monkeypatch.setattr(
+        nash, "_tangent_cones", lambda points, sigma: fed.append(len(points)) or tangent_cones(points, sigma)
+    )
+    cf = fixtures.BUILTIN_CONES["dim4char3"]
+    report = explore(_saturated(cf.generators, cf.dim), 3, max_depth=3)
+    assert (len(report.nodes), len(report.edges), len(fed)) == (24, 78, 10)
+    assert sum(fed) <= 300

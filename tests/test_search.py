@@ -2,6 +2,7 @@ import errno
 import functools
 import hashlib
 import os
+import random
 import typing
 from typing import Optional, Sequence
 
@@ -61,6 +62,7 @@ from helpers import (
     FORGED_B_NODES,
     apply_matrix,
     forge_node,
+    random_unimodular,
     redundant_start_graph,
     unimodular_matrices,
 )
@@ -913,6 +915,47 @@ def test_rederiving_every_edge_takes_one_double_description_per_source(monkeypat
     )
     assert all(search._edge_checks_out(report, e) for e in report.edges)
     assert calls == {"dd": len({e.src for e in report.edges}), "saturation": 0}
+
+
+def test_node_is_smooth():
+    assert search._node_is_smooth(AffineSemigroup(((1, 0), (0, 1)), 2))
+    assert not search._node_is_smooth(AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2))
+    # spans Z^2 but misses (1,2) inside its cone: three Hilbert elements
+    assert not search._node_is_smooth(AffineSemigroup(((1, 0), (1, 1), (1, 3)), 2))
+    # a free semigroup of index 4 in Z^2: two Hilbert elements of determinant 4
+    assert not search._node_is_smooth(AffineSemigroup(((2, 0), (0, 2)), 2))
+    # a line has no Hilbert basis
+    assert not search._node_is_smooth(AffineSemigroup(((1,), (-1,)), 1))
+
+
+def test_node_smoothness_invariant_under_unimodular_maps():
+    rng = random.Random(305)
+    for _ in range(10):
+        u = random_unimodular(rng, 3)
+        gens = [apply_matrix(u, g) for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        assert search._node_is_smooth(AffineSemigroup(gens, 3))
+
+
+def test_judging_a_smooth_node_saturates_nothing(monkeypatch):
+    # d Hilbert elements of determinant +-1 settle smoothness: no saturation test runs
+    smooth = [
+        n.semigroup
+        for name in ("B", "dim4char3")
+        for n in load_graph(str(CORPUS / f"{name}.graph")).nodes.values()
+        if n.smooth
+    ]
+    cf = fixtures.BUILTIN_CONES["a2"]
+    report = explore(_saturated(cf.generators, cf.dim), 0, normalized=False)
+    smooth += [n.semigroup for n in report.nodes.values() if n.smooth]
+    assert len(smooth) >= 3
+    calls = {"saturation": 0}
+    monkeypatch.setattr(
+        semigroup,
+        "saturation_hilbert_basis",
+        _counting(calls, "saturation", semigroup.saturation_hilbert_basis),
+    )
+    assert all(search._node_is_smooth(s) for s in smooth)
+    assert calls["saturation"] == 0
 
 
 def test_verify_report_nodes_checks_each_edge_once(monkeypatch):

@@ -33,8 +33,6 @@ from toricnash.search import load_graph
 from toricnash.semigroup import (
     MAX_PARALLELEPIPED_POINTS,
     AffineSemigroup,
-    NotFullLatticeError,
-    NotSaturatedError,
     ResourceLimitError,
     _cyclic_group,
     _packing,
@@ -170,26 +168,6 @@ def test_from_cone_records_whether_it_spans_the_lattice(drawn):
     s = AffineSemigroup.from_cone(c)
     assert s.generates_full_lattice() == lattice_is_full(s.hilbert_basis(), dim)
     assert s.generates_full_lattice() == c.is_full_dimensional
-
-
-def test_is_smooth():
-    assert AffineSemigroup(((1, 0), (0, 1)), 2).is_smooth()
-    assert not AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2).is_smooth()
-    with pytest.raises(NotSaturatedError):
-        # spans Z^2 but misses (1,2) inside its cone
-        AffineSemigroup(((1, 0), (1, 1), (1, 3)), 2).is_smooth()
-    with pytest.raises(NotFullLatticeError):
-        AffineSemigroup(((2, 0), (0, 2)), 2).is_smooth()
-    with pytest.raises(NotPointedError):
-        AffineSemigroup(((1,), (-1,)), 1).is_smooth()
-
-
-def test_smoothness_invariant_under_unimodular_maps():
-    rng = random.Random(305)
-    for _ in range(10):
-        u = random_unimodular(rng, 3)
-        gens = [apply_matrix(u, g) for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        assert AffineSemigroup(gens, 3).is_smooth()
 
 
 def test_semigroups_equal():
