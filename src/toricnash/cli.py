@@ -164,6 +164,37 @@ def _render_report(report: SearchReport, wanted: Sequence[int]) -> None:
         print(f"cycle {cyc.length} via {' '.join(cyc.node_keys)}")
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a save path whose directory is missing or not writable."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise CliError(f"cannot write {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK):
+        raise CliError(f"cannot write {path}: directory {folder} is not writable")
+
+
+def _load_state(args) -> SearchReport:
+    """The graph file to resume; it fixes the start, the characteristic and the
+    mode, so a cone argument, or a --char or --[no-]normalized that differs
+    from its meta record, is refused."""
+    if args.cone:
+        raise CliError("a cone argument cannot be given with --load")
+    try:
+        state = load_graph(args.load)
+    except OSError as exc:
+        raise CliError(f"cannot read {args.load}: {exc}")
+    except GraphFormatError as exc:
+        raise CliError(f"{args.load}: {exc}")
+    if args.char is not None and args.char != state.characteristic:
+        raise CliError(f"--char {args.char} differs from {args.load}, which has characteristic "
+                       f"{state.characteristic}")
+    if args.normalized is not None and args.normalized != state.normalized:
+        given = "--normalized" if args.normalized else "--no-normalized"
+        mode = "normalized" if state.normalized else "not normalized"
+        raise CliError(f"{given} differs from {args.load}, which was searched {mode}")
+    return state
+
+
 def cmd_search(args) -> int:
     wanted = _parse_cycles(args.cycles)
     if args.max_depth < 1 or args.max_nodes < 1:
@@ -171,12 +202,7 @@ def cmd_search(args) -> int:
 
     state = None
     if args.load:
-        try:
-            state = load_graph(args.load)
-        except OSError as exc:
-            raise CliError(f"cannot read {args.load}: {exc}")
-        except GraphFormatError as exc:
-            raise CliError(f"{args.load}: {exc}")
+        state = _load_state(args)
         p = state.characteristic
         normalized = state.normalized
         start = state.nodes[state.start_key].semigroup
@@ -186,7 +212,9 @@ def cmd_search(args) -> int:
         cf = _load_cone_source(args.cone)
         start, _ = _semigroup_from(cf)
         p = _resolve_char(args, cf)
-        normalized = args.normalized
+        normalized = args.normalized is not False  # on unless --no-normalized
+    if args.save:
+        _check_writable(args.save)
 
     try:
         report = explore(
@@ -202,7 +230,10 @@ def cmd_search(args) -> int:
     except GraphCheckError as exc:  # only a loaded state is checked
         raise CliError(f"{args.load}: {exc}", EXIT_MATH)
     if args.save:
-        save_graph(report, args.save)
+        try:
+            save_graph(report, args.save)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.save}: {exc}")
     _render_report(report, wanted)
     if report.termination == TERMINATION_NODES:
         return EXIT_RESOURCE
@@ -272,7 +303,7 @@ def build_parser() -> _Parser:
     p_s.add_argument(
         "--normalized",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=None,  # None: on for a fresh run, the file's mode with --load
         help="search normalized (saturated) charts (default on)",
     )
     p_s.add_argument("--halt-on-cycle", action="store_true", help="stop once a wanted cycle exists")

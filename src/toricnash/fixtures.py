@@ -164,7 +164,7 @@ def term_vector(t: tuple[int, ...]) -> Vec:
 
 def source_semigroup() -> AffineSemigroup:
     """The saturated semigroup of the loop example, Hilbert basis pinned."""
-    return AffineSemigroup.from_hilbert_basis(H_VECTORS, 5, saturated=True)
+    return AffineSemigroup.from_hilbert_basis(H_VECTORS, 5)
 
 
 def chart_subset_vectors() -> tuple[Vec, ...]:

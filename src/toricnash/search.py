@@ -128,7 +128,7 @@ def _chart_points(
 
 
 class _ClassIndex:
-    """Node keys bucketed by the key of their frame, and the per-fingerprint key counters.
+    """Node keys bucketed by the key of their frame.
 
     A node's frame is iso.Frame(_points(s), s.cone), built when it is filed.
     locate takes a chart's points and cone: first_map(node frame, chart
@@ -136,16 +136,15 @@ class _ClassIndex:
     the chart's, so V maps the node onto the chart, and V^{-1} is the
     certificate.  The first equivalent node in filing order is found; if it
     has automorphisms, the certificate inverts the first V in the order of
-    its base, in both modes.  A node key is the first 12 hex digits of
-    sha256(fingerprint bytes) and its index among the nodes with that
-    fingerprint, so only new nodes are fingerprinted.
+    its base, in both modes.  A fresh node key is P-n, P the first 12 hex
+    digits of sha256(fingerprint bytes) and n the least index with P-n not
+    yet filed, so only nodes filed without a key are fingerprinted.
     """
 
     def __init__(self, normalized: bool) -> None:
         self.normalized = normalized
         self.buckets: dict[tuple, list[str]] = {}
         self.frames: dict[str, Frame] = {}
-        self.counts: dict[bytes, int] = {}
 
     def locate(self, points: Sequence[Vec], c: Cone) -> tuple[Optional[str], Optional[Mat]]:
         """The node of the class the points name, with a certificate onto it;
@@ -160,14 +159,17 @@ class _ClassIndex:
 
     def insert(self, s: AffineSemigroup, key: Optional[str] = None) -> str:
         """File s as a node, under the given key or a fresh one; return the key."""
-        fp = fingerprint(s).to_bytes()  # raises NotPointedError for a cone with a line
         c = s.cone
+        if not c.is_pointed:
+            raise NotPointedError("a search node must be pointed")
         if not c.is_full_dimensional:
             raise NotFullDimensionalError("a search node must be full-dimensional")
-        n = self.counts.get(fp, 0)
-        self.counts[fp] = n + 1
         if key is None:
-            key = f"{hashlib.sha256(fp).hexdigest()[:12]}-{n}"
+            prefix = hashlib.sha256(fingerprint(s).to_bytes()).hexdigest()[:12]
+            n = 0
+            while f"{prefix}-{n}" in self.frames:
+                n += 1
+            key = f"{prefix}-{n}"
         frame = self.frames[key] = Frame(_points(s, self.normalized), c)
         self.buckets.setdefault(frame.key, []).append(key)
         return key

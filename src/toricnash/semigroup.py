@@ -326,18 +326,14 @@ class AffineSemigroup(object):
 
     @classmethod
     def from_hilbert_basis(
-        cls, basis: Sequence[Sequence[int]], dim: int, saturated: Optional[bool] = None,
-        cone: Optional[Cone] = None,
+        cls, basis: Sequence[Sequence[int]], dim: int, cone: Optional[Cone] = None,
     ) -> "AffineSemigroup":
         """The semigroup generated by a known Hilbert basis, trusted unchecked.
 
-        `saturated` pins is_saturated() when the caller knows it; None
-        leaves it to be computed on demand.  `cone`, as in the constructor,
-        is a prebuilt Cone of the basis.
+        `cone`, as in the constructor, is a prebuilt Cone of the basis.
         """
         out = cls(basis, dim, cone=cone)
         out._hilbert = out.generators
-        out._saturated = saturated
         return out
 
     @property
@@ -422,25 +418,32 @@ class AffineSemigroup(object):
         Computed once by minor_table and kept: fingerprints and Nash charts
         both read it.  Its level k holds up to C(|H|, k) minors; past
         MAX_MINOR_SUBSETS on the largest level this raises ResourceLimitError.
+        Exactly d elements have one d-subset, so there one det is the table.
         """
         if self._minors is None:
             h, d = self.hilbert_basis(), self.dim
-            largest = comb(len(h), min(d, len(h) // 2))
-            if largest > MAX_MINOR_SUBSETS:
-                raise ResourceLimitError(
-                    f"the minor table of {len(h)} Hilbert basis elements in dimension {d} "
-                    f"has a level of {largest} subsets, more than {MAX_MINOR_SUBSETS}"
-                )
-            self._minors = minor_table(h, d)
+            if len(h) == d:
+                full = det(mat(h))
+                self._minors = {(1 << d) - 1: full} if full else {}
+            else:
+                largest = comb(len(h), min(d, len(h) // 2))
+                if largest > MAX_MINOR_SUBSETS:
+                    raise ResourceLimitError(
+                        f"the minor table of {len(h)} Hilbert basis elements in dimension {d} "
+                        f"has a level of {largest} subsets, more than {MAX_MINOR_SUBSETS}"
+                    )
+                self._minors = minor_table(h, d)
         return self._minors
 
     @classmethod
     def from_cone(cls, c: Cone) -> "AffineSemigroup":
         """The saturated semigroup cone(c) intersect Z^d, sharing c as its cone.
 
-        It generates Z^d exactly when c is full-dimensional, so that is recorded.
+        It is saturated, and generates Z^d exactly when c is full-dimensional,
+        so both are recorded.
         """
-        out = cls.from_hilbert_basis(saturation_hilbert_basis(c), c.dim, saturated=True, cone=c)
+        out = cls.from_hilbert_basis(saturation_hilbert_basis(c), c.dim, cone=c)
+        out._saturated = True
         out._full = c.is_full_dimensional
         return out
 

@@ -14,7 +14,7 @@ except ImportError:  # not on every platform
 
 import pytest
 
-from toricnash import exactmath, search, semigroup
+from toricnash import cli, exactmath, search, semigroup
 from toricnash.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_USAGE, build_parser, main
 from toricnash.conefile import MAX_DIMENSION
 from toricnash.exactmath import MAX_CHARACTERISTIC
@@ -249,6 +249,80 @@ def test_search_resumes_a_graph_saved_at_the_node_limit(tmp_path, capsys):
     assert code == EXIT_OK
     assert resumed == unbroken
     assert cut.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--char", "5"), "--char 5 differs from {path}, which has characteristic 3"),
+        (("--no-normalized",), "--no-normalized differs from {path}, which was searched normalized"),
+        (("builtin:a2",), "a cone argument cannot be given with --load"),
+    ],
+    ids=["char", "mode", "cone"],
+)
+def test_search_load_refuses_an_option_the_file_fixes(tmp_path, capsys, extra, message):
+    path = str(tmp_path / "b.graph")
+    assert run(capsys, "search", "builtin:B", "--max-depth", "1", "--save", path)[0] == EXIT_OK
+    code, out, err = run(capsys, "search", "--load", path, "--max-depth", "1", *extra)
+    assert (code, out, err) == (EXIT_USAGE, "", f"toricnash: {message.format(path=path)}\n")
+
+
+def test_search_load_refuses_normalized_on_a_plain_graph(tmp_path, capsys):
+    path = str(tmp_path / "b.graph")
+    argv = ("search", "builtin:B", "--max-depth", "1", "--no-normalized")
+    assert run(capsys, *argv, "--save", path)[0] == EXIT_OK
+    code, out, err = run(capsys, "search", "--load", path, "--max-depth", "1", "--normalized")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"toricnash: --normalized differs from {path}, which was searched not normalized\n"
+
+
+def test_search_load_accepts_the_values_the_file_has(tmp_path, capsys):
+    path = str(tmp_path / "b.graph")
+    code, saved, _ = run(capsys, "search", "builtin:B", "--max-depth", "1", "--save", path)
+    assert code == EXIT_OK
+    for extra in ((), ("--char", "3"), ("--normalized",), ("--char", "3", "--normalized")):
+        assert run(capsys, "search", "--load", path, "--max-depth", "1", *extra) == (
+            EXIT_OK, saved, ""
+        )
+
+
+def test_search_save_into_a_missing_directory_is_refused_before_the_search(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "explore", lambda *a, **k: pytest.fail("the search ran"))
+    path = tmp_path / "missing" / "x.graph"
+    code, out, err = run(capsys, "search", "builtin:a2", "--max-depth", "1", "--save", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"toricnash: cannot write {path}: no directory {path.parent}\n"
+    monkeypatch.setattr(os, "access", lambda *a, **k: False)
+    path = tmp_path / "x.graph"
+    code, out, err = run(capsys, "search", "builtin:a2", "--max-depth", "1", "--save", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"toricnash: cannot write {path}: directory {tmp_path} is not writable\n"
+
+
+def test_search_save_that_fails_late_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
+    # the directory is writable, but the target is a directory, so the rename fails
+    target = tmp_path / "g.graph"
+    target.mkdir()
+    code, out, err = run(capsys, "search", "builtin:a2", "--max-depth", "1", "--save", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"toricnash: cannot write {target}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["g.graph"] and os.listdir(target) == []
+
+
+@pytest.mark.parametrize("d", [23, 32])
+def test_a_smooth_start_of_high_dimension_is_one_node(tmp_path, capsys, d):
+    # d Hilbert elements have one d-subset: no minor-table level is counted
+    path = tmp_path / "orthant.cone"
+    path.write_text(f"dim {d}\n" + "".join(
+        " ".join(str(int(i == j)) for j in range(d)) + "\n" for i in range(d)
+    ))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", str(path))
+    assert time.perf_counter() - start < 10.0
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1:4] == ["nodes 1", "edges 0", "termination exhausted"]
 
 
 def _forge_certificate(path, pick, forge):

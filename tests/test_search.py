@@ -3,6 +3,7 @@ import functools
 import hashlib
 import os
 import random
+import types
 import typing
 from typing import Optional, Sequence
 
@@ -69,9 +70,7 @@ from helpers import (
 
 
 def _saturated(columns, dim):
-    return AffineSemigroup.from_hilbert_basis(
-        saturation_hilbert_basis(Cone(columns, dim)), dim, saturated=True
-    )
+    return AffineSemigroup.from_hilbert_basis(saturation_hilbert_basis(Cone(columns, dim)), dim)
 
 
 def test_smooth_start_is_single_node():
@@ -296,6 +295,54 @@ def test_resume_continues_key_numbering(tmp_path, one_fingerprint):
     assert [(e.src, e.dst, e.subset, e.certificate) for e in resumed.edges] == [
         (e.src, e.dst, e.subset, e.certificate) for e in fresh.edges
     ]
+
+
+def _counting_fingerprints(monkeypatch) -> list:
+    """Patch search.fingerprint to record each semigroup it names; the list."""
+    named = []
+    monkeypatch.setattr(search, "fingerprint", lambda s: named.append(s) or fingerprint(s))
+    return named
+
+
+@pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
+def test_checking_a_graph_fingerprints_no_node(monkeypatch, name):
+    report = load_graph(str(CORPUS / f"{name}.graph"))
+    named = _counting_fingerprints(monkeypatch)
+    index = search._checked_index(report)
+    assert named == []
+    assert sorted(index.frames) == sorted(report.nodes)
+
+
+def test_resume_fingerprints_only_the_nodes_it_creates(tmp_path, monkeypatch):
+    path = str(tmp_path / "g.txt")
+    save_graph(explore(fixtures.source_semigroup(), 3, max_depth=1), path)
+    state = load_graph(path)
+    named = _counting_fingerprints(monkeypatch)
+    resumed = explore(state.nodes[state.start_key].semigroup, 3, max_depth=2, state=state)
+    new = resumed.nodes.keys() - state.nodes.keys()
+    assert len(named) == len(new) > 0
+    assert {id(s) for s in named} == {id(resumed.nodes[k].semigroup) for k in new}
+
+
+def test_keys_stay_distinct_when_fingerprint_digests_share_a_prefix(monkeypatch):
+    class OnePrefix:
+        def __init__(self, data):
+            self.digest = hashlib.sha256(data).hexdigest()
+
+        def hexdigest(self):
+            return "0" * 12 + self.digest[12:]
+
+    monkeypatch.setattr(search, "hashlib", types.SimpleNamespace(sha256=OnePrefix))
+    report = explore(fixtures.source_semigroup(), 3, max_depth=1)
+    assert sorted(report.nodes) == sorted(f"{'0' * 12}-{i}" for i in range(14))
+    assert len(report.edges) == 21
+    assert {k for e in report.edges for k in (e.src, e.dst)} <= report.nodes.keys()
+    assert verify_report_nodes(report) is None
+
+
+def test_class_index_refuses_a_cone_with_a_line():
+    with pytest.raises(NotPointedError):
+        _ClassIndex(True).insert(AffineSemigroup(((1, 0), (-1, 0), (0, 1)), 2), "k")
 
 
 def test_resume_rejects_mismatched_state(tmp_path):
@@ -759,7 +806,7 @@ def _a_copy_of_the_start_takes_the_loop(normalized):
     report = explore(s, 3, max_depth=1, normalized=normalized)
     assert verify_report_nodes(report) is None
     assert report.cycle_lengths_found() == {1}
-    copy = AffineSemigroup.from_hilbert_basis(s.hilbert_basis(), s.dim, saturated=True)
+    copy = AffineSemigroup.from_hilbert_basis(s.hilbert_basis(), s.dim)
     report.nodes["zz"] = GraphNode("zz", copy, 1, False)
     loop = next(e for e in report.edges if e.src == e.dst)
     loop.dst = "zz"

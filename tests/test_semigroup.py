@@ -19,6 +19,7 @@ from toricnash.exactmath import (
     lattice_is_full,
     mat,
     mat_apply,
+    minor_table,
     orthogonal_complement,
     scale,
     solve,
@@ -673,6 +674,30 @@ def test_decomposition_at_the_edge_of_a_packed_field(n):
         if got is not None:
             assert tuple(map(sum, zip(*(scale(m, g) for g, m in got.items())))) == x
     assert s.hilbert_basis() == _reference_hilbert_basis(s)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        BUILTIN_CONES["smooth3"].generators,
+        ((1, 0), (1, 2)),  # index 2: one nonzero minor, not a unit
+        ((1, 0, 0), (1, 1, 0), (1, 2, 0)),  # coplanar: no nonzero minor
+    ],
+    ids=["smooth3", "a2-generators", "coplanar"],
+)
+def test_minors_of_exactly_d_elements_match_the_minor_table(gens):
+    s = AffineSemigroup(gens, len(gens[0]))
+    assert len(s.hilbert_basis()) == s.dim
+    assert s.hilbert_minors() == minor_table(s.hilbert_basis(), s.dim)
+
+
+def test_minors_of_unimodular_bases_match_the_minor_table():
+    rng = random.Random(35)
+    for dim in (1, 2, 3, 4, 5, 6, 9):
+        s = AffineSemigroup(random_unimodular(rng, dim), dim)
+        assert len(s.hilbert_basis()) == dim
+        assert s.hilbert_minors() == minor_table(s.hilbert_basis(), dim)
+        assert list(map(abs, s.hilbert_minors().values())) == [1]
 
 
 @pytest.mark.parametrize("name", ["B", "dim4char3", "reeves"])
