@@ -138,7 +138,8 @@ def cmd_blowup(args) -> int:
 
 def _parse_cycles(raw: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(tok) for tok in raw.split(",") if tok)
+        # a repeated length is kept once, where it first occurs
+        ks = tuple(dict.fromkeys(int(tok) for tok in raw.split(",") if tok))
     except ValueError:
         raise CliError(f"bad cycle list {raw!r}")
     if not ks or any(k < 1 for k in ks):

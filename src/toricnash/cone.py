@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactmath import (
     Vec,
@@ -131,7 +131,7 @@ def dual_description(vectors: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...],
 
 
 class Cone(object):
-    """Cone(generators, ambient_dim=None) -> rational polyhedral cone.
+    """Cone(generators, ambient_dim) -> rational polyhedral cone.
 
     Generators are primitivised and deduplicated; when the cone is pointed
     they are further reduced to the extreme rays.  The facet description
@@ -156,12 +156,8 @@ class Cone(object):
         "is_pointed",
     )
 
-    def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None):
+    def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: int):
         gens = [vec(g) for g in generators]
-        if ambient_dim is None:
-            if not gens:
-                raise ValueError("ambient_dim required for a cone with no generators")
-            ambient_dim = len(gens[0])
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionMismatch("generator of wrong length")

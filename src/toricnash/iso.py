@@ -31,11 +31,10 @@ from .exactmath import (
     mat,
     mat_apply,
     mat_mul,
-    minor_table,
     primitive,
     solve,
 )
-from .semigroup import AffineSemigroup
+from .semigroup import AffineSemigroup, budgeted_minor_table
 
 # d-subset determinant multisets are skipped above this subset count so
 # fingerprints of large Hilbert bases stay affordable.
@@ -111,7 +110,8 @@ def fingerprint(s: AffineSemigroup) -> Fingerprint:
     if comb(len(h), d) <= _DET_SUBSET_CAP:
         source, subsets, table = 0, comb(len(h), d), s.hilbert_minors()
     elif comb(len(rays), d) <= _DET_SUBSET_CAP:
-        source, subsets, table = 1, comb(len(rays), d), minor_table(rays, d)
+        table = budgeted_minor_table(rays, d, "extreme rays")
+        source, subsets = 1, comb(len(rays), d)
     else:
         source, subsets, table = 2, 0, {}
     # the tables hold the nonzero minors only; the rest of the subsets give zeros

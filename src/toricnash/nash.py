@@ -18,17 +18,12 @@ needs the chart's generators.  All of it comes from one double description
 of the homogenized cone over P: its tight sets give P's vertices, edges and
 facets by bitmask ANDs, with no Cone built for P.
 
-vertex_charts is the one path through P.  It sums each live subset from two
-tables of partial sums of H, one per half of the subset's bitmask, keeps
-the distinct sums, and maps each subset at a vertex to its cone, a table
-kept on the semigroup.  Before the double description it drops every sum
-v_B that is the midpoint of two live sums one exchange away: with i, k in
-B, j, l outside it and h_i + h_k = h_j + h_l, v_B averages v_B - h_i + h_j
-and v_B - h_k + h_l.  Such a point is no vertex, and P is pointed, so P is
-the convex hull of its vertices plus sigma: dropping it leaves K's facets,
-extreme rays and their tight sets as they were.  A normalized chart is
-cone intersect Z^d, so its class is its cone's class: a search needs
-nothing else from a step.  blowup_step and chart() index the same table.
+Everything here depends on the source and p only, so one _Step per source
+and characteristic, built and checked once by _step and kept on the source,
+is what every chart is read through.  Its vertex_charts is the one path
+through P, fed only the live sums that _Step.vertex_candidates keeps.  A
+normalized chart is cone intersect Z^d, so its class is its cone's class: a
+search needs nothing else from a step.
 """
 
 from __future__ import annotations
@@ -43,31 +38,27 @@ from .cone import Cone, NotPointedError, double_description, face_meet, ray_inci
 
 
 class BlowupChart:
-    """One chart, held as positions in the source's sorted Hilbert basis.
+    """One chart of a step, held as positions in the source's sorted Hilbert basis.
 
-    g_sets, generators and chart_semigroup are computed on first use.  A
-    pointed chart's cone, the tangent cone of the Newton polyhedron at v_A,
-    is shared by chart_semigroup; a non-pointed chart has cone None.
+    Its det and cone are read from the step.  g_sets, generators and
+    chart_semigroup are computed on first use.  A pointed chart's cone, the
+    tangent cone of the Newton polyhedron at v_A, is shared by
+    chart_semigroup; a non-pointed chart has cone None.
     """
 
-    def __init__(
-        self, step: _Step, members: tuple[int, ...], det_value: int,
-        cone: Optional[Cone] = None,
-    ):
+    def __init__(self, step: _Step, members: tuple[int, ...]):
         self._step = step
-        self.source = step.s
         self.characteristic = step.p
         self._members = members  # subset positions, increasing
-        self.det_value = det_value  # det_p of the subset matrix
-        self.cone = cone
-        self.pointed = cone is not None
+        self.det_value = step.det(members)  # det_p of the subset matrix
+        self.cone: Optional[Cone] = step.vertex_charts.get(members)
+        self.pointed = self.cone is not None
         self.normalized_chart: Optional[AffineSemigroup] = None
 
     @property
     def subset(self) -> tuple[Vec, ...]:
         """The chosen d Hilbert elements, sorted."""
-        h = self.source.hilbert_basis()
-        return tuple(h[i] for i in self._members)
+        return tuple(self._step.h[i] for i in self._members)
 
     @cached_property
     def g_sets(self) -> dict[Vec, tuple[Vec, ...]]:
@@ -77,15 +68,11 @@ class BlowupChart:
     @cached_property
     def generators(self) -> tuple[Vec, ...]:
         """The Hilbert basis together with all replacement sets, sorted."""
-        return _union(self.source.hilbert_basis(), self.g_sets)
+        return _union(self._step.h, self.g_sets)
 
     @cached_property
     def chart_semigroup(self) -> AffineSemigroup:
-        return AffineSemigroup(self.generators, self.source.dim, cone=self.cone)
-
-
-def _differences(h: Sequence[Vec], i: int, js: Sequence[int]) -> tuple[Vec, ...]:
-    return tuple(sorted(sub(h[j], h[i]) for j in js))
+        return AffineSemigroup(self.generators, self._step.cone.dim, cone=self.cone)
 
 
 def _union(h: Sequence[Vec], g_sets: dict[Vec, tuple[Vec, ...]]) -> tuple[Vec, ...]:
@@ -98,9 +85,11 @@ def _det_p(minor: int, p: int) -> int:
 
 
 class _Step:
-    """The source, characteristic and minor table that one step's charts share.
+    """One blowup step: the cone, Hilbert basis and minor table of a source, and p.
 
-    The source must be pointed and generate Z^d, so its cone is full-dimensional.
+    The source must be pointed and generate Z^d, so its cone is
+    full-dimensional.  _step builds one per source and characteristic and
+    keeps it on the source; it holds nothing that refers back to the source.
     """
 
     def __init__(self, s: AffineSemigroup, p: int):
@@ -109,7 +98,8 @@ class _Step:
             raise NotPointedError("blowup requires a pointed semigroup")
         if not s.generates_full_lattice():
             raise NotFullLatticeError("blowup requires generators spanning Z^d as a group")
-        self.s, self.p = s, p
+        self.p = p
+        self.cone = s.cone
         self.h = s.hilbert_basis()
         self.minors = s.hilbert_minors()  # nonzero minors only, keyed by bitmask
 
@@ -139,7 +129,10 @@ class _Step:
     def g_sets(self, members: tuple[int, ...]) -> dict[Vec, tuple[Vec, ...]]:
         """h -> sorted replacement differences g - h, per member h."""
         h = self.h
-        return {h[i]: _differences(h, i, js) for i, js in zip(members, self.replacements(members))}
+        return {
+            h[i]: tuple(sorted(sub(h[j], h[i]) for j in js))
+            for i, js in zip(members, self.replacements(members))
+        }
 
     def vertex_candidates(self, sums: dict[Vec, int]) -> list[Vec]:
         """The sorted live sums v_B that are not a midpoint of two single exchanges.
@@ -147,8 +140,11 @@ class _Step:
         With i, k in B and j, l outside it, h_i + h_k = h_j + h_l makes v_B
         the midpoint of v_B - h_i + h_j and v_B - h_k + h_l, distinct since
         the h are, so v_B is no vertex when both exchanges are live (or
-        B - i + l and B - k + j are).  Pairs with equal sums are disjoint,
-        so one pass over the pairs of H groups every (i, k) with its (j, l).
+        B - i + l and B - k + j are).  P is pointed, so it is the convex hull
+        of its vertices plus sigma: dropping such points leaves K, the cone
+        over P, with the same facets, extreme rays and tight sets.  Pairs
+        with equal sums are disjoint, so one pass over the pairs of H groups
+        every (i, k) with its (j, l).
         """
         h, minors, p = self.h, self.minors, self.p
         by_sum: dict[Vec, list[tuple[int, int]]] = {}
@@ -177,6 +173,36 @@ class _Step:
             return False
 
         return sorted(v for v, mask in sums.items() if not midpoint(mask))
+
+    @cached_property
+    def vertex_charts(self) -> dict[tuple[int, ...], Cone]:
+        """Subset positions -> chart cone for every pointed chart, in lexicographic subset order.
+
+        One double description settles them all, and no BlowupChart,
+        generator or saturation is formed.  A vertex v is the sum of exactly
+        one live subset: if B != B' both summed to v, the symmetric exchange
+        axiom would give b in B - B' and b' in B' - B with B - b + b' and
+        B' - b' + b live, whose sums v + b' - b and v + b - b' average to v.
+        Keys are increasing positions: a permuted subset has no entry.
+        """
+        sums = _live_sums(self.h, self.live())
+        cones = _tangent_cones(self.vertex_candidates(sums), self.cone)
+        return dict(sorted((_positions(sums[v]), cone) for v, cone in cones.items()))
+
+    def chart(self, members: tuple[int, ...], normalize: bool) -> BlowupChart:
+        """The chart at the given positions; normalizing saturates a pointed chart's cone."""
+        ch = BlowupChart(self, members)
+        if ch.pointed and normalize:
+            ch.normalized_chart = AffineSemigroup.from_cone(ch.cone)
+        return ch
+
+
+def _step(s: AffineSemigroup, p: int) -> _Step:
+    """The blowup step of s in characteristic p, built and checked once and kept on s."""
+    steps = s._steps = s._steps or {}
+    if p not in steps:
+        steps[p] = _Step(s, p)
+    return steps[p]
 
 
 def _tangent_cones(points: Sequence[Vec], sigma: Cone) -> dict[Vec, Cone]:
@@ -240,18 +266,16 @@ def g_set(
 ) -> tuple[Vec, ...]:
     """Replacement differences g - h for one member h of the chart subset."""
     members = _members(s, subset)
-    basis = s.hilbert_basis()
     hv = vec(h)
-    i = basis.index(hv) if hv in basis else -1
-    if i not in members:
+    if hv not in {vec(x) for x in subset}:
         raise ValueError(f"{hv} is not in the chart subset")
-    reps = _Step(s, p).replacements(members)
-    return _differences(basis, i, reps[members.index(i)])
+    return _step(s, p).g_sets(members)[hv]
 
 
 def chart_generators(s: AffineSemigroup, members: tuple[int, ...], p: int) -> tuple[Vec, ...]:
     """Generators of the chart at the given Hilbert basis positions, as BlowupChart.generators."""
-    return _union(s.hilbert_basis(), _Step(s, p).g_sets(members))
+    step = _step(s, p)
+    return _union(step.h, step.g_sets(members))
 
 
 def chart(
@@ -263,15 +287,10 @@ def chart(
     """The blowup chart of s at the given Hilbert subset; ValueError if its minor vanishes.
 
     The chart is pointed exactly when the subset sums to a vertex of the
-    Newton polyhedron.  Its cone is read from vertex_charts; normalizing
-    saturates that cone.
+    Newton polyhedron.
     """
     members = _members(s, subset)
-    step = _Step(s, p)
-    ch = BlowupChart(step, members, step.det(members), vertex_charts(s, p).get(members))
-    if ch.pointed and normalize:
-        ch.normalized_chart = AffineSemigroup.from_cone(ch.cone)
-    return ch
+    return _step(s, p).chart(members, normalize)
 
 
 def _positions(mask: int) -> tuple[int, ...]:
@@ -305,44 +324,16 @@ def _live_sums(h: Sequence[Vec], masks: Sequence[int]) -> dict[Vec, int]:
 
 
 def vertex_charts(s: AffineSemigroup, p: int) -> dict[tuple[int, ...], Cone]:
-    """Subset positions -> chart cone for every pointed chart, in lexicographic subset order.
-
-    The pointed charts are the live subsets whose sum is a vertex of the
-    Newton polyhedron; one double description settles them all, and no
-    BlowupChart, generator or saturation is formed.  It is fed only the
-    sums that are no midpoint of two single exchanges
-    (_Step.vertex_candidates): the others are not vertices, and K, the
-    cone over P, has the same facets and extreme rays without them.  The
-    table is kept on s, keyed by p; it holds cones only, nothing that
-    refers back to s.  A vertex v is the sum of exactly one live subset:
-    if B != B' both summed to v, the symmetric exchange axiom would give b
-    in B - B' and b' in B' - B with B - b + b' and B' - b' + b live, whose
-    sums v + b' - b and v + b - b' average to v.  Keys are increasing
-    positions: a permuted subset has no entry.
-    """
-    kept = s._vertex_charts = s._vertex_charts or {}
-    if p not in kept:
-        step = _Step(s, p)
-        sums = _live_sums(step.h, step.live())
-        cones = _tangent_cones(step.vertex_candidates(sums), s.cone)
-        kept[p] = dict(sorted((_positions(sums[v]), cone) for v, cone in cones.items()))
-    return kept[p]
+    """Subset positions -> chart cone for every pointed chart of s (_Step.vertex_charts)."""
+    return _step(s, p).vertex_charts
 
 
 def blowup_step(s: AffineSemigroup, p: int, normalized: bool = True) -> tuple[BlowupChart, ...]:
     """All charts of one blowup step, in lexicographic subset order.
 
     Charts with a non-pointed semigroup are kept and flagged; their
-    normalization is not computed.  The live subsets are read from the
-    semigroup's cached minor table, and the pointed charts' Cones from
-    vertex_charts; normalizing saturates that Cone, so no chart's
-    replacement sets are formed here.
+    normalization is not computed, and no chart's replacement sets are
+    formed here.
     """
-    step = _Step(s, p)
-    cones = vertex_charts(s, p)
-    subsets = sorted(_positions(mask) for mask in step.live())
-    charts = tuple(BlowupChart(step, m, step.det(m), cones.get(m)) for m in subsets)
-    for ch in charts:
-        if ch.pointed and normalized:
-            ch.normalized_chart = AffineSemigroup.from_cone(ch.cone)
-    return charts
+    step = _step(s, p)
+    return tuple(step.chart(m, normalized) for m in sorted(map(_positions, step.live())))

@@ -46,9 +46,30 @@ class ResourceLimitError(Exception):
 # index any fixture or corpus cone reaches is 245
 MAX_PARALLELEPIPED_POINTS = 100_000
 
-# the most subsets one level of a Hilbert basis minor table may hold; the
-# largest table any fixture or corpus search builds has 65,780
+# the most subsets one level of a minor table may hold; the largest table
+# any fixture or corpus search builds has 65,780
 MAX_MINOR_SUBSETS = 1_000_000
+
+
+def budgeted_minor_table(vectors: Sequence[Vec], d: int, what: str) -> dict[int, int]:
+    """minor_table(vectors, d), refused past the budget before any minor is formed.
+
+    Its level k holds up to C(n, k) minors of the n vectors; past
+    MAX_MINOR_SUBSETS on the largest level this raises ResourceLimitError,
+    naming the vectors as `what`.  Exactly d vectors have one d-subset, so
+    there one det is the table, and fewer have none.
+    """
+    n = len(vectors)
+    if n <= d:
+        full = n == d and det(mat(vectors))
+        return {(1 << d) - 1: full} if full else {}
+    largest = comb(n, min(d, n // 2))
+    if largest > MAX_MINOR_SUBSETS:
+        raise ResourceLimitError(
+            f"the minor table of {n} {what} in dimension {d} "
+            f"has a level of {largest} subsets, more than {MAX_MINOR_SUBSETS}"
+        )
+    return minor_table(vectors, d)
 
 
 def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Vec:
@@ -297,19 +318,13 @@ class AffineSemigroup(object):
     """
 
     __slots__ = (
-        "dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_minors",
-        "_vertex_charts",
+        "dim", "generators", "_cone", "_hilbert", "_saturated", "_full", "_minors", "_steps",
     )
 
     def __init__(
-        self, generators: Sequence[Sequence[int]], ambient_dim: Optional[int] = None,
-        cone: Optional[Cone] = None,
+        self, generators: Sequence[Sequence[int]], ambient_dim: int, cone: Optional[Cone] = None,
     ):
         gens = [vec(g) for g in generators]
-        if ambient_dim is None:
-            if not gens:
-                raise ValueError("ambient_dim required for an empty generator list")
-            ambient_dim = len(gens[0])
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionMismatch("generator of wrong length")
@@ -320,9 +335,9 @@ class AffineSemigroup(object):
         self._saturated: Optional[bool] = None
         self._full: Optional[bool] = None
         self._minors: Optional[dict[int, int]] = None
-        # filled on first use by nash.vertex_charts, the one writer from
-        # outside this class (a dict keyed by characteristic)
-        self._vertex_charts = None
+        # characteristic -> nash._Step, filled on first use by nash._step,
+        # the one writer from outside this class
+        self._steps = None
 
     @classmethod
     def from_hilbert_basis(
@@ -415,24 +430,12 @@ class AffineSemigroup(object):
     def hilbert_minors(self) -> dict[int, int]:
         """The nonzero dim-minors of the Hilbert basis, keyed by position bitmask.
 
-        Computed once by minor_table and kept: fingerprints and Nash charts
-        both read it.  Its level k holds up to C(|H|, k) minors; past
-        MAX_MINOR_SUBSETS on the largest level this raises ResourceLimitError.
-        Exactly d elements have one d-subset, so there one det is the table.
+        Computed once by budgeted_minor_table and kept: fingerprints and Nash
+        charts both read it.
         """
         if self._minors is None:
-            h, d = self.hilbert_basis(), self.dim
-            if len(h) == d:
-                full = det(mat(h))
-                self._minors = {(1 << d) - 1: full} if full else {}
-            else:
-                largest = comb(len(h), min(d, len(h) // 2))
-                if largest > MAX_MINOR_SUBSETS:
-                    raise ResourceLimitError(
-                        f"the minor table of {len(h)} Hilbert basis elements in dimension {d} "
-                        f"has a level of {largest} subsets, more than {MAX_MINOR_SUBSETS}"
-                    )
-                self._minors = minor_table(h, d)
+            h = self.hilbert_basis()
+            self._minors = budgeted_minor_table(h, self.dim, "Hilbert basis elements")
         return self._minors
 
     @classmethod

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import inspect
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from toricnash.conefile import MAX_DIMENSION
 from toricnash.exactmath import MAX_CHARACTERISTIC
 from toricnash.iso import certificate_for_matrix, find_isomorphism, verify_certificate
 from toricnash.nash import chart
-from toricnash.search import load_graph
+from toricnash.search import load_graph, verify_report_cycles
 
 from helpers import CORPUS, FORGED_B_NODES, forge_node, redundant_start_graph
 
@@ -82,27 +83,52 @@ def test_blowup_and_search_stop_at_the_minor_table_budget(capsys, monkeypatch):
     assert run(capsys, "blowup", "builtin:B")[0] == EXIT_OK
 
 
+def _general_position_wide_cone() -> str:
+    """N^25 x C in Z^28, C the cone over the lattice pentagon
+    conv{(0,0), (1,0), (2,1), (1,2), (0,1)} at height 1, moved by 60 random
+    row additions: 30 rays, 31 Hilbert elements, and C(31, 28) = 4,495 subsets,
+    over the fingerprint's cap, so the fingerprint reads the ray table."""
+    pentagon = [(0, 0, 1), (1, 0, 1), (2, 1, 1), (1, 2, 1), (0, 1, 1)]
+    rays = [tuple(int(i == j) for j in range(28)) for i in range(25)]
+    rays += [(0,) * 25 + r for r in pentagon]
+    u = [[int(i == j) for j in range(28)] for i in range(28)]
+    rng = random.Random(1)
+    for _ in range(60):
+        i, j = rng.sample(range(28), 2)
+        u[i] = [a + b for a, b in zip(u[i], u[j])]
+    moved = [[sum(a * x for a, x in zip(row, r)) for row in u] for r in rays]
+    return "dim 28\n" + "".join(" ".join(map(str, r)) + "\n" for r in moved)
+
+
 def test_a_cone_with_a_huge_minor_table_exits_3(tmp_path):
-    # 372 Hilbert elements in dimension 4: C(372, 4) = 785,115,765 minors.  The
-    # child gets 1 GiB of address space, so a missing budget fails the test
-    # instead of filling the machine's memory.
+    # 372 Hilbert elements in dimension 4: C(372, 4) = 785,115,765 minors.  In
+    # dimension 28 the fingerprint's table of 30 rays has a level of
+    # C(30, 15) = 155,117,520 subsets.  The child gets 1 GiB of address space,
+    # so a missing budget fails the test instead of filling the machine's memory.
     resource = pytest.importorskip("resource")
-    path = tmp_path / "big.cone"
+    path, wide = tmp_path / "big.cone", tmp_path / "wide.cone"
     path.write_text("dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n313 1 246 369\n")
+    wide.write_text(_general_position_wide_cone())
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    for command, want in (("hilbert", EXIT_OK), ("blowup", EXIT_RESOURCE),
-                          ("search", EXIT_RESOURCE)):
+    for argv, want, count in (
+        (("hilbert", path), EXIT_OK, None),
+        (("blowup", path), EXIT_RESOURCE, "785115765"),
+        (("search", path), EXIT_RESOURCE, "785115765"),
+        (("search", wide, "--max-depth", "1"), EXIT_RESOURCE, "155117520"),
+    ):
+        start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "toricnash", command, str(path)], capture_output=True,
+            [sys.executable, "-m", "toricnash", *map(str, argv)], capture_output=True,
             text=True, env=_module_env(), timeout=60, preexec_fn=limit,
         )
         assert done.returncode == want, done.stderr
         if want == EXIT_RESOURCE:
+            assert time.perf_counter() - start < 10
             assert done.stdout == ""
-            assert "785115765" in done.stderr
+            assert count in done.stderr and done.stderr.count("\n") == 1
         else:
             assert len(done.stdout.splitlines()) == 372
 
@@ -453,6 +479,14 @@ def test_search_load_rejects_a_loop_whose_certificate_is_not_unimodular(tmp_path
             b"meta 3 1 exhausted a\nnode a 0 0 1 1 1\nnode b -1 0 1 1 1\n",
             "line 3: node b has negative depth -1",
         ),
+        (
+            b"meta 0 1 exhausted a\nnode a 0 0 2 3 1 0 1 1 1 2\nedge a a 0,1 2 1 0 0\n",
+            "line 3: expected 4 matrix entries",
+        ),
+        (
+            b"meta 3 1 depth-limit a\nnode a 0 0 1 1 1\nfrontier ghost\n",
+            "line 3: frontier references a missing node ghost",
+        ),
     ],
 )
 def test_search_load_rejects_malformed_graph(tmp_path, capsys, data, message):
@@ -551,6 +585,21 @@ def test_search_load_rejects_an_extra_edge_whose_subset_is_no_vertex(tmp_path, c
     assert err.count("\n") == 1
 
 
+def test_search_load_rejects_a_plain_graph_whose_start_generates_a_sublattice(tmp_path, capsys):
+    # (1, 0) and (1, 2) generate a sublattice of index 2, so no blowup step
+    # starts there: the claimed one-step loop's edge has no chart to check
+    path = tmp_path / "g.txt"
+    path.write_text("meta 0 0 exhausted S-0\nnode S-0 0 0 2 2 1 0 1 2\nedge S-0 S-0 0,1 2 1 0 0 1\n")
+    report = load_graph(str(path))
+    assert report.cycle_lengths_found() == {1}
+    assert not verify_report_cycles(report)
+    code, out, err = run(capsys, "search", "--load", str(path))
+    assert code == EXIT_MATH
+    assert out == ""
+    assert err.startswith(f"toricnash: {path}: node S-0 does not check out")
+    assert err.count("\n") == 1
+
+
 def test_search_load_rejects_cycle_edge_with_vanishing_minor(tmp_path, capsys):
     path = tmp_path / "g.txt"
     code, _, _ = run(capsys, "search", "builtin:B", "--max-depth", "1", "--save", str(path))
@@ -588,6 +637,30 @@ def test_search_requires_cone_or_load(capsys):
 def test_search_bad_cycle_list(capsys):
     code, _, err = run(capsys, "search", "builtin:smooth3", "--cycles", "0")
     assert code == EXIT_USAGE
+
+
+def test_search_repeated_cycle_lengths_print_once(capsys):
+    want = run(capsys, "search", "builtin:B", "--max-depth", "1", "--cycles", "1,2")
+    assert want[1].count("cycle length 1: ") == 1
+    assert run(capsys, "search", "builtin:B", "--max-depth", "1", "--cycles", "1,1,2") == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hilbert", "{tmp}/missing.cone"), "cannot read {tmp}/missing.cone: "),
+        (("search", "--load", "{tmp}/missing.graph"), "cannot read {tmp}/missing.graph: "),
+        (("search", "builtin:B", "--max-depth", "0"), "limits must be positive"),
+        (("search", "builtin:B", "--cycles", "1,x"), "bad cycle list '1,x'"),
+        (("blowup", "{tmp}/x.cone"), "{tmp}/x.cone: line 2: characteristic is not an integer"),
+    ],
+)
+def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, argv, message):
+    (tmp_path / "x.cone").write_text("dim 2\nchar x\n1 0\n0 1\n")
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("toricnash: " + message.format(tmp=tmp_path))
+    assert err.count("\n") == 1
 
 
 def test_search_halt_on_cycle(capsys):

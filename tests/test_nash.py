@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -421,13 +423,46 @@ def test_chart_inside_an_edge_of_the_newton_polyhedron_is_not_pointed():
     _assert_newton_verdicts(s, 0)
 
 
+def test_the_kept_step_refers_to_no_semigroup():
+    # a step kept on its source that reached back to it would make a reference cycle
+    s = _source()
+    charts = blowup_step(s, 3)
+    chart_generators(s, charts[0]._members, 3)
+    assert list(s._steps) == [3] and s._steps[3].vertex_charts
+    seen, todo = set(), [s._steps]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(x))
+        assert not isinstance(x, AffineSemigroup)
+        todo.extend(gc.get_referents(x))
+    step = s._steps[3]
+    walked = [step.h, step.minors, step.cone, *step.vertex_charts.values()]
+    assert {id(x) for x in walked} <= seen
+
+
+def test_one_step_is_built_per_source_and_characteristic(monkeypatch):
+    built = []
+    init = nash._Step.__init__
+    monkeypatch.setattr(nash._Step, "__init__", lambda step, s, p: built.append(p) or init(step, s, p))
+    s = _source()
+    subset = fixtures.chart_subset_vectors()
+    for p in (3, 0, 3, 0):
+        blowup_step(s, p)
+        chart(s, subset, p)
+        g_set(s, subset, subset[0], p)
+        vertex_charts(s, p)
+    assert built == [3, 0]
+
+
 # Differential gate for the vertex filter: vertex_charts feeds K's double
 # description only the live sums that are not the midpoint of two single
 # exchanges, and must give the table built from every distinct live sum.
 def _unfiltered_vertex_charts(s, p):
-    step = nash._Step(s, p)
+    step = nash._step(s, p)
     sums = nash._live_sums(step.h, step.live())
-    cones = nash._tangent_cones(sorted(sums), s.cone)
+    cones = nash._tangent_cones(sorted(sums), step.cone)
     return dict(sorted((nash._positions(sums[v]), cone) for v, cone in cones.items()))
 
 
@@ -481,7 +516,7 @@ def _midpoint_cases(s, p):
     each swap's determinant taken afresh; the cases are i = k, j = l and
     the general one.
     """
-    step = nash._Step(s, p)
+    step = nash._step(s, p)
     sums = nash._live_sums(step.h, step.live())
     kept = step.vertex_candidates(sums)
     assert kept == sorted(set(kept)) and set(kept) <= set(sums)

@@ -196,7 +196,7 @@ def test_empty_semigroup_needs_dimension():
     assert s.dim == 3
     assert (0, 0, 0) in s
     assert (1, 0, 0) not in s
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the dimension is a required argument
         AffineSemigroup(())
 
 
