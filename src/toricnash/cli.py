@@ -166,7 +166,10 @@ def _render_report(report: SearchReport, wanted: Sequence[int]) -> None:
 
 
 def _check_writable(path: str) -> None:
-    """Refuse a save path whose directory is missing or not writable."""
+    """Refuse a save path that is a directory, or whose directory is missing or
+    not writable."""
+    if os.path.isdir(path):
+        raise CliError(f"cannot write {path}: it is a directory")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise CliError(f"cannot write {path}: no directory {folder}")

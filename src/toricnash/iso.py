@@ -138,11 +138,20 @@ class Frame:
     the sorted facet values <n_f, h>).  Facet normals are primitive and move
     by U^{-T} under x -> U x, and rays move by U, so every unimodular map
     between two frames keeps each point's signature, and equivalent frames
-    have equal keys.  The base, the first independent d points with the
-    determinant and adjugate of their matrix, is computed on first use.
+    have equal keys.  A lower-dimensional cone's facet normals are fixed
+    only up to its span equations, so its facet values are not invariant:
+    such a cone, and a cone with a line, is refused.  The base, the first
+    independent d points with the determinant and adjugate of their
+    matrix, is computed on first use.
     """
 
     def __init__(self, points: Sequence[Vec], c: Cone):
+        if not c.is_pointed:
+            raise NotPointedError("a frame requires a pointed cone")
+        if not c.is_full_dimensional:
+            raise NotFullDimensionalError(
+                "unimodular equivalence is decided only for full-dimensional cones"
+            )
         rays = set(c.generators)
         self.points = tuple(points)
         self.of: dict[Vec, Signature] = {}  # point -> its signature
@@ -163,22 +172,6 @@ class Frame:
         base = tuple(self.points[i] for i in independent_indices(self.points, d))
         det, adj = solve(mat(base), identity(d))
         return base, det, adj
-
-
-def signatures(s: AffineSemigroup) -> Frame:
-    """The frame of the semigroup's Hilbert basis.
-
-    A lower-dimensional cone's facet normals are determined only up to its
-    span equations, so its facet values are not invariant: such a semigroup
-    raises NotFullDimensionalError.
-    """
-    if not s.is_pointed:
-        raise NotPointedError("signatures require a pointed semigroup")
-    if not s.cone.is_full_dimensional:
-        raise NotFullDimensionalError(
-            "unimodular equivalence is decided only for full-dimensional cones"
-        )
-    return Frame(s.hilbert_basis(), s.cone)
 
 
 @dataclass(frozen=True)
@@ -234,7 +227,7 @@ def find_isomorphism(a: AffineSemigroup, b: AffineSemigroup) -> Optional[IsoCert
         return None
     if set(ha) == set(hb):
         return certificate_for_matrix(a, identity(a.dim))
-    m = first_map(signatures(a), signatures(b))
+    m = first_map(Frame(ha, a.cone), Frame(hb, b.cone))
     return None if m is None else certificate_for_matrix(a, m)
 
 

@@ -48,7 +48,6 @@ class BlowupChart:
 
     def __init__(self, step: _Step, members: tuple[int, ...]):
         self._step = step
-        self.characteristic = step.p
         self._members = members  # subset positions, increasing
         self.det_value = step.det(members)  # det_p of the subset matrix
         self.cone: Optional[Cone] = step.vertex_charts.get(members)
@@ -68,15 +67,11 @@ class BlowupChart:
     @cached_property
     def generators(self) -> tuple[Vec, ...]:
         """The Hilbert basis together with all replacement sets, sorted."""
-        return _union(self._step.h, self.g_sets)
+        return tuple(sorted(set(self._step.h).union(*self.g_sets.values())))
 
     @cached_property
     def chart_semigroup(self) -> AffineSemigroup:
         return AffineSemigroup(self.generators, self._step.cone.dim, cone=self.cone)
-
-
-def _union(h: Sequence[Vec], g_sets: dict[Vec, tuple[Vec, ...]]) -> tuple[Vec, ...]:
-    return tuple(sorted(set(h).union(*g_sets.values())))
 
 
 def _det_p(minor: int, p: int) -> int:
@@ -115,23 +110,17 @@ class _Step:
         p = self.p
         return [mask for mask, minor in self.minors.items() if _det_p(minor, p)]
 
-    def replacements(self, members: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """Per member i, the outside positions j whose swap for i keeps a live minor."""
+    def g_sets(self, members: tuple[int, ...]) -> dict[Vec, tuple[Vec, ...]]:
+        """h -> sorted replacement differences g - h, per member h: g runs over
+        the outside Hilbert elements whose swap for h keeps a live minor."""
         self.det(members)  # the subset itself must be live
         mask = sum(1 << i for i in members)
-        minors, p = self.minors, self.p
-        outside = [j for j in range(len(self.h)) if not mask >> j & 1]
-        return tuple(
-            tuple(j for j in outside if _det_p(minors.get(mask ^ 1 << i | 1 << j, 0), p))
-            for i in members
-        )
-
-    def g_sets(self, members: tuple[int, ...]) -> dict[Vec, tuple[Vec, ...]]:
-        """h -> sorted replacement differences g - h, per member h."""
-        h = self.h
+        h, minors, p = self.h, self.minors, self.p
+        outside = [j for j in range(len(h)) if not mask >> j & 1]
         return {
-            h[i]: tuple(sorted(sub(h[j], h[i]) for j in js))
-            for i, js in zip(members, self.replacements(members))
+            h[i]: tuple(sorted(sub(h[j], h[i]) for j in outside
+                               if _det_p(minors.get(mask ^ 1 << i | 1 << j, 0), p)))
+            for i in members
         }
 
     def vertex_candidates(self, sums: dict[Vec, int]) -> list[Vec]:
@@ -270,12 +259,6 @@ def g_set(
     if hv not in {vec(x) for x in subset}:
         raise ValueError(f"{hv} is not in the chart subset")
     return _step(s, p).g_sets(members)[hv]
-
-
-def chart_generators(s: AffineSemigroup, members: tuple[int, ...], p: int) -> tuple[Vec, ...]:
-    """Generators of the chart at the given Hilbert basis positions, as BlowupChart.generators."""
-    step = _step(s, p)
-    return _union(step.h, step.g_sets(members))
 
 
 def chart(

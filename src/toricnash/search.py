@@ -22,9 +22,10 @@ from .exactmath import (
     solve, vec,
 )
 from .iso import Frame, carries, fingerprint, first_map
-from .cone import Cone, NotFullDimensionalError, NotPointedError
-from .nash import chart_generators, vertex_charts
-from .semigroup import AffineSemigroup, NotFullLatticeError, NotSaturatedError
+from .cone import Cone, NotPointedError
+from .nash import _step, vertex_charts
+from .conefile import MAX_DIMENSION
+from .semigroup import AffineSemigroup, NotFullLatticeError, NotSaturatedError, ResourceLimitError
 
 DEFAULT_MAX_DEPTH = 4
 DEFAULT_MAX_NODES = 10_000
@@ -124,7 +125,7 @@ def _chart_points(
     """The points that name the class of src's chart at subset; nothing is saturated."""
     if normalized:
         return cone.generators
-    return AffineSemigroup(chart_generators(src, subset, p), src.dim, cone=cone).hilbert_basis()
+    return _step(src, p).chart(subset, False).chart_semigroup.hilbert_basis()
 
 
 class _ClassIndex:
@@ -159,18 +160,14 @@ class _ClassIndex:
 
     def insert(self, s: AffineSemigroup, key: Optional[str] = None) -> str:
         """File s as a node, under the given key or a fresh one; return the key."""
-        c = s.cone
-        if not c.is_pointed:
-            raise NotPointedError("a search node must be pointed")
-        if not c.is_full_dimensional:
-            raise NotFullDimensionalError("a search node must be full-dimensional")
+        frame = Frame(_points(s, self.normalized), s.cone)
         if key is None:
             prefix = hashlib.sha256(fingerprint(s).to_bytes()).hexdigest()[:12]
             n = 0
             while f"{prefix}-{n}" in self.frames:
                 n += 1
             key = f"{prefix}-{n}"
-        frame = self.frames[key] = Frame(_points(s, self.normalized), c)
+        self.frames[key] = frame
         self.buckets.setdefault(frame.key, []).append(key)
         return key
 
@@ -551,10 +548,15 @@ def load_graph(path: str) -> SearchReport:
                 if key in nodes:
                     raise GraphFormatError(f"line {lineno}: duplicate node key {key}")
                 # a search node is full-dimensional, so it has dim generators or
-                # more: checking a record costs time polynomial in its length
+                # more; its dimension is capped as a cone file's is, since the
+                # checks of one record grow steeply with its dimension
                 if not 1 <= dim <= ngens:
                     raise GraphFormatError(
                         f"line {lineno}: node {key} has dimension {dim} and {ngens} generators"
+                    )
+                if dim > MAX_DIMENSION:
+                    raise ResourceLimitError(
+                        f"line {lineno}: node {key} has dimension {dim}, more than {MAX_DIMENSION}"
                     )
                 entries = [int(x) for x in parts[6:]]
                 if len(entries) != dim * ngens:

@@ -176,6 +176,41 @@ def apply_matrix(cols: Sequence[Vec], v: Vec) -> Vec:
     return tuple(sum(cols[j][i] * v[j] for j in range(len(cols))) for i in range(dim))
 
 
+def bareiss_det(cols: Sequence[Vec]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(c) for c in cols]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def reference_chart_generators(h: Sequence[Vec], members: Sequence[int], p: int) -> tuple[Vec, ...]:
+    """The sorted Hilbert basis h together with g - h_i for each member i of the
+    chart subset and each outside g whose swap for h_i leaves a determinant
+    that is nonzero mod p (p = 0: nonzero).  Each determinant is taken on
+    its own, not read from a minor table."""
+    subset = [h[i] for i in members]
+    gens = set(h)
+    for x, i in enumerate(members):
+        for j, g in enumerate(h):
+            if j in members:
+                continue
+            det = bareiss_det(subset[:x] + [g] + subset[x + 1:])
+            if det % p if p else det:
+                gens.add(tuple(a - b for a, b in zip(g, h[i])))
+    return tuple(sorted(gens))
+
+
 # --- forged graph files ---
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"

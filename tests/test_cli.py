@@ -327,14 +327,29 @@ def test_search_save_into_a_missing_directory_is_refused_before_the_search(
     assert err == f"toricnash: cannot write {path}: directory {tmp_path} is not writable\n"
 
 
-def test_search_save_that_fails_late_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
-    # the directory is writable, but the target is a directory, so the rename fails
-    target = tmp_path / "g.graph"
+def test_search_save_onto_a_directory_is_refused_before_the_search(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "explore", lambda *a, **k: pytest.fail("the search ran"))
+    target = tmp_path / "dd"
     target.mkdir()
     code, out, err = run(capsys, "search", "builtin:a2", "--max-depth", "1", "--save", str(target))
     assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"toricnash: cannot write {target}: it is a directory\n"
+    assert os.listdir(target) == []
+
+
+def test_search_save_that_fails_late_exits_1_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    # the directory is writable, but the rename of the temp file onto the target fails
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    folder = tmp_path / "out"
+    folder.mkdir()
+    target = folder / "g.graph"
+    code, out, err = run(capsys, "search", "builtin:a2", "--max-depth", "1", "--save", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith(f"toricnash: cannot write {target}: ") and err.count("\n") == 1
-    assert os.listdir(tmp_path) == ["g.graph"] and os.listdir(target) == []
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(folder) == []
 
 
 @pytest.mark.parametrize("d", [23, 32])
@@ -349,6 +364,31 @@ def test_a_smooth_start_of_high_dimension_is_one_node(tmp_path, capsys, d):
     assert time.perf_counter() - start < 10.0
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines()[1:4] == ["nodes 1", "edges 0", "termination exhausted"]
+
+
+def test_a_graph_node_above_the_dimension_cap_exits_3_before_any_semigroup(
+    tmp_path, capsys, monkeypatch
+):
+    def identity_graph(d):
+        path = tmp_path / f"id{d}.graph"
+        flat = " ".join(str(int(i == j)) for i in range(d) for j in range(d))
+        path.write_text(f"meta 0 1 depth-limit S-0\nnode S-0 0 1 {d} {d} {flat}\n")
+        return str(path)
+
+    fits = identity_graph(MAX_DIMENSION)
+    code, out, err = run(capsys, "search", "--load", fits, "--max-depth", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1:4] == ["nodes 1", "edges 0", "termination exhausted"]
+    d = MAX_DIMENSION + 1
+    too_big = identity_graph(d)
+    monkeypatch.setattr(
+        semigroup.AffineSemigroup, "__init__", lambda *a, **k: pytest.fail("a semigroup was built")
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--load", too_big, "--max-depth", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == f"toricnash: line 2: node S-0 has dimension {d}, more than {MAX_DIMENSION}\n"
 
 
 def _forge_certificate(path, pick, forge):
@@ -795,6 +835,21 @@ def test_deterministic_stdout(capsys):
 )
 def test_blowup_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
+
+
+# plain searches: each chart's points are the Hilbert basis of its chart semigroup
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("builtin:B", "--char", "2147483647", "--max-depth", "2"), "c8935c960d6e"),
+        (("builtin:dim4char3", "--max-depth", "3", "--cycles", "1,2"), "fb849200740d"),
+        (("builtin:reeves", "--max-depth", "2"), "321c45b82709"),
+    ],
+)
+def test_plain_search_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "search", *argv, "--no-normalized")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
 

@@ -21,7 +21,8 @@ TRACED table must still resolve.  Every EXIT_* code of the CLI has a row
 in the README's exit-code table, and the table has no other.  A private
 attribute `_x` of anything but `self` is assigned only in a module that
 declares `_x` in a class's `__slots__`; a short allowlist names the
-exceptions, each with its reason.
+exceptions, each with its reason.  So does every private name that one
+module of src/toricnash imports from another.
 """
 
 from __future__ import annotations
@@ -341,6 +342,59 @@ def test_private_attributes_are_written_by_the_module_that_declares_them():
     assert "semigroup" in sources
     # an allowlisted write that goes away leaves the list too
     assert sorted(foreign_private_writes(sources)) == sorted(FOREIGN_WRITES_ALLOWED)
+
+
+def foreign_private_imports(sources: dict[str, str]) -> list[str]:
+    """'module <- other.name' for every `from .other import _name` in a source."""
+    out = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                prefix = f"{node.module}." if node.module else ""
+                out += [
+                    f"{module} <- {prefix}{alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+    return out
+
+
+def test_foreign_private_import_detector():
+    sources = {
+        "a": (
+            "from __future__ import annotations\n"
+            "from .b import _hidden, public as _renamed, Public\n"
+            "from . import _module\n"
+            "from os import _exit\n"
+            "import _thread\n"
+            "def f():\n"
+            "    from .c import (\n"
+            "        _late,\n"
+            "    )\n"
+        ),
+        "b": "from .a import f\n_hidden = 1\n",
+    }
+    assert foreign_private_imports(sources) == ["a <- b._hidden", "a <- _module", "a <- c._late"]
+
+
+# private names that one module of the package imports from another
+FOREIGN_IMPORTS_ALLOWED = {
+    "semigroup <- cone._triangulate_rays": (
+        "the saturation walks the parallelepiped of each piece of the pulling triangulation "
+        "of the cone's extreme rays, which the cone module reads from the facet incidence"
+    ),
+    "search <- nash._step": (
+        "the plain search reads each chart semigroup from the step that vertex_charts "
+        "already built and kept on the source, rather than a second copy of its generators"
+    ),
+}
+
+
+def test_private_names_are_imported_only_by_their_own_module():
+    src = ROOT.joinpath("src", "toricnash")
+    sources = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
+    assert "search" in sources
+    # an allowlisted import that goes away leaves the list too
+    assert sorted(foreign_private_imports(sources)) == sorted(FOREIGN_IMPORTS_ALLOWED)
 
 
 def bench_package_names() -> set[str]:

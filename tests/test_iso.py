@@ -24,11 +24,11 @@ from toricnash.exactmath import (
 from toricnash.iso import (
     _DET_SUBSET_CAP,
     Fingerprint,
+    Frame,
     IsoCertificate,
     certificate_for_matrix,
     find_isomorphism,
     fingerprint,
-    signatures,
     verify_certificate,
 )
 from toricnash.nash import blowup_step, chart, vertex_charts
@@ -183,7 +183,7 @@ def test_fingerprint_mismatch_blocks_search(monkeypatch):
     a = AffineSemigroup(((1, 0), (1, 1), (1, 2)), 2)
     b = AffineSemigroup(((1, 0), (1, 1), (0, 2)), 2)
     assert len(a.hilbert_basis()) == len(b.hilbert_basis()) == 3
-    assert signatures(a).key != signatures(b).key
+    assert Frame(a.hilbert_basis(), a.cone).key != Frame(b.hilbert_basis(), b.cone).key
 
     def refuse(*args):
         raise AssertionError("solve ran although the signature keys differ")
@@ -315,10 +315,18 @@ def _reference_signatures(s):
 def test_signatures_match_reference():
     nodes = _search_nodes("B", 1) + _search_nodes("dim4char3", 2)
     nodes.append((AffineSemigroup(((2, 0), (3, 0), (0, 1), (1, 1)), 2), 0))  # two elements on one ray
-    assert any(0 in (sig[0] for sig in signatures(s).of.values()) for s, _ in nodes)
-    for s, _ in nodes:
-        f = signatures(s)
+    frames = [Frame(s.hilbert_basis(), s.cone) for s, _ in nodes]
+    assert any(0 in (sig[0] for sig in f.of.values()) for f in frames)
+    for (s, _), f in zip(nodes, frames):
         assert (f.key, f.of, f.by) == _reference_signatures(s)
+
+
+def test_a_frame_refuses_a_cone_with_a_line_and_a_lower_dimensional_cone():
+    with pytest.raises(NotPointedError):
+        Frame([(1, 0), (-1, 0), (0, 1)], Cone([(1, 0), (-1, 0), (0, 1)], 2))
+    flat = Cone([(1, 0, 0), (0, 1, 0)], 3)
+    with pytest.raises(NotFullDimensionalError, match="only for full-dimensional cones"):
+        Frame(flat.generators, flat)
 
 
 def test_lower_dimensional_semigroups_are_refused():
@@ -493,6 +501,6 @@ def test_non_unimodular_map_between_equal_keys_is_refused():
     # (1,0) -> (2,0), (1,2) -> (0,2) preserves every signature, with determinant 2
     a = AffineSemigroup(((1, 0), (1, 2)), 2)
     b = AffineSemigroup(((2, 0), (0, 2)), 2)
-    assert signatures(a).key == signatures(b).key
+    assert Frame(a.hilbert_basis(), a.cone).key == Frame(b.hilbert_basis(), b.cone).key
     assert find_isomorphism(a, b) is None
     assert _former_find_isomorphism(a, b) is None

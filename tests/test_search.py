@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import toricnash.cone as cone_module
 from toricnash import fixtures, iso, nash, search, semigroup
-from toricnash.cone import Cone, NotPointedError
+from toricnash.cone import Cone, NotFullDimensionalError, NotPointedError
 from toricnash.exactmath import (
     Mat,
     Vec,
@@ -65,6 +65,7 @@ from helpers import (
     forge_node,
     random_unimodular,
     redundant_start_graph,
+    reference_chart_generators,
     unimodular_matrices,
 )
 
@@ -343,6 +344,20 @@ def test_keys_stay_distinct_when_fingerprint_digests_share_a_prefix(monkeypatch)
 def test_class_index_refuses_a_cone_with_a_line():
     with pytest.raises(NotPointedError):
         _ClassIndex(True).insert(AffineSemigroup(((1, 0), (-1, 0), (0, 1)), 2), "k")
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("key", [None, "k"])
+def test_class_index_refuses_what_a_frame_refuses_before_it_fingerprints(
+    monkeypatch, normalized, key
+):
+    monkeypatch.setattr(search, "fingerprint", lambda s: pytest.fail("fingerprinted"))
+    index = _ClassIndex(normalized)
+    with pytest.raises(NotPointedError):
+        index.insert(AffineSemigroup(((1, 0), (-1, 0), (0, 1)), 2), key)
+    with pytest.raises(NotFullDimensionalError):
+        index.insert(AffineSemigroup(((1, 0, 0), (0, 1, 0)), 3), key)
+    assert index.frames == {} and index.buckets == {}
 
 
 def test_resume_rejects_mismatched_state(tmp_path):
@@ -655,7 +670,7 @@ def test_plain_lookup_matches_the_former_lookup(name, p, depth):
         if node.smooth:
             continue
         for subset, cone in nash.vertex_charts(node.semigroup, p).items():
-            gens = nash.chart_generators(node.semigroup, subset, p)
+            gens = reference_chart_generators(node.semigroup.hilbert_basis(), subset, p)
             got = index.locate(search._chart_points(node.semigroup, subset, cone, p, False), cone)
             assert got == former.locate(AffineSemigroup(gens, cf.dim, cone=cone))
             hits += got[0] is not None
@@ -1033,7 +1048,8 @@ def test_edge_check_matches_the_hilbert_basis_check(name):
     verdicts = []
     for e in report.edges:
         src, dst = report.nodes[e.src].semigroup, report.nodes[e.dst].semigroup
-        target = AffineSemigroup.from_cone(Cone(nash.chart_generators(src, e.subset, p), src.dim))
+        gens = reference_chart_generators(src.hilbert_basis(), e.subset, p)
+        target = AffineSemigroup.from_cone(Cone(gens, src.dim))
         for m in _forged_certificates(e.certificate):
             want = verify_certificate(target, dst, certificate_for_matrix(target, m))
             assert search._edge_checks_out(report, GraphEdge(e.src, e.dst, e.subset, m)) == want
